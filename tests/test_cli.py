@@ -5,6 +5,7 @@ and JSON round-trip fidelity into the emitting types.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,13 @@ from freycheck.frey import CurveInvariants
 from freycheck.search import SolutionRecord
 from freycheck.tate import LocalData
 from freycheck.traces import CongruenceReport, TraceRecord
+
+
+#: Pinned stdout of each TestDeterminism case in each format, one file per
+#: subcommand and format (``<subcommand>.<format>``).  A change to the
+#: bytes of any report shows up here first.
+GOLDEN = Path(__file__).parent / "golden"
+FORMATS = ("json", "csv", "human")
 
 
 def run_cli(capsys, *args):
@@ -411,6 +419,13 @@ class TestDeterminism:
         second = run_cli(capsys, *args)
         assert first == second
         assert first[0] == 0
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("args", CASES, ids=lambda args: args[0])
+    def test_stdout_matches_golden_file(self, capsys, args, fmt):
+        code, out, err = run_cli(capsys, *args, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / ("%s.%s" % (args[0], fmt))).read_text(encoding="utf-8")
 
     @pytest.mark.parametrize(
         "args",
