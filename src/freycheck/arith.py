@@ -8,7 +8,7 @@ so results stay exact at any magnitude.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 __all__ = [
     "DEFAULT_FACTOR_BOUND",
@@ -16,12 +16,10 @@ __all__ = [
     "FactorizationError",
     "exact_root",
     "factorize",
-    "gcd_all",
     "iroot",
     "is_prime",
     "legendre_symbol",
     "mult_order",
-    "powmod",
     "primes_up_to",
     "valuation",
 ]
@@ -91,15 +89,6 @@ def valuation(n: int, ell: int) -> int:
     return e
 
 
-def powmod(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus by square-and-multiply (exp >= 0, modulus >= 2)."""
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    if exp < 0:
-        raise ValueError("exponent must be non-negative")
-    return pow(base, exp, modulus)
-
-
 def mult_order(g: int, p: int) -> int:
     """Multiplicative order of g modulo the prime p."""
     if not is_prime(p):
@@ -111,14 +100,6 @@ def mult_order(g: int, p: int) -> int:
         while order % q == 0 and pow(g, order // q, p) == 1:
             order //= q
     return order
-
-
-def gcd_all(values: Iterable[int]) -> int:
-    """Non-negative gcd of a non-empty collection of integers."""
-    vals = list(values)
-    if not vals:
-        raise ValueError("gcd of an empty collection is undefined")
-    return math.gcd(*vals)
 
 
 def legendre_symbol(a: int, ell: int) -> int:

@@ -24,11 +24,12 @@ import logging
 import os
 import re
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import fields, is_dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .arith import DEFAULT_FACTOR_BOUND, is_prime
-from .denes import denes_criterion, denes_scan
+from .arith import DEFAULT_FACTOR_BOUND
+from .denes import DenesReport, denes_criterion, denes_scan
 from .frey import (
     build_frey,
     cartan_type,
@@ -38,6 +39,7 @@ from .frey import (
     reduce_alpha,
 )
 from .search import (
+    CaseResult,
     SearchSpec,
     classify_ap_outcome,
     classify_search_outcome,
@@ -45,11 +47,11 @@ from .search import (
     search_star,
     verify_theorem_claims,
 )
-from .tate import all_local_data
+from .tate import all_local_data, global_conductor
 from .traces import mod_p_congruent, trace_table
 from .weierstrass import WeierstrassModel
 
-__all__ = ["entry", "main"]
+__all__ = ["entry", "jsonable", "main"]
 
 SCHEMA_VERSION = 1
 
@@ -61,6 +63,12 @@ EXIT_COUNTEREXAMPLE = 3
 FACTOR_BOUND_ENV = "FREYCHECK_FACTOR_BOUND"
 
 log = logging.getLogger("freycheck")
+
+#: A report table: its header and its rows.
+Table = Tuple[Sequence[str], Sequence[Sequence[object]]]
+#: What each handler returns: the JSON payload, the table (None for
+#: key/value reports) and the exit code.
+Report = Tuple[object, Optional[Table], int]
 
 # Options taking comma-separated integer lists.  A value such as
 # "-1,1,-1" looks like an option string to argparse, so `--triple
@@ -78,36 +86,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _int_arg(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+def _int_at_least(minimum: int, kind: str) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError("expected a %s integer, got %r" % (kind, text))
+        return value
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    value = _int_arg(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = _int_arg(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("expected a non-negative integer, got %r" % text)
-    return value
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "non-negative")
 
 
 def _comma_ints(count: Optional[int] = None):
     def parse(text: str) -> List[int]:
-        parts = [part.strip() for part in text.split(",")]
-        if any(part == "" for part in parts):
-            raise argparse.ArgumentTypeError(
-                "expected comma-separated integers, got %r" % text
-            )
         try:
-            values = [int(part) for part in parts]
+            values = [int(part) for part in text.split(",")]
         except ValueError:
             raise argparse.ArgumentTypeError(
                 "expected comma-separated integers, got %r" % text
@@ -146,9 +145,7 @@ def _default_factor_bound() -> int:
     try:
         bound = int(raw)
     except ValueError:
-        raise ValueError(
-            "%s must be an integer, got %r" % (FACTOR_BOUND_ENV, raw)
-        )
+        raise ValueError("%s must be an integer, got %r" % (FACTOR_BOUND_ENV, raw))
     if bound < 2:
         raise ValueError("%s must be >= 2, got %d" % (FACTOR_BOUND_ENV, bound))
     return bound
@@ -185,30 +182,25 @@ def build_parser() -> _Parser:
 
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    analyze = sub.add_parser(
-        "analyze",
-        parents=[common],
-        help="normalize a solution, build its Frey curve, cross-check invariants",
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[common], help=help)
+
+    model = dict(type=_comma_ints(5), required=True, metavar="a1,a2,a3,a4,a6")
+
+    analyze = command(
+        "analyze", "normalize a solution, build its Frey curve, cross-check invariants"
     )
     analyze.add_argument("--p", type=_positive_int, required=True)
     analyze.add_argument("--alpha", type=_nonnegative_int, required=True)
-    analyze.add_argument(
-        "--triple", type=_comma_ints(3), required=True, metavar="a,b,c"
-    )
+    analyze.add_argument("--triple", type=_comma_ints(3), required=True, metavar="a,b,c")
 
-    denes = sub.add_parser(
-        "denes",
-        parents=[common],
-        help="evaluate the regularity/order-of-2/Wieferich criterion",
-    )
+    denes = command("denes", "evaluate the regularity/order-of-2/Wieferich criterion")
     group = denes.add_mutually_exclusive_group(required=True)
     group.add_argument("--p", type=_positive_int)
     group.add_argument("--scan", type=_positive_int, metavar="MAX")
 
-    search = sub.add_parser(
-        "search",
-        parents=[common],
-        help="exhaustive bounded-height search for a^p + L^alpha*b^p + c^p = 0",
+    search = command(
+        "search", "exhaustive bounded-height search for a^p + L^alpha*b^p + c^p = 0"
     )
     search.add_argument("--p", type=_positive_int, required=True)
     search.add_argument("--alpha", type=_nonnegative_int, required=True)
@@ -220,10 +212,8 @@ def build_parser() -> _Parser:
         help="also report solutions with gcd(a, b, c) > 1, tagged with their content",
     )
 
-    ap_search = sub.add_parser(
-        "ap-search",
-        parents=[common],
-        help="arithmetic progressions of perfect n-th powers with positive bases",
+    ap_search = command(
+        "ap-search", "arithmetic progressions of perfect n-th powers with positive bases"
     )
     ap_search.add_argument("--n", type=_positive_int, required=True)
     ap_search.add_argument("--k", type=_positive_int, required=True, choices=(3, 4))
@@ -234,49 +224,27 @@ def build_parser() -> _Parser:
         help="include constant progressions (equal bases)",
     )
 
-    verify = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="batch search over (p, alpha) grids and classify against known results",
+    verify = command(
+        "verify", "batch search over (p, alpha) grids and classify against known results"
     )
     verify.add_argument("--p-list", type=_comma_ints(), required=True, metavar="p1,p2,...")
-    verify.add_argument(
-        "--alpha-list", type=_comma_ints(), required=True, metavar="a1,a2,..."
-    )
+    verify.add_argument("--alpha-list", type=_comma_ints(), required=True, metavar="a1,a2,...")
     verify.add_argument("--height", type=_positive_int, default=25)
 
-    traces = sub.add_parser(
-        "traces",
-        parents=[common],
-        help="trace-of-Frobenius table for a Weierstrass model",
-    )
-    traces.add_argument(
-        "--model", type=_comma_ints(5), required=True, metavar="a1,a2,a3,a4,a6"
-    )
+    traces = command("traces", "trace-of-Frobenius table for a Weierstrass model")
+    traces.add_argument("--model", **model)
     traces.add_argument("--lmax", type=_positive_int, default=100)
 
-    congruence = sub.add_parser(
-        "congruence",
-        parents=[common],
-        help="compare traces of two curves mod p over good primes",
-    )
-    congruence.add_argument(
-        "--model1", type=_comma_ints(5), required=True, metavar="a1,a2,a3,a4,a6"
-    )
-    congruence.add_argument(
-        "--model2", type=_comma_ints(5), required=True, metavar="a1,a2,a3,a4,a6"
-    )
+    congruence = command("congruence", "compare traces of two curves mod p over good primes")
+    congruence.add_argument("--model1", **model)
+    congruence.add_argument("--model2", **model)
     congruence.add_argument("--p", type=_positive_int, required=True)
     congruence.add_argument("--lmax", type=_positive_int, default=100)
 
-    conductor = sub.add_parser(
-        "conductor",
-        parents=[common],
-        help="global conductor and per-prime local data via minimal-model reduction",
+    conductor = command(
+        "conductor", "global conductor and per-prime local data via minimal-model reduction"
     )
-    conductor.add_argument(
-        "--model", type=_comma_ints(5), required=True, metavar="a1,a2,a3,a4,a6"
-    )
+    conductor.add_argument("--model", **model)
 
     return parser
 
@@ -285,21 +253,26 @@ def build_parser() -> _Parser:
 # rendering
 
 
-def _envelope(command: str, payload: Dict[str, object]) -> str:
-    doc: Dict[str, object] = {
-        "schema_version": SCHEMA_VERSION,
-        "toolkit_version": __version__,
-        "command": command,
-    }
-    doc.update(payload)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def jsonable(value: object) -> object:
+    """Plain JSON data for a report value.
+
+    Dataclasses become dicts by field, tuples become lists and dict keys
+    become strings.  Keys are converted here rather than by ``json.dumps``
+    so that ``sort_keys`` orders them as strings ("11" before "3") and the
+    key/value listings see the same keys as the JSON.
+    """
+    if is_dataclass(value):
+        value = {field.name: getattr(value, field.name) for field in fields(value)}
+    if isinstance(value, dict):
+        return {str(key): jsonable(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(item) for item in value]
+    return value
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
     return buffer.getvalue()
 
 
@@ -319,15 +292,34 @@ def _key_value_rows(payload: Dict[str, object], prefix: str = "") -> List[Tuple[
     return rows
 
 
-def _render_scalars(payload: Dict[str, object], fmt: str, command: str) -> str:
+def _render(command: str, fmt: str, payload: object, table: Optional[Table]) -> str:
+    """One report as json, csv or human text.
+
+    JSON is the payload in the versioned envelope.  CSV is the table, or
+    the payload's key/value listing for commands without one; human text
+    is that key/value listing.  Two layouts differ: ``denes`` streams one
+    bare JSON object per report (JSON Lines) and prints its table as
+    human text, and ``traces`` prints its table padded into columns.
+    """
+    payload = jsonable(payload)
     if fmt == "json":
-        return _envelope(command, payload)
+        if command == "denes":
+            return "".join(json.dumps(report, sort_keys=True) + "\n" for report in payload)
+        doc = dict(schema_version=SCHEMA_VERSION, toolkit_version=__version__, command=command)
+        return json.dumps({**doc, **payload}, sort_keys=True, indent=2) + "\n"
+    if table is not None:
+        header, rows = table
+        if fmt == "csv":
+            return _csv_text(header, rows)
+        if command == "denes":
+            return "".join("  ".join(map(str, row)) + "\n" for row in [header, *rows])
+        if command == "traces":
+            return "".join("%-4s %-6s %s\n" % tuple(row) for row in [header, *rows])
     rows = _key_value_rows(payload)
     if fmt == "csv":
         return _csv_text(("key", "value"), rows)
     width = max(len(name) for name, _ in rows)
-    lines = ["%-*s  %s" % (width, name, value) for name, value in rows]
-    return "\n".join(lines) + "\n"
+    return "".join("%-*s  %s\n" % (width, name, value) for name, value in rows)
 
 
 def _model_from_values(values: Sequence[int]) -> WeierstrassModel:
@@ -336,12 +328,41 @@ def _model_from_values(values: Sequence[int]) -> WeierstrassModel:
     return model
 
 
+def _exit_code(conforms: bool) -> int:
+    return EXIT_OK if conforms else EXIT_COUNTEREXAMPLE
+
+
+def _cell(value: object) -> object:
+    """A table cell: None is left blank and a list is joined with ";"."""
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ";".join(map(str, value))
+    return value
+
+
+def _table(items: Sequence[object], header: Sequence[str]) -> Table:
+    """One row of the attributes named in ``header`` per item."""
+    return header, [[_cell(getattr(item, name)) for name in header] for item in items]
+
+
+def _case_payload(case: CaseResult) -> Dict[str, object]:
+    """Report body of one search, shared by ``search`` and each ``verify`` case."""
+    return {
+        "spec": case.spec,
+        "records": case.records,
+        "claim": case.outcome.claim,
+        "expected": case.outcome.expected,
+        "counterexamples": case.outcome.counterexamples,
+        "conforms": case.conforms,
+    }
+
+
 # ---------------------------------------------------------------------------
-# handlers (each returns rendered report text plus an exit code)
+# handlers (each returns a Report)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> Tuple[str, int]:
-    fmt = args.format or "json"
+def _cmd_analyze(args: argparse.Namespace) -> Report:
     bound = args.factor_bound or _default_factor_bound()
     a, b, c = args.triple
     alpha_red, b_red = reduce_alpha(args.alpha, b, args.p)
@@ -354,19 +375,15 @@ def _cmd_analyze(args: argparse.Namespace) -> Tuple[str, int]:
     triple, model = build_frey(params)
     inv = invariants(triple, args.p, bound)
     local = all_local_data(model, bound)
-    conductor_oracle = 1
-    for item in local:
-        conductor_oracle *= item.prime**item.conductor_exponent
-    t_oracle = next(
-        (item.conductor_exponent for item in local if item.prime == 2), 0
-    )
+    conductor_oracle = global_conductor(local)
+    t_oracle = next((item.conductor_exponent for item in local if item.prime == 2), 0)
     agree = conductor_oracle == inv.conductor and t_oracle == inv.t
     payload: Dict[str, object] = {
         "alpha_input": args.alpha,
-        "params": params.to_dict(),
-        "triple": triple.to_dict(),
-        "model": model.to_list(),
-        "invariants": inv.to_dict(),
+        "params": params,
+        "triple": triple,
+        "model": model.coefficients(),
+        "invariants": inv,
         "trivial_level": is_trivial_level(inv),
         "cartan_type": cartan_type(args.p),
         "cross_check": {
@@ -377,223 +394,122 @@ def _cmd_analyze(args: argparse.Namespace) -> Tuple[str, int]:
             "agree": agree,
         },
     }
-    code = EXIT_OK if agree else EXIT_COUNTEREXAMPLE
     if not agree:
         log.error("closed-form table disagrees with the minimal-model oracle")
-    return _render_scalars(payload, fmt, "analyze"), code
+    return payload, None, _exit_code(agree)
 
 
-def _cmd_denes(args: argparse.Namespace) -> Tuple[str, int]:
-    fmt = args.format or "json"
+def _cmd_denes(args: argparse.Namespace) -> Report:
     if args.p is not None:
         reports = [denes_criterion(args.p)]
     else:
         reports = denes_scan(args.scan, workers=args.workers)
-    if fmt == "json":
-        lines = [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
-        return "".join(line + "\n" for line in lines), EXIT_OK
-    header = (
-        "p",
-        "is_regular",
-        "irregular_indices",
-        "ord2",
-        "order_condition",
-        "wieferich_violation",
-        "criterion_holds",
-    )
-    rows = [
-        (
-            r.p,
-            r.is_regular,
-            ";".join(str(k) for k in r.irregular_indices),
-            r.ord2,
-            r.order_condition,
-            r.wieferich_violation,
-            r.criterion_holds,
-        )
-        for r in reports
-    ]
-    if fmt == "csv":
-        return _csv_text(header, rows), EXIT_OK
-    lines = ["  ".join(str(cell) for cell in header)]
-    lines.extend("  ".join(str(cell) for cell in row) for row in rows)
-    return "\n".join(lines) + "\n", EXIT_OK
+    header = [field.name for field in fields(DenesReport)]
+    return reports, _table(reports, header), EXIT_OK
 
 
-def _cmd_search(args: argparse.Namespace) -> Tuple[str, int]:
-    fmt = args.format or "json"
+def _cmd_search(args: argparse.Namespace) -> Report:
     spec = SearchSpec(
-        p=args.p,
-        alpha=args.alpha,
-        height=args.height,
-        L=args.L,
-        require_primitive=not args.allow_imprimitive,
+        args.p, args.alpha, args.height, args.L, require_primitive=not args.allow_imprimitive
     )
     records = search_star(spec, workers=args.workers)
-    outcome = classify_search_outcome(spec, records)
-    code = EXIT_OK if outcome.conforms else EXIT_COUNTEREXAMPLE
-    if not outcome.conforms:
+    case = CaseResult(spec, records, classify_search_outcome(spec, records))
+    if not case.conforms:
         log.error(
             "%d record(s) contradict the expected verdict %r",
-            len(outcome.counterexamples),
-            outcome.expected,
+            len(case.outcome.counterexamples),
+            case.outcome.expected,
         )
-    if fmt == "csv":
-        rows = [
-            (rec.a, rec.b, rec.c, rec.content, rec.trivial) for rec in records
-        ]
-        return _csv_text(("a", "b", "c", "content", "trivial"), rows), code
-    payload: Dict[str, object] = {
-        "spec": spec.to_dict(),
-        "records": [rec.to_dict() for rec in records],
-        "claim": outcome.claim,
-        "expected": outcome.expected,
-        "counterexamples": [rec.to_dict() for rec in outcome.counterexamples],
-        "conforms": outcome.conforms,
-    }
-    if fmt == "json":
-        return _envelope("search", payload), code
-    return _render_scalars(payload, "human", "search"), code
+    table = _table(records, ("a", "b", "c", "content", "trivial"))
+    return _case_payload(case), table, _exit_code(case.conforms)
 
 
-def _cmd_ap_search(args: argparse.Namespace) -> Tuple[str, int]:
-    fmt = args.format or "json"
+def _cmd_ap_search(args: argparse.Namespace) -> Report:
     distinct_only = not args.allow_constant
     tuples = search_ap_powers(args.n, args.k, args.height, distinct_only=distinct_only)
     outcome = classify_ap_outcome(args.n, args.k, distinct_only, tuples)
-    code = EXIT_OK if outcome.conforms else EXIT_COUNTEREXAMPLE
     if not outcome.conforms:
         log.error(
             "%d progression(s) contradict an established non-existence result",
             len(outcome.counterexamples),
         )
-    if fmt == "csv":
-        header = tuple("x%d" % (i + 1) for i in range(args.k))
-        return _csv_text(header, tuples), code
     payload: Dict[str, object] = {
         "n": args.n,
         "k": args.k,
         "height": args.height,
         "distinct_only": distinct_only,
-        "progressions": [list(t) for t in tuples],
+        "progressions": tuples,
         "claim": outcome.claim,
         "expected": outcome.expected,
         "conforms": outcome.conforms,
     }
-    if fmt == "json":
-        return _envelope("ap-search", payload), code
-    return _render_scalars(payload, "human", "ap-search"), code
+    header = tuple("x%d" % (i + 1) for i in range(args.k))
+    return payload, (header, tuples), _exit_code(outcome.conforms)
 
 
-def _cmd_verify(args: argparse.Namespace) -> Tuple[str, int]:
-    fmt = args.format or "json"
+def _cmd_verify(args: argparse.Namespace) -> Report:
     cases = verify_theorem_claims(
         args.p_list, args.alpha_list, args.height, workers=args.workers
     )
     all_conform = all(case.conforms for case in cases)
-    code = EXIT_OK if all_conform else EXIT_COUNTEREXAMPLE
     if not all_conform:
         log.error("at least one (p, alpha) case contradicts the expected verdict")
-    if fmt == "csv":
-        rows = [
-            (
-                case.spec.p,
-                case.spec.alpha,
-                case.spec.height,
-                case.outcome.claim,
-                case.outcome.expected,
-                len(case.records),
-                case.conforms,
-            )
-            for case in cases
-        ]
-        header = ("p", "alpha", "height", "claim", "expected", "records", "conforms")
-        return _csv_text(header, rows), code
     payload: Dict[str, object] = {
-        "p_list": list(args.p_list),
-        "alpha_list": list(args.alpha_list),
+        "p_list": args.p_list,
+        "alpha_list": args.alpha_list,
         "height": args.height,
-        "cases": [case.to_dict() for case in cases],
+        "cases": [_case_payload(case) for case in cases],
         "all_conform": all_conform,
     }
-    if fmt == "json":
-        return _envelope("verify", payload), code
-    return _render_scalars(payload, "human", "verify"), code
+    header = ("p", "alpha", "height", "claim", "expected", "records", "conforms")
+    rows = [
+        (case.spec.p, case.spec.alpha, case.spec.height, case.outcome.claim,
+         case.outcome.expected, len(case.records), case.conforms)
+        for case in cases
+    ]
+    return payload, (header, rows), _exit_code(all_conform)
 
 
-def _cmd_traces(args: argparse.Namespace) -> Tuple[str, int]:
-    fmt = args.format or "csv"
+def _cmd_traces(args: argparse.Namespace) -> Report:
     model = _model_from_values(args.model)
     records = trace_table(model, args.lmax)
-    if fmt == "json":
-        payload: Dict[str, object] = {
-            "model": model.to_list(),
-            "lmax": args.lmax,
-            "records": [rec.to_dict() for rec in records],
-        }
-        return _envelope("traces", payload), EXIT_OK
-    rows = [
-        (rec.ell, "" if rec.a_ell is None else rec.a_ell, rec.reduction)
-        for rec in records
-    ]
-    if fmt == "csv":
-        return _csv_text(("ell", "a_ell", "reduction"), rows), EXIT_OK
-    lines = ["ell  a_ell  reduction"]
-    lines.extend("%-4s %-6s %s" % row for row in rows)
-    return "\n".join(lines) + "\n", EXIT_OK
+    payload: Dict[str, object] = {
+        "model": model.coefficients(),
+        "lmax": args.lmax,
+        "records": records,
+    }
+    return payload, _table(records, ("ell", "a_ell", "reduction")), EXIT_OK
 
 
-def _cmd_congruence(args: argparse.Namespace) -> Tuple[str, int]:
-    fmt = args.format or "json"
-    if not is_prime(args.p):
-        raise ValueError("p must be prime")
+def _cmd_congruence(args: argparse.Namespace) -> Report:
     model1 = _model_from_values(args.model1)
     model2 = _model_from_values(args.model2)
-    report = mod_p_congruent(model1, model2, args.p, args.lmax)
     payload: Dict[str, object] = {
-        "model1": model1.to_list(),
-        "model2": model2.to_list(),
-        "report": report.to_dict(),
+        "model1": model1.coefficients(),
+        "model2": model2.coefficients(),
+        "report": mod_p_congruent(model1, model2, args.p, args.lmax),
     }
-    return _render_scalars(payload, fmt, "congruence"), EXIT_OK
+    return payload, None, EXIT_OK
 
 
-def _cmd_conductor(args: argparse.Namespace) -> Tuple[str, int]:
-    fmt = args.format or "json"
+def _cmd_conductor(args: argparse.Namespace) -> Report:
     bound = args.factor_bound or _default_factor_bound()
     model = _model_from_values(args.model)
     local = all_local_data(model, bound)
-    conductor = 1
-    for item in local:
-        conductor *= item.prime**item.conductor_exponent
-    if fmt == "csv":
-        rows = [
-            (
-                item.prime,
-                item.conductor_exponent,
-                item.min_disc_valuation,
-                item.kodaira_type,
-                item.reduction,
-            )
-            for item in local
-        ]
-        header = (
-            "prime",
-            "conductor_exponent",
-            "min_disc_valuation",
-            "kodaira_type",
-            "reduction",
-        )
-        return _csv_text(header, rows), EXIT_OK
     payload: Dict[str, object] = {
-        "model": model.to_list(),
+        "model": model.coefficients(),
         "discriminant": model.discriminant(),
-        "conductor": conductor,
-        "local_data": [item.to_dict() for item in local],
+        "conductor": global_conductor(local),
+        "local_data": local,
     }
-    if fmt == "json":
-        return _envelope("conductor", payload), EXIT_OK
-    return _render_scalars(payload, "human", "conductor"), EXIT_OK
+    header = (
+        "prime",
+        "conductor_exponent",
+        "min_disc_valuation",
+        "kodaira_type",
+        "reduction",
+    )
+    return payload, _table(local, header), EXIT_OK
 
 
 _HANDLERS = {
@@ -619,11 +535,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     handler = _HANDLERS[args.command]
     try:
-        report, code = handler(args)
+        payload, table, code = handler(args)
     except ValueError as exc:
         sys.stderr.write("freycheck %s: error: %s\n" % (args.command, exc))
         return EXIT_DOMAIN
-    sys.stdout.write(report)
+    fmt = args.format or ("csv" if args.command == "traces" else "json")
+    sys.stdout.write(_render(args.command, fmt, payload, table))
     return code
 
 

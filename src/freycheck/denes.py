@@ -16,11 +16,12 @@ non-trivial solutions of a^p + 2*b^p + c^p = 0) are ruled out for p.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List
 
-from .arith import is_prime, mult_order, powmod, primes_up_to
+from .arith import is_prime, mult_order, primes_up_to
 
 __all__ = [
     "DenesReport",
@@ -41,29 +42,6 @@ class DenesReport:
     order_condition: bool
     wieferich_violation: bool
     criterion_holds: bool
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "p": self.p,
-            "is_regular": self.is_regular,
-            "irregular_indices": list(self.irregular_indices),
-            "ord2": self.ord2,
-            "order_condition": self.order_condition,
-            "wieferich_violation": self.wieferich_violation,
-            "criterion_holds": self.criterion_holds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "DenesReport":
-        return cls(
-            p=int(data["p"]),
-            is_regular=bool(data["is_regular"]),
-            irregular_indices=[int(k) for k in data["irregular_indices"]],
-            ord2=int(data["ord2"]),
-            order_condition=bool(data["order_condition"]),
-            wieferich_violation=bool(data["wieferich_violation"]),
-            criterion_holds=bool(data["criterion_holds"]),
-        )
 
 
 def _require_criterion_prime(p: int) -> None:
@@ -111,7 +89,7 @@ def wieferich_test(p: int) -> bool:
     """True when 2^(p-1) = 1 mod p^2 (the rare violating case)."""
     if p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime")
-    return powmod(2, p - 1, p * p) == 1
+    return pow(2, p - 1, p * p) == 1
 
 
 def denes_criterion(p: int) -> DenesReport:
@@ -144,7 +122,9 @@ def denes_scan(p_max: int, workers: int = 1) -> List[DenesReport]:
         raise ValueError("workers must be >= 1")
     primes = [p for p in primes_up_to(p_max) if p >= 5]
     if workers > 1 and len(primes) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # A fork-based pool starts all max_workers processes up front.
+        size = min(workers, len(primes), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=size) as pool:
             reports = list(pool.map(denes_criterion, primes))
     else:
         reports = [denes_criterion(p) for p in primes]

@@ -15,10 +15,11 @@ oracle route are never merged: cross-checking them is the point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .arith import DEFAULT_FACTOR_BOUND, factorize, gcd_all, is_prime, valuation
+from .arith import DEFAULT_FACTOR_BOUND, factorize, is_prime, valuation
 from . import tate
 from .weierstrass import WeierstrassModel
 
@@ -52,16 +53,6 @@ class FreyParams:
     c: int
     normalized: bool
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "p": self.p,
-            "alpha": self.alpha,
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "normalized": self.normalized,
-        }
-
 
 @dataclass(frozen=True)
 class MonomialTriple:
@@ -69,15 +60,12 @@ class MonomialTriple:
     B: int
     C: int
 
-    def to_dict(self) -> Dict[str, int]:
-        return {"A": self.A, "B": self.B, "C": self.C}
-
     def validate(self) -> None:
         if self.A == 0 or self.B == 0 or self.C == 0:
             raise ValueError("triple entries must be non-zero")
         if self.A + self.B + self.C != 0:
             raise ValueError("triple must sum to zero")
-        if gcd_all([self.A, self.B, self.C]) != 1:
+        if math.gcd(self.A, self.B, self.C) != 1:
             raise ValueError("triple must be coprime")
         if self.B % 2 != 0:
             raise ValueError("not a Frey triple (B must be even)")
@@ -93,31 +81,6 @@ class CurveInvariants:
     semistable: bool
     u: int
     odd_disc_valuations: Dict[int, int]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "t": self.t,
-            "odd_radical": self.odd_radical,
-            "conductor": self.conductor,
-            "semistable": self.semistable,
-            "u": self.u,
-            "odd_disc_valuations": {
-                str(ell): v for ell, v in sorted(self.odd_disc_valuations.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CurveInvariants":
-        return cls(
-            t=int(data["t"]),
-            odd_radical=int(data["odd_radical"]),
-            conductor=int(data["conductor"]),
-            semistable=bool(data["semistable"]),
-            u=int(data["u"]),
-            odd_disc_valuations={
-                int(k): int(v) for k, v in dict(data["odd_disc_valuations"]).items()
-            },
-        )
 
 
 def _require_odd_prime(p: int) -> None:
@@ -158,7 +121,7 @@ def normalize(p: int, alpha: int, a: int, b: int, c: int) -> FreyParams:
         raise ValueError("entries must be non-zero")
     if a**p + 2**alpha * b**p + c**p != 0:
         raise ValueError("not a solution")
-    if gcd_all([a, b, c]) != 1:
+    if math.gcd(a, b, c) != 1:
         raise ValueError("not primitive")
     if a % 2 == 0 or c % 2 == 0:
         raise ValueError("parity violation")
@@ -218,7 +181,7 @@ def invariants(
     for ell in odd_vals:
         odd_radical *= ell
 
-    min_v2 = tate.minimal_disc_valuation_at_2(frey_model(triple))
+    min_v2 = tate.local_data(frey_model(triple), 2).min_disc_valuation
     u = min_v2 - 2 * ord2_b
     if t == 1 and u != -8:
         raise AssertionError("u must be -8 in the multiplicative (t = 1) case")

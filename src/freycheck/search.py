@@ -16,11 +16,13 @@ deterministic and independent of work partitioning.
 
 from __future__ import annotations
 
+import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .arith import exact_root, gcd_all, is_prime
+from .arith import exact_root, is_prime
 from .frey import canonical_triple
 
 __all__ = [
@@ -70,15 +72,6 @@ class SearchSpec:
         """alpha mod p; 0 marks the Fermat case."""
         return self.alpha % self.p
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "p": self.p,
-            "alpha": self.alpha,
-            "height": self.height,
-            "L": self.L,
-            "require_primitive": self.require_primitive,
-        }
-
 
 @dataclass(frozen=True)
 class SolutionRecord:
@@ -88,28 +81,6 @@ class SolutionRecord:
     normalized_form: Tuple[int, int, int]
     trivial: bool
     content: int = 1
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "normalized_form": list(self.normalized_form),
-            "trivial": self.trivial,
-            "content": self.content,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SolutionRecord":
-        form = tuple(int(x) for x in data["normalized_form"])
-        return cls(
-            a=int(data["a"]),
-            b=int(data["b"]),
-            c=int(data["c"]),
-            normalized_form=form,  # type: ignore[arg-type]
-            trivial=bool(data["trivial"]),
-            content=int(data["content"]),
-        )
 
 
 def _pth_power_filter(p: int) -> Tuple[int, frozenset]:
@@ -148,7 +119,7 @@ def _search_chunk(args: Tuple[SearchSpec, int, int]) -> List[Tuple[int, int, int
             c = exact_root(target, p)
             if c is None:
                 continue
-            if spec.require_primitive and gcd_all([a, b, c]) != 1:
+            if spec.require_primitive and math.gcd(a, b, c) != 1:
                 continue
             raw.append((a, b, c))
     return raw
@@ -163,7 +134,7 @@ def _records_from_raw(
         # Exact re-verification of every candidate before it is emitted.
         if a**spec.p + coeff * b**spec.p + c**spec.p != 0:
             raise AssertionError("search emitted a non-solution")
-        content = gcd_all([a, b, c])
+        content = math.gcd(a, b, c)
         form = canonical_triple(a // content, b // content, c // content)
         key = (form, content)
         if key not in by_key:
@@ -193,7 +164,9 @@ def search_star(spec: SearchSpec, workers: int = 1) -> List[SolutionRecord]:
             (spec, lo, min(lo + step, height + 1))
             for lo in range(1, height + 1, step)
         ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # A fork-based pool starts all max_workers processes up front.
+        size = min(workers, len(chunks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=size) as pool:
             raw = [triple for part in pool.map(_search_chunk, chunks) for triple in part]
     else:
         raw = _search_chunk((spec, 1, height + 1))
@@ -252,16 +225,6 @@ class CaseResult:
     @property
     def conforms(self) -> bool:
         return self.outcome.conforms
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "spec": self.spec.to_dict(),
-            "records": [rec.to_dict() for rec in self.records],
-            "claim": self.outcome.claim,
-            "expected": self.outcome.expected,
-            "counterexamples": [rec.to_dict() for rec in self.outcome.counterexamples],
-            "conforms": self.conforms,
-        }
 
 
 def verify_theorem_claims(

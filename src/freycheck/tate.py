@@ -31,7 +31,7 @@ characteristics (wild parts included automatically).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Sequence, Tuple
 
 from .arith import (
     DEFAULT_FACTOR_BOUND,
@@ -52,7 +52,6 @@ __all__ = [
     "global_conductor",
     "local_data",
     "local_data_with_model",
-    "minimal_disc_valuation_at_2",
 ]
 
 GOOD = "Good"
@@ -76,27 +75,6 @@ class LocalData:
     kodaira_type: str
     reduction: str
     scalings: int
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "prime": self.prime,
-            "conductor_exponent": self.conductor_exponent,
-            "min_disc_valuation": self.min_disc_valuation,
-            "kodaira_type": self.kodaira_type,
-            "reduction": self.reduction,
-            "scalings": self.scalings,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "LocalData":
-        return cls(
-            prime=int(data["prime"]),
-            conductor_exponent=int(data["conductor_exponent"]),
-            min_disc_valuation=int(data["min_disc_valuation"]),
-            kodaira_type=str(data["kodaira_type"]),
-            reduction=str(data["reduction"]),
-            scalings=int(data["scalings"]),
-        )
 
 
 def _inv(a: int, m: int) -> int:
@@ -281,16 +259,12 @@ def all_local_data(
     return [local_data(model, p) for p in sorted(factors)]
 
 
-def global_conductor(
-    model: WeierstrassModel, factor_bound: int = DEFAULT_FACTOR_BOUND
-) -> int:
-    """Conductor of the curve, as the product of local exponent contributions."""
+def global_conductor(local: Sequence[LocalData]) -> int:
+    """Conductor of the curve, as the product of the local factors p^f_p.
+
+    ``local`` is the curve's ``all_local_data`` list.
+    """
     conductor = 1
-    for data in all_local_data(model, factor_bound):
+    for data in local:
         conductor *= data.prime**data.conductor_exponent
     return conductor
-
-
-def minimal_disc_valuation_at_2(model: WeierstrassModel) -> int:
-    """2-adic valuation of the minimal discriminant of the given model."""
-    return local_data(model, 2).min_disc_valuation

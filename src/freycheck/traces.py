@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .arith import is_prime, legendre_symbol, primes_up_to
 from . import tate
@@ -34,18 +34,6 @@ class TraceRecord:
     a_ell: Optional[int]
     reduction: str  # "Good" | "Bad"
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"ell": self.ell, "a_ell": self.a_ell, "reduction": self.reduction}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TraceRecord":
-        a_ell = data["a_ell"]
-        return cls(
-            ell=int(data["ell"]),
-            a_ell=None if a_ell is None else int(a_ell),
-            reduction=str(data["reduction"]),
-        )
-
 
 @dataclass(frozen=True)
 class CongruenceReport:
@@ -55,34 +43,6 @@ class CongruenceReport:
     congruent: bool
     first_violation: Optional[Tuple[int, int, int]]
     disclaimer: str = field(default=CONGRUENCE_DISCLAIMER)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "p": self.p,
-            "lmax": self.lmax,
-            "compared_primes": list(self.compared_primes),
-            "congruent": self.congruent,
-            "first_violation": (
-                None if self.first_violation is None else list(self.first_violation)
-            ),
-            "disclaimer": self.disclaimer,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CongruenceReport":
-        violation = data["first_violation"]
-        return cls(
-            p=int(data["p"]),
-            lmax=int(data["lmax"]),
-            compared_primes=[int(ell) for ell in data["compared_primes"]],
-            congruent=bool(data["congruent"]),
-            first_violation=(
-                None
-                if violation is None
-                else (int(violation[0]), int(violation[1]), int(violation[2]))
-            ),
-            disclaimer=str(data["disclaimer"]),
-        )
 
 
 def count_points(
@@ -117,9 +77,7 @@ def count_points(
     return -total
 
 
-def trace_table(
-    model: WeierstrassModel, lmax: int, ell_cap: Optional[int] = None
-) -> List[TraceRecord]:
+def trace_table(model: WeierstrassModel, lmax: int) -> List[TraceRecord]:
     """Trace records at every odd prime ell <= lmax.
 
     Bad-reduction primes are marked reduction="Bad" with a_ell = None;
@@ -129,7 +87,6 @@ def trace_table(
     if lmax < 3:
         raise ValueError("lmax must be >= 3")
     model.require_nonsingular()
-    cap = max(lmax, DEFAULT_ELL_CAP) if ell_cap is None else ell_cap
     disc = model.discriminant()
     records: List[TraceRecord] = []
     for ell in primes_up_to(lmax):
@@ -140,7 +97,7 @@ def trace_table(
         else:
             records.append(
                 TraceRecord(
-                    ell=ell, a_ell=count_points(model, ell, cap), reduction="Good"
+                    ell=ell, a_ell=count_points(model, ell, ell_cap=lmax), reduction="Good"
                 )
             )
     return records

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 __all__ = ["WeierstrassModel"]
 
@@ -20,9 +20,6 @@ class WeierstrassModel:
 
     def coefficients(self) -> Tuple[int, int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
-
-    def to_list(self) -> List[int]:
-        return list(self.coefficients())
 
     def b_invariants(self) -> Tuple[int, int, int, int]:
         """(b2, b4, b6, b8); they satisfy 4*b8 = b2*b6 - b4**2."""

@@ -1,0 +1,32 @@
+"""Shared fixtures."""
+
+import pytest
+
+from freycheck import denes, search
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Run the process pools of denes and search in process instead.
+
+    The returned list collects the ``max_workers`` each pool was asked
+    for, so pool sizing can be tested without starting any process.
+    """
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(denes, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    return sizes

@@ -14,6 +14,7 @@ import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import freycheck.cli as cli
+from freycheck.cli import jsonable
 from freycheck.denes import bernoulli_mod_p, denes_criterion, denes_scan
 from freycheck.frey import MonomialTriple, build_frey, frey_model, invariants, normalize
 from freycheck.search import search_ap_powers, verify_theorem_claims
@@ -102,7 +103,7 @@ def test_criterion_3_odd_disc_valuations_mod_p():
             triple, model = build_frey(params)
             inv = invariants(triple, p)
             # The map must be present in the report even when empty.
-            assert "odd_disc_valuations" in inv.to_dict()
+            assert "odd_disc_valuations" in jsonable(inv)
             for ell, v in inv.odd_disc_valuations.items():
                 assert v % p == 0, "valuation at %d not divisible by %d" % (ell, p)
             # Cross-check against the minimal-model route: no odd bad primes.

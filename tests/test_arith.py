@@ -1,7 +1,5 @@
 """Integer and modular arithmetic primitives."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,12 +9,10 @@ from freycheck.arith import (
     FactorizationError,
     exact_root,
     factorize,
-    gcd_all,
     iroot,
     is_prime,
     legendre_symbol,
     mult_order,
-    powmod,
     primes_up_to,
     valuation,
 )
@@ -85,32 +81,6 @@ class TestValuation:
         assert n % ell ** (e + 1) != 0
 
 
-class TestPowmod:
-    def test_examples(self):
-        assert powmod(2, 4, 25) == 16
-        assert powmod(2, 1092, 1093**2) == 1  # Wieferich property of 1093
-        assert powmod(7, 0, 13) == 1
-
-    def test_bad_modulus(self):
-        with pytest.raises(ValueError):
-            powmod(2, 3, 1)
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            powmod(2, -1, 7)
-
-    @given(
-        base=st.integers(min_value=-50, max_value=50),
-        exp=st.integers(min_value=0, max_value=12),
-        modulus=st.integers(min_value=2, max_value=1000),
-    )
-    def test_matches_naive_repeated_multiplication(self, base, exp, modulus):
-        naive = 1
-        for _ in range(exp):
-            naive = naive * base % modulus
-        assert powmod(base, exp, modulus) == naive % modulus
-
-
 class TestMultOrder:
     def test_examples(self):
         assert mult_order(2, 7) == 3
@@ -137,27 +107,6 @@ class TestMultOrder:
         assert pow(g, d, p) == 1
         for q in factorize(d):
             assert pow(g, d // q, p) != 1
-
-
-class TestGcdAll:
-    def test_examples(self):
-        assert gcd_all([-1, 1, -1]) == 1
-        assert gcd_all([6, 10, 15]) == 1
-        assert gcd_all([4, 8]) == 4
-
-    def test_all_zero(self):
-        assert gcd_all([0, 0, 0]) == 0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            gcd_all([])
-
-    @given(st.lists(st.integers(min_value=-1000, max_value=1000), min_size=1, max_size=6))
-    def test_matches_math_gcd(self, values):
-        expected = 0
-        for v in values:
-            expected = math.gcd(expected, v)
-        assert gcd_all(values) == expected
 
 
 class TestLegendreSymbol:

@@ -1,5 +1,5 @@
 """Command-line contract: exit codes, output shapes, determinism,
-and JSON round-trip fidelity into the emitting types.
+golden stdout, and JSON that matches the in-process objects field for field.
 """
 
 import json
@@ -11,11 +11,13 @@ import pytest
 
 import freycheck.cli as cli
 from freycheck import __version__
-from freycheck.denes import DenesReport, denes_criterion
-from freycheck.frey import CurveInvariants
-from freycheck.search import SolutionRecord
-from freycheck.tate import LocalData
-from freycheck.traces import CongruenceReport, TraceRecord
+from freycheck.cli import jsonable
+from freycheck.denes import denes_criterion
+from freycheck.frey import CurveInvariants, build_frey, invariants, normalize
+from freycheck.search import SearchSpec, SolutionRecord, search_star
+from freycheck.tate import all_local_data
+from freycheck.traces import mod_p_congruent, trace_table
+from freycheck.weierstrass import WeierstrassModel
 
 
 #: Pinned stdout of each TestDeterminism case in each format, one file per
@@ -151,7 +153,8 @@ class TestAnalyze:
             "normalized": True,
         }
         assert doc["triple"] == {"A": -1, "B": 2, "C": -1}
-        assert CurveInvariants.from_dict(doc["invariants"]).conductor == 32
+        triple, _ = build_frey(normalize(5, 1, -1, 1, -1))
+        assert doc["invariants"] == jsonable(invariants(triple, 5))
 
     def test_equals_form_for_negative_lists(self, capsys):
         code_space, out_space, _ = run_cli(
@@ -207,7 +210,7 @@ class TestDenes:
         for r in reports:
             assert set(r) == self.EXPECTED_KEYS
             assert r["criterion_holds"] is True
-            assert DenesReport.from_dict(r) == denes_criterion(r["p"])
+            assert r == jsonable(denes_criterion(r["p"]))
 
     def test_single_p(self, capsys):
         code, out, _ = run_cli(capsys, "denes", "--p", "31")
@@ -246,8 +249,9 @@ class TestSearchCommand:
             capsys, "search", "--p", "5", "--alpha", "1", "--height", "12"
         )
         doc = json.loads(out)
-        records = [SolutionRecord.from_dict(r) for r in doc["records"]]
-        assert len(records) == 1 and records[0].trivial
+        records = doc["records"]
+        assert len(records) == 1 and records[0]["trivial"] is True
+        assert records == jsonable(search_star(SearchSpec(p=5, alpha=1, height=12)))
 
     def test_csv(self, capsys):
         _, out, _ = run_cli(
@@ -336,8 +340,8 @@ class TestTracesCommand:
         )
         doc = json.loads(out)
         assert doc["command"] == "traces" and doc["model"] == [0, 0, 0, -1, 0]
-        records = [TraceRecord.from_dict(r) for r in doc["records"]]
-        assert [r.ell for r in records] == [3, 5, 7, 11, 13, 17, 19]
+        assert [r["ell"] for r in doc["records"]] == [3, 5, 7, 11, 13, 17, 19]
+        assert doc["records"] == jsonable(trace_table(WeierstrassModel(0, 0, 0, -1, 0), 20))
 
 
 class TestCongruenceCommand:
@@ -349,9 +353,10 @@ class TestCongruenceCommand:
         )
         assert code == 0 and err == ""
         doc = json.loads(out)
-        report = CongruenceReport.from_dict(doc["report"])
-        assert not report.congruent
-        assert report.first_violation == (13, 6, -6)
+        assert doc["report"]["congruent"] is False
+        assert doc["report"]["first_violation"] == [13, 6, -6]
+        models = WeierstrassModel(0, 0, 0, -1, 0), WeierstrassModel(0, 0, 0, 1, 0)
+        assert doc["report"] == jsonable(mod_p_congruent(*models, 5, 100))
 
     def test_self_congruent(self, capsys):
         _, out, _ = run_cli(
@@ -379,8 +384,9 @@ class TestConductorCommand:
         assert code == 0 and err == ""
         doc = json.loads(out)
         assert doc["conductor"] == 32 and doc["discriminant"] == 64
-        local = [LocalData.from_dict(item) for item in doc["local_data"]]
-        assert len(local) == 1 and local[0].kodaira_type == "III"
+        local = doc["local_data"]
+        assert len(local) == 1 and local[0]["kodaira_type"] == "III"
+        assert local == jsonable(all_local_data(WeierstrassModel(0, 0, 0, -1, 0)))
 
     def test_translated_curve_same_conductor(self, capsys):
         _, out1, _ = run_cli(capsys, "conductor", "--model", "0,0,0,-1,0")
@@ -457,6 +463,16 @@ class TestHumanFormat:
             "--format", "human",
         )
         assert code == 0 and out.startswith("ell")
+
+
+class TestJsonable:
+    def test_int_keys_become_strings_before_sorting(self):
+        inv = CurveInvariants(
+            t=1, odd_radical=33, conductor=66, semistable=True, u=-8,
+            odd_disc_valuations={3: 2, 11: 2},
+        )
+        doc = json.dumps(jsonable(inv), sort_keys=True)
+        assert '"odd_disc_valuations": {"11": 2, "3": 2}' in doc
 
 
 def test_console_script_end_to_end():

@@ -5,9 +5,13 @@ oracle in tests/oracles.py (the oracle route: full recurrence over
 Fraction values, reduced mod p at the end).
 """
 
+import json
+import os
+
 import pytest
 
 from freycheck.arith import mult_order, primes_up_to
+from freycheck.cli import jsonable
 from freycheck.denes import (
     DenesReport,
     bernoulli_mod_p,
@@ -138,7 +142,7 @@ class TestDenesCriterion:
 
     def test_report_roundtrip(self):
         report = denes_criterion(37)
-        assert DenesReport.from_dict(report.to_dict()) == report
+        assert DenesReport(**json.loads(json.dumps(jsonable(report)))) == report
 
 
 class TestDenesScan:
@@ -162,3 +166,12 @@ class TestDenesScan:
 
     def test_parallel_matches_sequential(self):
         assert denes_scan(120, workers=4) == denes_scan(120, workers=1)
+
+    def test_pool_bounded_by_primes_and_cores(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert denes_scan(120, workers=1000) == denes_scan(120)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert denes_scan(13, workers=1000) == denes_scan(13)  # primes 5, 7, 11, 13
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        denes_scan(13, workers=4)
+        assert pool_sizes == [3, 4, 1]

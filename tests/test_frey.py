@@ -6,10 +6,13 @@ neither side may be computed from the other (the one delegated value,
 the minimal-discriminant 2-exponent u, is pinned by its own spot tests).
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from freycheck.arith import valuation
+from freycheck.cli import jsonable
 from freycheck.frey import (
     CONDUCTOR_EXPONENT_AT_2,
     CurveInvariants,
@@ -105,7 +108,7 @@ class TestBuildFrey:
         triple, model = build_frey(normalize(5, 1, 1, -1, 1))
         assert (triple.A, triple.B, triple.C) == (-1, 2, -1)
         # y^2 = x*(x + 1)*(x + 2)
-        assert model.to_list() == [0, 3, 0, 2, 0]
+        assert model.coefficients() == (0, 3, 0, 2, 0)
 
     def test_same_monomials_for_any_odd_p(self):
         for p in (3, 7, 11, 13):
@@ -167,7 +170,9 @@ class TestInvariantsTrivial:
     def test_roundtrip(self):
         triple, _ = build_frey(normalize(5, 1, 1, -1, 1))
         inv = invariants(triple, 5)
-        assert CurveInvariants.from_dict(inv.to_dict()) == inv
+        doc = json.loads(json.dumps(jsonable(inv)))
+        doc["odd_disc_valuations"] = {int(k): v for k, v in doc["odd_disc_valuations"].items()}
+        assert CurveInvariants(**doc) == inv
 
 
 class TestTableAgainstOracle:

@@ -3,8 +3,13 @@ cubic brute-force oracle, canonical deduplication, partition determinism,
 and the power-progression searches.
 """
 
+import json
+import os
+
 import pytest
 
+import freycheck.cli as cli
+from freycheck.cli import jsonable
 from freycheck.frey import canonical_triple
 from freycheck.search import (
     SIGMA_PRIMES,
@@ -49,7 +54,9 @@ class TestSearchSpec:
         record = SolutionRecord(
             a=-1, b=1, c=-1, normalized_form=(-1, 1, -1), trivial=True
         )
-        assert SolutionRecord.from_dict(record.to_dict()) == record
+        doc = json.loads(json.dumps(jsonable(record)))
+        doc["normalized_form"] = tuple(doc["normalized_form"])
+        assert SolutionRecord(**doc) == record
 
 
 class TestSearchStar:
@@ -123,6 +130,14 @@ class TestSearchStar:
         keys = [(rec.normalized_form, rec.content) for rec in records]
         assert keys == sorted(keys)
 
+    def test_pool_bounded_by_chunks_and_cores(self, pool_sizes, monkeypatch):
+        spec = SearchSpec(p=3, alpha=1, height=5)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert search_star(spec, workers=1000) == search_star(spec)  # 5 chunks
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        search_star(spec, workers=1000)
+        assert pool_sizes == [5, 2]
+
     def test_workers_validated(self):
         with pytest.raises(ValueError):
             search_star(SearchSpec(p=5, alpha=1, height=5), workers=0)
@@ -192,7 +207,7 @@ class TestVerifyDrivers:
 
     def test_case_report_shape(self):
         case = verify_theorem_claims([5], [1], 8)[0]
-        doc = case.to_dict()
+        doc = jsonable(cli._case_payload(case))
         assert doc["conforms"] is True
         assert doc["expected"] == "trivial-only"
         assert doc["records"][0]["normalized_form"] == [-1, 1, -1]

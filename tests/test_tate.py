@@ -2,10 +2,13 @@
 independent (v(c4), v(discriminant)) table for residue characteristic >= 5.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from freycheck.arith import FactorizationError, primes_up_to, valuation
+from freycheck.cli import jsonable
 from freycheck.tate import (
     ADDITIVE,
     GOOD,
@@ -16,7 +19,6 @@ from freycheck.tate import (
     global_conductor,
     local_data,
     local_data_with_model,
-    minimal_disc_valuation_at_2,
 )
 from freycheck.weierstrass import WeierstrassModel
 
@@ -75,7 +77,7 @@ def test_local_anchor(coeffs, prime, ktype, f, v, reduction):
 
 @pytest.mark.parametrize("coeffs,conductor", CONDUCTOR_ANCHORS)
 def test_global_conductor_anchor(coeffs, conductor):
-    assert global_conductor(WeierstrassModel(*coeffs)) == conductor
+    assert global_conductor(all_local_data(WeierstrassModel(*coeffs))) == conductor
 
 
 class TestStructuralInvariants:
@@ -114,7 +116,7 @@ class TestStructuralInvariants:
 
     def test_roundtrip(self):
         for data in self.collect():
-            assert LocalData.from_dict(data.to_dict()) == data
+            assert LocalData(**json.loads(json.dumps(jsonable(data)))) == data
 
 
 class TestMinimization:
@@ -147,11 +149,11 @@ class TestMinimization:
 
     def test_minimal_disc_valuation_at_2_frey_anchors(self):
         # ord_2(B) = 1 (trivial solution): valuation 6, so u = 6 - 2 = 4.
-        assert minimal_disc_valuation_at_2(WeierstrassModel(0, 3, 0, 2, 0)) == 6
+        assert local_data(WeierstrassModel(0, 3, 0, 2, 0), 2).min_disc_valuation == 6
         # ord_2(B) = 5: valuation 2, so u = 2 - 10 = -8.
-        assert minimal_disc_valuation_at_2(WeierstrassModel(0, 33, 0, 32, 0)) == 2
+        assert local_data(WeierstrassModel(0, 33, 0, 32, 0), 2).min_disc_valuation == 2
         # ord_2(B) = 4 (A = -1, B = 16, C = -15): good reduction at 2.
-        assert minimal_disc_valuation_at_2(WeierstrassModel(0, 17, 0, 16, 0)) == 0
+        assert local_data(WeierstrassModel(0, 17, 0, 16, 0), 2).min_disc_valuation == 0
 
 
 def _nonsingular_models(draw_ints):
@@ -190,7 +192,10 @@ class TestTranslationInvariance:
         t=st.integers(min_value=-4, max_value=4),
     )
     def test_conductor_unchanged(self, model, r, s, t):
-        assert global_conductor(model) == global_conductor(model.translated(r, s, t))
+        translated = model.translated(r, s, t)
+        assert global_conductor(all_local_data(model)) == global_conductor(
+            all_local_data(translated)
+        )
 
 
 class TestLargePrimeTable:
@@ -268,22 +273,22 @@ class TestErrorPaths:
         # discriminant = -432 * (10^9 + 7)^2: composite cofactor beyond bound.
         model = WeierstrassModel(0, 0, 0, 0, 10**9 + 7)
         with pytest.raises(FactorizationError, match="factorization bound exceeded"):
-            global_conductor(model, factor_bound=10**4)
+            all_local_data(model, factor_bound=10**4)
 
     def test_global_conductor_multiplies_over_primes(self):
         for coeffs, conductor in CONDUCTOR_ANCHORS:
-            model = WeierstrassModel(*coeffs)
+            local = all_local_data(WeierstrassModel(*coeffs))
             product = 1
-            for data in all_local_data(model):
+            for data in local:
                 product *= data.prime**data.conductor_exponent
-            assert product == conductor
+            assert global_conductor(local) == product == conductor
 
 
 def test_all_local_data_sorted_and_complete():
     model = WeierstrassModel(0, 0, 0, 0, 3125)  # conductor 2700 = 2^2 3^3 5^2
     data = all_local_data(model)
     assert [d.prime for d in data] == [2, 3, 5]
-    assert global_conductor(model) == 2700
+    assert global_conductor(data) == 2700
     disc_primes = {2, 3, 5}
     assert {d.prime for d in data} == disc_primes
     for d in data:

@@ -2,10 +2,13 @@
 CM structure of the conductor-32 curve, and the mod-p comparator.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from freycheck.arith import primes_up_to
+from freycheck.cli import jsonable
 from freycheck.frey import build_frey, normalize
 from freycheck.traces import (
     CONGRUENCE_DISCLAIMER,
@@ -102,7 +105,7 @@ class TestTraceTable:
 
     def test_roundtrip(self):
         for rec in trace_table(WeierstrassModel(0, -1, 1, -10, -20), 30):
-            assert TraceRecord.from_dict(rec.to_dict()) == rec
+            assert TraceRecord(**json.loads(json.dumps(jsonable(rec)))) == rec
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -171,7 +174,9 @@ class TestModPCongruent:
 
     def test_roundtrip(self):
         report = mod_p_congruent(CM32, TWIST, 5, 100)
-        assert CongruenceReport.from_dict(report.to_dict()) == report
+        doc = json.loads(json.dumps(jsonable(report)))
+        doc["first_violation"] = tuple(doc["first_violation"])
+        assert CongruenceReport(**doc) == report
 
     def test_requires_prime_p(self):
         with pytest.raises(ValueError):
