@@ -328,10 +328,6 @@ def _model_from_values(values: Sequence[int]) -> WeierstrassModel:
     return model
 
 
-def _exit_code(conforms: bool) -> int:
-    return EXIT_OK if conforms else EXIT_COUNTEREXAMPLE
-
-
 def _cell(value: object) -> object:
     """A table cell: None is left blank and a list is joined with ";"."""
     if value is None:
@@ -396,7 +392,7 @@ def _cmd_analyze(args: argparse.Namespace) -> Report:
     }
     if not agree:
         log.error("closed-form table disagrees with the minimal-model oracle")
-    return payload, None, _exit_code(agree)
+    return payload, None, EXIT_OK if agree else EXIT_COUNTEREXAMPLE
 
 
 def _cmd_denes(args: argparse.Namespace) -> Report:
@@ -421,7 +417,7 @@ def _cmd_search(args: argparse.Namespace) -> Report:
             case.outcome.expected,
         )
     table = _table(records, ("a", "b", "c", "content", "trivial"))
-    return _case_payload(case), table, _exit_code(case.conforms)
+    return _case_payload(case), table, EXIT_OK if case.conforms else EXIT_COUNTEREXAMPLE
 
 
 def _cmd_ap_search(args: argparse.Namespace) -> Report:
@@ -444,7 +440,7 @@ def _cmd_ap_search(args: argparse.Namespace) -> Report:
         "conforms": outcome.conforms,
     }
     header = tuple("x%d" % (i + 1) for i in range(args.k))
-    return payload, (header, tuples), _exit_code(outcome.conforms)
+    return payload, (header, tuples), EXIT_OK if outcome.conforms else EXIT_COUNTEREXAMPLE
 
 
 def _cmd_verify(args: argparse.Namespace) -> Report:
@@ -467,7 +463,7 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
          case.outcome.expected, len(case.records), case.conforms)
         for case in cases
     ]
-    return payload, (header, rows), _exit_code(all_conform)
+    return payload, (header, rows), EXIT_OK if all_conform else EXIT_COUNTEREXAMPLE
 
 
 def _cmd_traces(args: argparse.Namespace) -> Report:
