@@ -1,7 +1,9 @@
 """Integer and modular arithmetic primitives."""
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from freycheck.arith import (
     DEFAULT_FACTOR_BOUND,
@@ -16,6 +18,8 @@ from freycheck.arith import (
     primes_up_to,
     valuation,
 )
+from freycheck.denes import wieferich_test
+from freycheck.frey import MonomialTriple, normalize
 
 nonzero_ints = st.integers(min_value=-(10**6), max_value=10**6).filter(lambda n: n != 0)
 
@@ -81,6 +85,26 @@ class TestValuation:
         assert n % ell ** (e + 1) != 0
 
 
+class TestPowmod:
+    """Modular powers, now taken with the builtin pow inside their callers."""
+
+    def test_examples(self):
+        # wieferich_test(p) is pow(2, p - 1, p * p) == 1.
+        assert pow(2, 4, 25) == 16
+        assert wieferich_test(5) is False
+        assert pow(2, 1092, 1093**2) == 1  # Wieferich property of 1093
+        assert wieferich_test(1093) is True
+        assert pow(7, 0, 13) == 1
+        assert mult_order(1, 13) == 1
+
+    @given(p=st.sampled_from(primes_up_to(2000)[1:]))
+    def test_matches_naive_repeated_multiplication(self, p):
+        naive = 1
+        for _ in range(p - 1):
+            naive = naive * 2 % (p * p)
+        assert wieferich_test(p) is (naive == 1)
+
+
 class TestMultOrder:
     def test_examples(self):
         assert mult_order(2, 7) == 3
@@ -107,6 +131,41 @@ class TestMultOrder:
         assert pow(g, d, p) == 1
         for q in factorize(d):
             assert pow(g, d // q, p) != 1
+
+
+class TestGcdAll:
+    """The three-way gcd, now math.gcd(a, b, c) inside frey and search."""
+
+    def test_examples(self):
+        assert math.gcd(-1, 1, -1) == 1
+        assert math.gcd(6, 10, 15) == 1
+        assert math.gcd(4, 8) == 4
+        MonomialTriple(-1, 2, -1).validate()
+        assert normalize(5, 1, 1, -1, 1).normalized
+        with pytest.raises(ValueError, match="coprime"):
+            MonomialTriple(4, -8, 4).validate()
+        with pytest.raises(ValueError, match="not primitive"):
+            normalize(5, 1, -2, 2, -2)
+
+    @given(
+        a=st.integers(min_value=-1000, max_value=1000).filter(lambda n: n != 0),
+        b=st.integers(min_value=-1000, max_value=1000).filter(lambda n: n != 0),
+    )
+    def test_matches_math_gcd(self, a, b):
+        # MonomialTriple.validate checks the gcd right after the zero and sum checks.
+        c = -(a + b)
+        assume(c != 0)
+        expected = 0
+        for v in (a, b, c):
+            expected = math.gcd(expected, v)
+        if expected == 1:
+            try:
+                MonomialTriple(a, b, c).validate()
+            except ValueError as exc:
+                assert "coprime" not in str(exc)
+        else:
+            with pytest.raises(ValueError, match="coprime"):
+                MonomialTriple(a, b, c).validate()
 
 
 class TestLegendreSymbol:
