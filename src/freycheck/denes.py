@@ -17,7 +17,6 @@ non-trivial solutions of a^p + 2*b^p + c^p = 0) are ruled out for p.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -49,33 +48,59 @@ def _require_criterion_prime(p: int) -> None:
         raise ValueError("p must be a prime >= 5 (p = 2, 3 are out of scope)")
 
 
+def _poly_mul_mod(a: List[int], b: List[int], p: int, n: int) -> List[int]:
+    """First n coefficients of a*b mod p, by Kronecker substitution.
+
+    Coefficients in [0, p) are packed into one int, one byte-aligned slot
+    each; a slot holds any product coefficient, a sum of at most
+    min(len(a), len(b)) terms below p^2, so no slot carries into the
+    next.  One big-int multiply then replaces the schoolbook double loop.
+    """
+    a, b = a[:n], b[:n]
+    width = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
+
+    def pack(coeffs: List[int]) -> int:
+        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+
+    size = min(n, len(a) + len(b) - 1)
+    raw = (pack(a) * pack(b)).to_bytes((len(a) + len(b) - 1) * width, "little")
+    return [int.from_bytes(raw[i : i + width], "little") % p for i in range(0, size * width, width)]
+
+
 def bernoulli_mod_p(p: int) -> Dict[int, int]:
     """Residues of B_k mod p for even 2 <= k <= p - 3 (B_1 = -1/2 convention).
 
-    Uses the binomial recurrence sum(C(m+1, j) * B_j, j = 0..m) = 0 carried
-    out entirely in F_p; denominators m + 1 <= p - 2 are invertible.
-    O(p^2) field operations, O(p) memory.
+    x/(e^x - 1) = sum B_k x^k/k!, so B_k/k! are the coefficients of the
+    inverse of f = (e^x - 1)/x = sum x^k/(k+1)! mod x^(p-2); over F_p
+    these need only (p-2)! and smaller factorials, all invertible.  The
+    inverse comes from Newton iteration g <- g*(2 - f*g), doubling the
+    precision each step, with products by Kronecker substitution
+    (Buhler, Crandall, Ernvall, Metsankyla and Shokrollahi, J. Symb.
+    Comput. 31, 2001).  That is O(log p) products of big ints of
+    O(p log p) bits, which CPython multiplies by Karatsuba, in place of
+    the O(p^2) field operations of the binomial recurrence; O(p) memory.
     """
     _require_criterion_prime(p)
-    inv = [0, 1]
-    for i in range(2, p):
-        inv.append((-(p // i) * inv[p % i]) % p)
-    b = [0] * max(p - 2, 2)
-    b[0] = 1
-    b[1] = (-inv[2]) % p
-    out: Dict[int, int] = {}
-    for m in range(2, p - 2):
-        if m % 2 == 1:
-            continue  # B_m = 0 for odd m >= 3
-        s = 0
-        c_mj = 1  # C(m+1, 0)
-        for j in range(m):
-            if b[j]:
-                s = (s + c_mj * b[j]) % p
-            c_mj = c_mj * ((m + 1 - j) % p) % p * inv[j + 1] % p
-        b[m] = (-s) * inv[m + 1] % p
-        out[m] = b[m]
-    return out
+    n = p - 2
+    fact = [1] * (n + 1)
+    for k in range(1, n + 1):
+        fact[k] = fact[k - 1] * k % p
+    inv_fact = [1] * (n + 1)
+    inv_fact[n] = pow(fact[n], -1, p)
+    for k in range(n, 0, -1):
+        inv_fact[k - 1] = inv_fact[k] * k % p
+    f = inv_fact[1:]  # f_k = 1/(k+1)!
+    precisions = []  # n, ceil(n/2), ..., down to 2
+    m = n
+    while m > 1:
+        precisions.append(m)
+        m = (m + 1) // 2
+    g = [1]
+    for m in reversed(precisions):
+        t = [(-c) % p for c in _poly_mul_mod(f, g, p, m)]
+        t[0] = (t[0] + 2) % p
+        g = _poly_mul_mod(g, t, p, m)
+    return {k: g[k] * fact[k] % p for k in range(2, p - 2, 2)}
 
 
 def is_regular(p: int) -> "tuple[bool, List[int]]":
@@ -122,10 +147,17 @@ def denes_scan(p_max: int, workers: int = 1) -> List[DenesReport]:
         raise ValueError("workers must be >= 1")
     primes = [p for p in primes_up_to(p_max) if p >= 5]
     if workers > 1 and len(primes) > 1:
+        # Imported here: the pool pulls in multiprocessing, which every
+        # single-process call would otherwise pay for at start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         # A fork-based pool starts all max_workers processes up front.
         size = min(workers, len(primes), os.cpu_count() or 1)
+        # A prime takes milliseconds, so send about four batches per worker
+        # instead of one round trip per prime.
+        chunksize = -(-len(primes) // (4 * size))
         with ProcessPoolExecutor(max_workers=size) as pool:
-            reports = list(pool.map(denes_criterion, primes))
+            reports = list(pool.map(denes_criterion, primes, chunksize=chunksize))
     else:
         reports = [denes_criterion(p) for p in primes]
     return sorted(reports, key=lambda rep: rep.p)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -164,6 +163,8 @@ def search_star(spec: SearchSpec, workers: int = 1) -> List[SolutionRecord]:
             (spec, lo, min(lo + step, height + 1))
             for lo in range(1, height + 1, step)
         ]
+        from concurrent.futures import ProcessPoolExecutor  # see denes_scan
+
         # A fork-based pool starts all max_workers processes up front.
         size = min(workers, len(chunks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=size) as pool:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .arith import is_prime, legendre_symbol, primes_up_to
+from .arith import is_prime, primes_up_to
 from . import tate
 from .weierstrass import WeierstrassModel
 
@@ -50,11 +50,14 @@ def count_points(
 ) -> int:
     """Trace of Frobenius a_ell = ell + 1 - #E(F_ell) for odd good ell.
 
-    Computed as -sum_x legendre((2y + a1*x + a3)^2 form, ell): completing
-    the square replaces the curve by Y^2 = 4x^3 + b2*x^2 + 2*b4*x + b6,
-    which is valid for odd ell and leaves the character sum unchanged
-    (the factor 4 is a square).  A model that is non-minimal at ell is
-    replaced by its ell-minimal model before counting.
+    Computed as -sum_x chi(g(x)) for the quadratic character chi of
+    F_ell: completing the square replaces the curve by
+    Y^2 = g(x) = 4x^3 + b2*x^2 + 2*b4*x + b6, which is valid for odd ell
+    and leaves the character sum unchanged (the factor 4 is a square).
+    chi is tabulated once by squaring (ell - 1)/2 residues, so the cost
+    is O(ell) multiplications and table lookups, with no exponentiation.
+    A model that is non-minimal at ell is replaced by its ell-minimal
+    model before counting.
     """
     if ell == 2:
         raise ValueError("ell = 2 is excluded from trace computations")
@@ -70,11 +73,11 @@ def count_points(
         model = minimal
     b2, b4, b6, _ = model.b_invariants()
     r2, r4, r6 = b2 % ell, (2 * b4) % ell, b6 % ell
-    total = 0
-    for x in range(ell):
-        gx = (((4 * x + r2) * x + r4) * x + r6) % ell
-        total += legendre_symbol(gx, ell) if gx else 0
-    return -total
+    chi = [-1] * ell
+    chi[0] = 0
+    for s in range(1, (ell + 1) // 2):
+        chi[s * s % ell] = 1
+    return -sum(chi[(((4 * x + r2) * x + r4) * x + r6) % ell] for x in range(ell))
 
 
 def trace_table(model: WeierstrassModel, lmax: int) -> List[TraceRecord]:
@@ -92,14 +95,15 @@ def trace_table(model: WeierstrassModel, lmax: int) -> List[TraceRecord]:
     for ell in primes_up_to(lmax):
         if ell == 2:
             continue
-        if disc % ell == 0 and tate.local_data(model, ell).reduction != tate.GOOD:
-            records.append(TraceRecord(ell=ell, a_ell=None, reduction="Bad"))
-        else:
-            records.append(
-                TraceRecord(
-                    ell=ell, a_ell=count_points(model, ell, ell_cap=lmax), reduction="Good"
-                )
-            )
+        curve = model
+        if disc % ell == 0:
+            data, curve = tate.local_data_with_model(model, ell)
+            if data.reduction != tate.GOOD:
+                records.append(TraceRecord(ell=ell, a_ell=None, reduction="Bad"))
+                continue
+        records.append(
+            TraceRecord(ell=ell, a_ell=count_points(curve, ell, ell_cap=lmax), reduction="Good")
+        )
     return records
 
 

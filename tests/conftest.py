@@ -1,22 +1,26 @@
 """Shared fixtures."""
 
-import pytest
+import concurrent.futures
+from types import SimpleNamespace
 
-from freycheck import denes, search
+import pytest
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
+def inline_pool(monkeypatch):
     """Run the process pools of denes and search in process instead.
 
-    The returned list collects the ``max_workers`` each pool was asked
-    for, so pool sizing can be tested without starting any process.
+    Both modules import ``concurrent.futures.ProcessPoolExecutor`` only
+    when they start a pool, so the fake replaces it there.  The returned
+    namespace collects the ``max_workers`` each pool was asked for in
+    ``sizes`` and the ``chunksize`` of each ``map`` in ``chunksizes``, so
+    pool sizing can be tested without starting any process.
     """
-    sizes = []
+    calls = SimpleNamespace(sizes=[], chunksizes=[])
 
     class InlinePool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            calls.sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -24,9 +28,9 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
+            calls.chunksizes.append(chunksize)
             return map(fn, items)
 
-    monkeypatch.setattr(denes, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
-    return sizes
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return calls

@@ -1,9 +1,11 @@
 """Independent test oracles.
 
 Everything here recomputes quantities the package produces, but by a
-different route: exact rationals instead of mod-p arithmetic, full
-cubic-triple enumeration instead of the pruned two-variable search,
-explicit square-root counting instead of character sums, and the
+different route: exact rationals or an O(p^2) recurrence instead of
+power-series inversion mod p, schoolbook products instead of Kronecker
+substitution, full cubic-triple enumeration instead of the pruned
+two-variable search, explicit square-root counting or one Euler
+criterion per x instead of a quadratic-character table, and the
 closed-form valuation table instead of the step-by-step reduction
 algorithm.  The test suite treats agreement between the two routes as
 the acceptance evidence, so nothing in this module may import from the
@@ -39,20 +41,64 @@ def bernoulli_fractions(max_index: int) -> List[Fraction]:
     return bern
 
 
-def bernoulli_mod_p_oracle(p: int) -> Dict[int, int]:
+def bernoulli_mod_p_oracle(
+    p: int, bern: Optional[Sequence[Fraction]] = None
+) -> Dict[int, int]:
     """B_k mod p for even 2 <= k <= p-3, reduced from exact rationals.
 
     Von Staudt-Clausen guarantees the denominator of B_k is the product
     of primes q with (q-1) | k; for k <= p-3 this excludes p, so the
     denominator is invertible mod p.  The gcd assertion checks that.
+    ``bern`` may pass bernoulli_fractions(m) for some m >= p - 3, so a
+    loop over many primes computes the rationals once.
     """
-    bern = bernoulli_fractions(max(p - 3, 0))
+    if bern is None:
+        bern = bernoulli_fractions(max(p - 3, 0))
     out: Dict[int, int] = {}
     for k in range(2, p - 2, 2):
         value = bern[k]
         assert value.denominator % p != 0, "von Staudt-Clausen violated"
         inv_den = pow(value.denominator, -1, p)
         out[k] = (value.numerator % p) * inv_den % p
+    return out
+
+
+def bernoulli_mod_p_recurrence(p: int) -> Dict[int, int]:
+    """B_k mod p for even 2 <= k <= p-3 by the binomial recurrence in F_p.
+
+    sum(C(m+1, j) * B_j, j = 0..m) = 0 solved for B_m one index at a
+    time, with the denominators m + 1 <= p - 2 inverted mod p.  O(p^2)
+    field operations: the package's kernel before it moved to power-series
+    inversion, kept as its reference.
+    """
+    inv = [0, 1]
+    for i in range(2, p):
+        inv.append((-(p // i) * inv[p % i]) % p)
+    b = [0] * max(p - 2, 2)
+    b[0] = 1
+    b[1] = (-inv[2]) % p
+    out: Dict[int, int] = {}
+    for m in range(2, p - 2, 2):  # B_m = 0 for odd m >= 3
+        s = 0
+        c_mj = 1  # C(m+1, 0)
+        for j in range(m):
+            if b[j]:
+                s = (s + c_mj * b[j]) % p
+            c_mj = c_mj * ((m + 1 - j) % p) % p * inv[j + 1] % p
+        b[m] = (-s) * inv[m + 1] % p
+        out[m] = b[m]
+    return out
+
+
+def poly_mul_schoolbook(
+    a: Sequence[int], b: Sequence[int], p: int, n: int
+) -> List[int]:
+    """First n coefficients of a*b mod p by the double loop."""
+    out = [0] * min(n, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < len(out):
+                out[i + j] = (out[i + j] + x * y) % p
     return out
 
 
@@ -147,6 +193,24 @@ def count_points_enumerate(
             if (y * y + (a1 * x + a3) * y - rhs) % ell == 0:
                 count += 1
     return ell + 1 - count
+
+
+def count_points_legendre(coefficients: Sequence[int], ell: int) -> int:
+    """a_ell = -sum_x (g(x) | ell) with one Euler-criterion power per x.
+
+    g(x) = 4x^3 + b2*x^2 + 2*b4*x + b6 comes from completing the square,
+    valid for odd ell; the model must have good reduction at ell.  The
+    package's per-x route before the quadratic-character table; O(ell)
+    modular exponentiations.
+    """
+    a1, a2, a3, a4, a6 = coefficients
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    total = 0
+    for x in range(ell):
+        gx = (((4 * x + b2) * x + 2 * b4) * x + b6) % ell
+        if gx:
+            total += 1 if pow(gx, (ell - 1) // 2, ell) == 1 else -1
+    return -total
 
 
 # ---------------------------------------------------------------------------

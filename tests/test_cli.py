@@ -485,3 +485,16 @@ def test_console_script_end_to_end():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["conductor"] == 32
     assert proc.stderr == ""
+
+
+def test_cli_import_loads_no_process_pool():
+    # The pool is imported only by a command run with --workers > 1.
+    code = (
+        "import sys, freycheck.cli; "
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

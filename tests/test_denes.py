@@ -1,19 +1,22 @@
 """Regularity, order-of-2, and Wieferich criterion.
 
-The mod-p Bernoulli computation is validated against the exact-rational
-oracle in tests/oracles.py (the oracle route: full recurrence over
-Fraction values, reduced mod p at the end).
+The mod-p Bernoulli computation (power-series inversion) is validated
+against two oracles in tests/oracles.py: the exact-rational recurrence
+over Fraction values, reduced mod p at the end, and the O(p^2) binomial
+recurrence carried out in F_p.
 """
 
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freycheck.arith import mult_order, primes_up_to
 from freycheck.cli import jsonable
 from freycheck.denes import (
     DenesReport,
+    _poly_mul_mod,
     bernoulli_mod_p,
     denes_criterion,
     denes_scan,
@@ -21,7 +24,13 @@ from freycheck.denes import (
     wieferich_test,
 )
 
-from oracles import IRREGULAR_PRIMES_BELOW_300, bernoulli_fractions, bernoulli_mod_p_oracle
+from oracles import (
+    IRREGULAR_PRIMES_BELOW_300,
+    bernoulli_fractions,
+    bernoulli_mod_p_oracle,
+    bernoulli_mod_p_recurrence,
+    poly_mul_schoolbook,
+)
 
 
 class TestBernoulliModP:
@@ -39,11 +48,16 @@ class TestBernoulliModP:
             with pytest.raises(ValueError):
                 bernoulli_mod_p(bad)
 
-    def test_agrees_with_exact_rational_oracle_up_to_100(self):
-        for p in primes_up_to(100):
+    def test_agrees_with_exact_rational_oracle_below_300(self):
+        bern = bernoulli_fractions(296)
+        for p in primes_up_to(300):
             if p < 5:
                 continue
-            assert bernoulli_mod_p(p) == bernoulli_mod_p_oracle(p), p
+            assert bernoulli_mod_p(p) == bernoulli_mod_p_oracle(p, bern), p
+
+    def test_agrees_with_recurrence_oracle(self):
+        for p in [q for q in primes_up_to(1000) if q >= 5] + [1499, 3001]:
+            assert bernoulli_mod_p(p) == bernoulli_mod_p_recurrence(p), p
 
     def test_oracle_spot_values(self):
         # The oracle itself is anchored on textbook rationals.
@@ -56,6 +70,31 @@ class TestBernoulliModP:
         assert bern[6] == Fraction(1, 42)
         assert bern[12] == Fraction(-691, 2730)
         assert all(bern[k] == 0 for k in (3, 5, 7, 9, 11))
+
+
+class TestPolyMulMod:
+    def test_maximal_coefficients_fill_but_do_not_overflow_a_slot(self):
+        # All coefficients p - 1 reach the slot bound len * (p - 1)^2.
+        # Moduli just below 2^k and lengths at powers of two and just
+        # past them put that bound next to a byte boundary.
+        for p in (3, 13, 251, 257, 65521, 2**31 - 1):
+            for length in (1, 2, 3, 4, 63, 64, 65, 255, 256, 257):
+                a = [p - 1] * length
+                for n in (1, length, 2 * length - 1):
+                    assert _poly_mul_mod(a, a, p, n) == poly_mul_schoolbook(a, a, p, n), (
+                        p,
+                        length,
+                        n,
+                    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_schoolbook(self, data):
+        p = data.draw(st.sampled_from([2, 5, 7, 127, 251, 257, 8191, 65521, 2**61 - 1]))
+        coeffs = st.lists(st.integers(min_value=0, max_value=p - 1), min_size=1, max_size=80)
+        a, b = data.draw(coeffs), data.draw(coeffs)
+        n = data.draw(st.integers(min_value=1, max_value=len(a) + len(b) + 2))
+        assert _poly_mul_mod(a, b, p, n) == poly_mul_schoolbook(a, b, p, n)
 
 
 class TestIsRegular:
@@ -167,11 +206,19 @@ class TestDenesScan:
     def test_parallel_matches_sequential(self):
         assert denes_scan(120, workers=4) == denes_scan(120, workers=1)
 
-    def test_pool_bounded_by_primes_and_cores(self, pool_sizes, monkeypatch):
+    def test_pool_bounded_by_primes_and_cores(self, inline_pool, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert denes_scan(120, workers=1000) == denes_scan(120)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert denes_scan(13, workers=1000) == denes_scan(13)  # primes 5, 7, 11, 13
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         denes_scan(13, workers=4)
-        assert pool_sizes == [3, 4, 1]
+        assert inline_pool.sizes == [3, 4, 1]
+
+    def test_map_sends_about_four_chunks_per_worker(self, inline_pool, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert denes_scan(120, workers=2) == denes_scan(120)  # 28 primes, 2 workers
+        assert denes_scan(200, workers=2) == denes_scan(200)  # 44 primes
+        denes_scan(13, workers=2)  # 4 primes
+        assert inline_pool.sizes == [2, 2, 2]
+        assert inline_pool.chunksizes == [4, 6, 1]

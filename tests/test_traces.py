@@ -1,5 +1,6 @@
-"""Traces of Frobenius: character-sum counting vs full enumeration,
-CM structure of the conductor-32 curve, and the mod-p comparator.
+"""Traces of Frobenius: character-table counting vs full enumeration and
+the per-x Legendre sum, CM structure of the conductor-32 curve, and the
+mod-p comparator.
 """
 
 import json
@@ -7,6 +8,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freycheck import tate
 from freycheck.arith import primes_up_to
 from freycheck.cli import jsonable
 from freycheck.frey import build_frey, normalize
@@ -20,7 +22,7 @@ from freycheck.traces import (
 )
 from freycheck.weierstrass import WeierstrassModel
 
-from oracles import count_points_enumerate
+from oracles import count_points_enumerate, count_points_legendre
 
 CM32 = WeierstrassModel(0, 0, 0, -1, 0)  # y^2 = x^3 - x
 TWIST = WeierstrassModel(0, 0, 0, 1, 0)  # y^2 = x^3 + x
@@ -44,12 +46,16 @@ class TestCountPoints:
         ]
         for model in models:
             disc = model.discriminant()
-            for ell in primes_up_to(100):
+            for ell in primes_up_to(200):
                 if ell == 2 or disc % ell == 0:
                     continue
                 assert count_points(model, ell) == count_points_enumerate(
                     model.coefficients(), ell
                 ), (model, ell)
+
+    def test_agrees_with_per_x_legendre_sum_at_9973(self):
+        for model in (CM32, WeierstrassModel(0, -1, 1, -10, -20), WeierstrassModel(1, -1, 1, -3, 3)):
+            assert count_points(model, 9973) == count_points_legendre(model.coefficients(), 9973)
 
     def test_rejects_ell_2_and_composites(self):
         with pytest.raises(ValueError):
@@ -102,6 +108,20 @@ class TestTraceTable:
         for rec in trace_table(CM32, 1000):
             if rec.reduction == "Good" and rec.ell % 4 == 3:
                 assert rec.a_ell == 0
+
+    def test_tate_runs_once_at_a_non_minimal_good_prime(self, monkeypatch):
+        # [0,0,0,-625,0] is non-minimal at 5 but has good reduction there.
+        primes = []
+        original = tate.local_data_with_model
+
+        def recording(model, ell):
+            primes.append(ell)
+            return original(model, ell)
+
+        monkeypatch.setattr(tate, "local_data_with_model", recording)
+        table = trace_table(WeierstrassModel(0, 0, 0, -625, 0), 30)
+        assert primes == [5]
+        assert table == trace_table(CM32, 30)
 
     def test_roundtrip(self):
         for rec in trace_table(WeierstrassModel(0, -1, 1, -10, -20), 30):
