@@ -153,11 +153,8 @@ def denes_scan(p_max: int, workers: int = 1) -> List[DenesReport]:
 
         # A fork-based pool starts all max_workers processes up front.
         size = min(workers, len(primes), os.cpu_count() or 1)
-        # A prime takes milliseconds, so send about four batches per worker
-        # instead of one round trip per prime.
-        chunksize = -(-len(primes) // (4 * size))
         with ProcessPoolExecutor(max_workers=size) as pool:
-            reports = list(pool.map(denes_criterion, primes, chunksize=chunksize))
+            reports = list(pool.map(denes_criterion, primes))
     else:
         reports = [denes_criterion(p) for p in primes]
     return sorted(reports, key=lambda rep: rep.p)

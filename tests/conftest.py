@@ -1,26 +1,24 @@
 """Shared fixtures."""
 
 import concurrent.futures
-from types import SimpleNamespace
 
 import pytest
 
 
 @pytest.fixture
-def inline_pool(monkeypatch):
+def pool_sizes(monkeypatch):
     """Run the process pools of denes and search in process instead.
 
     Both modules import ``concurrent.futures.ProcessPoolExecutor`` only
     when they start a pool, so the fake replaces it there.  The returned
-    namespace collects the ``max_workers`` each pool was asked for in
-    ``sizes`` and the ``chunksize`` of each ``map`` in ``chunksizes``, so
-    pool sizing can be tested without starting any process.
+    list collects the ``max_workers`` each pool was asked for, so pool
+    sizing can be tested without starting any process.
     """
-    calls = SimpleNamespace(sizes=[], chunksizes=[])
+    sizes = []
 
     class InlinePool:
         def __init__(self, max_workers):
-            calls.sizes.append(max_workers)
+            sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -28,9 +26,8 @@ def inline_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            calls.chunksizes.append(chunksize)
+        def map(self, fn, items):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return calls
+    return sizes

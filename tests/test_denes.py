@@ -206,19 +206,11 @@ class TestDenesScan:
     def test_parallel_matches_sequential(self):
         assert denes_scan(120, workers=4) == denes_scan(120, workers=1)
 
-    def test_pool_bounded_by_primes_and_cores(self, inline_pool, monkeypatch):
+    def test_pool_bounded_by_primes_and_cores(self, pool_sizes, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert denes_scan(120, workers=1000) == denes_scan(120)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert denes_scan(13, workers=1000) == denes_scan(13)  # primes 5, 7, 11, 13
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         denes_scan(13, workers=4)
-        assert inline_pool.sizes == [3, 4, 1]
-
-    def test_map_sends_about_four_chunks_per_worker(self, inline_pool, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert denes_scan(120, workers=2) == denes_scan(120)  # 28 primes, 2 workers
-        assert denes_scan(200, workers=2) == denes_scan(200)  # 44 primes
-        denes_scan(13, workers=2)  # 4 primes
-        assert inline_pool.sizes == [2, 2, 2]
-        assert inline_pool.chunksizes == [4, 6, 1]
+        assert pool_sizes == [3, 4, 1]

@@ -130,13 +130,13 @@ class TestSearchStar:
         keys = [(rec.normalized_form, rec.content) for rec in records]
         assert keys == sorted(keys)
 
-    def test_pool_bounded_by_chunks_and_cores(self, inline_pool, monkeypatch):
+    def test_pool_bounded_by_chunks_and_cores(self, pool_sizes, monkeypatch):
         spec = SearchSpec(p=3, alpha=1, height=5)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert search_star(spec, workers=1000) == search_star(spec)  # 5 chunks
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         search_star(spec, workers=1000)
-        assert inline_pool.sizes == [5, 2]
+        assert pool_sizes == [5, 2]
 
     def test_workers_validated(self):
         with pytest.raises(ValueError):
