@@ -3,9 +3,14 @@
 Two families are covered:
 
 * solutions of a^p + L^alpha * b^p + c^p = 0 with |a|, |b|, |c| <= H
-  (L = 2 by default), enumerated over (a, b) with c recovered by exact
-  integer p-th root extraction, never by floating point;
-* arithmetic progressions of perfect n-th powers with positive bases.
+  (L = 2 by default), enumerated over (a, b) with c found by looking
+  -(a^p + L^alpha * b^p) up in a table of the exact p-th powers c^p,
+  0 < |c| <= H, never by root extraction or floating point;
+* arithmetic progressions of perfect n-th powers with positive bases,
+  found in the same way in a table of exact n-th powers.
+
+Each lookup is one set intersection per row (one a, or one x_1), run in
+C by the dict-keys view; memory stays O(H).
 
 The equation is homogeneous of degree p, so primitive solutions
 determine all solutions; imprimitive records, when requested, are
@@ -17,11 +22,13 @@ deterministic and independent of work partitioning.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .arith import exact_root, is_prime
+from .arith import is_prime
 from .frey import canonical_triple
 
 __all__ = [
@@ -82,42 +89,23 @@ class SolutionRecord:
     content: int = 1
 
 
-def _pth_power_filter(p: int) -> Tuple[int, frozenset]:
-    """A small prime q = 1 mod p and the set of p-th power residues mod q.
-
-    Membership of S mod q in the set is a necessary condition for S to be
-    a p-th power, used to skip most exact-root extractions.
-    """
-    q = p + 1
-    while not (q % p == 1 and is_prime(q)):
-        q += 1
-    return q, frozenset(pow(x, p, q) for x in range(q))
-
-
 def _search_chunk(args: Tuple[SearchSpec, int, int]) -> List[Tuple[int, int, int]]:
-    """Raw solutions with a in [a_lo, a_hi); a > 0 only (sign flip recovers)."""
+    """Raw solutions with a in [a_lo, a_hi); a > 0 only (sign flip recovers).
+
+    A key of ``roots`` is c^p for some 0 < |c| <= H, so a hit already has
+    c != 0 and |c| <= H; p is odd, so each key has one root.
+    """
     spec, a_lo, a_hi = args
     p, height = spec.p, spec.height
     coeff = spec.L**spec.alpha
-    height_pow = height**p
-    q, residues = _pth_power_filter(p)
-    b_terms = []
-    for b in range(1, height + 1):
-        term = coeff * b**p
-        b_terms.append((b, term))
-        b_terms.append((-b, -term))
+    roots = {c**p: c for c in range(-height, height + 1) if c}
+    terms = [coeff * b_pow for b_pow in roots]
     raw: List[Tuple[int, int, int]] = []
     for a in range(a_lo, a_hi):
         a_pow = a**p
-        for b, term in b_terms:
-            target = -(a_pow + term)
-            if target == 0 or abs(target) > height_pow:
-                continue
-            if target % q not in residues and (-target) % q not in residues:
-                continue
-            c = exact_root(target, p)
-            if c is None:
-                continue
+        for target in roots.keys() & map(operator.sub, repeat(-a_pow), terms):
+            c = roots[target]
+            b = roots[(-target - a_pow) // coeff]
             if spec.require_primitive and math.gcd(a, b, c) != 1:
                 continue
             raw.append((a, b, c))
@@ -277,23 +265,40 @@ def search_ap_powers(
         raise ValueError("only 3- and 4-term progressions are supported")
     if height < 1:
         raise ValueError("height must be >= 1")
+    roots = {x**n: x for x in range(1, height + 1)}
+    doubled = [2 * x_pow for x_pow in roots]
     results: List[Tuple[int, ...]] = []
-    powers = [x**n for x in range(height + 1)]
     for x1 in range(1, height + 1):
+        x1_pow = x1**n
         x2_start = x1 + 1 if distinct_only else x1
-        for x2 in range(x2_start, height + 1):
-            diff = powers[x2] - powers[x1]
-            x3 = exact_root(powers[x2] + diff, n)
-            if x3 is None or x3 > height:
-                continue
+        # x3^n = 2 x2^n - x1^n over every x2 in range, one lookup each.
+        candidates = map(operator.sub, doubled[x2_start - 1 :], repeat(x1_pow))
+        for x3_pow in roots.keys() & candidates:
+            x2 = roots[(x3_pow + x1_pow) // 2]
+            x3 = roots[x3_pow]
             if k == 3:
                 results.append((x1, x2, x3))
                 continue
-            x4 = exact_root(powers[x3] + diff, n)
-            if x4 is None or x4 > height:
-                continue
-            results.append((x1, x2, x3, x4))
+            x4 = roots.get(2 * x3_pow - x2**n)
+            if x4 is not None:
+                results.append((x1, x2, x3, x4))
+    # Each (x1, x2) gives at most one progression, so sorting restores the
+    # lexicographic order of the row-by-row enumeration.
+    results.sort()
+    _check_progressions(n, height, distinct_only, results)
     return results
+
+
+def _check_progressions(
+    n: int, height: int, distinct_only: bool, tuples: Sequence[Tuple[int, ...]]
+) -> None:
+    """Exact re-verification of every progression before it is emitted."""
+    for bases in tuples:
+        if not all(1 <= x <= height for x in bases) or list(bases) != sorted(bases):
+            raise AssertionError("ap-search emitted bases out of range or order")
+        diffs = {y**n - x**n for x, y in zip(bases, bases[1:])}
+        if len(diffs) != 1 or (distinct_only and 0 in diffs):
+            raise AssertionError("ap-search emitted a non-progression")
 
 
 @dataclass(frozen=True)

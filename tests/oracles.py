@@ -3,11 +3,11 @@
 Everything here recomputes quantities the package produces, but by a
 different route: exact rationals or an O(p^2) recurrence instead of
 power-series inversion mod p, schoolbook products instead of Kronecker
-substitution, full cubic-triple enumeration instead of the pruned
-two-variable search, explicit square-root counting or one Euler
-criterion per x instead of a quadratic-character table, and the
-closed-form valuation table instead of the step-by-step reduction
-algorithm.  The test suite treats agreement between the two routes as
+substitution, full cubic-triple enumeration or per-candidate root
+extraction instead of the table-lookup searches, explicit square-root
+counting or one Euler criterion per x instead of a quadratic-character
+table, and the closed-form valuation table instead of the step-by-step
+reduction algorithm.  The test suite treats agreement between the two routes as
 the acceptance evidence, so nothing in this module may import from the
 package's computation paths beyond plain data containers.
 """
@@ -169,6 +169,89 @@ def brute_force_ap_powers(
                 for x4 in range(x3 if not distinct_only else x3 + 1, height + 1):
                     if powers[x4] - powers[x3] == diff:
                         results.append((x1, x2, x3, x4))
+    return results
+
+
+# ---------------------------------------------------------------------------
+# Searches by per-candidate root extraction (the package's kernels before
+# they moved to table lookup)
+
+
+def _exact_root(n: int, k: int) -> Optional[int]:
+    """The integer r with r**k == n, or None, by binary search on integers."""
+    if n < 0:
+        if k % 2 == 0:
+            return None
+        r = _exact_root(-n, k)
+        return None if r is None else -r
+    lo, hi = 0, 1 << -(-n.bit_length() // k)  # lo**k <= n < hi**k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**k <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo if lo**k == n else None
+
+
+def search_star_exact_root(
+    p: int, alpha: int, height: int, L: int = 2
+) -> List[Tuple[int, int, int]]:
+    """Raw solutions, primitive or not, with 0 < a <= height and
+    0 < |b|, |c| <= height, in O(H^2) root extractions.
+
+    For each (a, b) the target -(a^p + L^alpha*b^p) is range-checked, tested
+    against the p-th power residues mod the least prime q = 1 mod p, and
+    then given an exact p-th root by binary search.
+    """
+    coeff = L**alpha
+    height_pow = height**p
+    q = p + 1
+    while q % p != 1 or any(q % d == 0 for d in range(2, math.isqrt(q) + 1)):
+        q += 1
+    residues = {pow(x, p, q) for x in range(q)}
+    b_terms = []
+    for b in range(1, height + 1):
+        b_terms.append((b, coeff * b**p))
+        b_terms.append((-b, -coeff * b**p))
+    hits: List[Tuple[int, int, int]] = []
+    for a in range(1, height + 1):
+        a_pow = a**p
+        for b, term in b_terms:
+            target = -(a_pow + term)
+            if target == 0 or abs(target) > height_pow:
+                continue
+            if target % q not in residues:
+                continue
+            c = _exact_root(target, p)
+            if c is not None:
+                hits.append((a, b, c))
+    return hits
+
+
+def ap_powers_exact_root(
+    n: int, k: int, height: int, distinct_only: bool = True
+) -> List[Tuple[int, ...]]:
+    """k-term power progressions over (x1, x2), O(H^2) root extractions.
+
+    x3 and x4 are exact n-th roots of x2^n + d and x3^n + d, d = x2^n - x1^n.
+    """
+    powers = [x**n for x in range(height + 1)]
+    results: List[Tuple[int, ...]] = []
+    for x1 in range(1, height + 1):
+        start = x1 + 1 if distinct_only else x1
+        for x2 in range(start, height + 1):
+            diff = powers[x2] - powers[x1]
+            x3 = _exact_root(powers[x2] + diff, n)
+            if x3 is None or x3 > height:
+                continue
+            if k == 3:
+                results.append((x1, x2, x3))
+                continue
+            x4 = _exact_root(powers[x3] + diff, n)
+            if x4 is None or x4 > height:
+                continue
+            results.append((x1, x2, x3, x4))
     return results
 
 

@@ -439,13 +439,16 @@ class TestDeterminism:
             ("search", "--p", "3", "--alpha", "1", "--height", "30"),
             ("denes", "--scan", "80"),
             ("verify", "--p-list", "3,5", "--alpha-list", "1,2", "--height", "12"),
+            # Height 7 splits into uneven chunks for 2 and 3 workers.
+            ("search", "--p", "3", "--alpha", "1", "--height", "7"),
+            ("verify", "--p-list", "3,5", "--alpha-list", "1,2", "--height", "7"),
         ],
-        ids=lambda args: args[0],
+        ids=["search", "denes", "verify", "search-uneven", "verify-uneven"],
     )
     def test_worker_count_does_not_change_output(self, capsys, args):
         lone = run_cli(capsys, *args, "--workers", "1")
-        four = run_cli(capsys, *args, "--workers", "4")
-        assert lone == four
+        for workers in ("2", "3", "4"):
+            assert run_cli(capsys, *args, "--workers", workers) == lone, workers
 
 
 class TestHumanFormat:

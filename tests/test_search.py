@@ -4,6 +4,7 @@ and the power-progression searches.
 """
 
 import json
+import math
 import os
 
 import pytest
@@ -15,6 +16,9 @@ from freycheck.search import (
     SIGMA_PRIMES,
     SearchSpec,
     SolutionRecord,
+    _check_progressions,
+    _records_from_raw,
+    _search_chunk,
     classify_ap_outcome,
     classify_search_outcome,
     search_ap_powers,
@@ -23,7 +27,12 @@ from freycheck.search import (
     verify_theorem_claims,
 )
 
-from oracles import brute_force_ap_powers, brute_force_star
+from oracles import (
+    ap_powers_exact_root,
+    brute_force_ap_powers,
+    brute_force_star,
+    search_star_exact_root,
+)
 
 
 class TestSearchSpec:
@@ -143,6 +152,49 @@ class TestSearchStar:
             search_star(SearchSpec(p=5, alpha=1, height=5), workers=0)
 
 
+class TestAgainstRootExtraction:
+    """The table-lookup searches against the root-extraction loops they
+    replaced, at heights the cubic brute force cannot reach."""
+
+    STAR_GRID = [
+        (p, alpha, L)
+        for p in (3, 5, 7, 13)
+        for alpha in sorted({0, 1, 2, p - 1} | ({7} if p == 13 else set()))
+        for L in (2, 3)
+    ]
+
+    @pytest.mark.parametrize("p,alpha,L", STAR_GRID)
+    def test_search_star(self, p, alpha, L):
+        height = 200 if p == 3 else 120
+        raw = search_star_exact_root(p, alpha, height, L=L)
+        for require_primitive in (False, True):
+            spec = SearchSpec(
+                p=p, alpha=alpha, height=height, L=L,
+                require_primitive=require_primitive,
+            )
+            expected = [t for t in raw if not require_primitive or math.gcd(*t) == 1]
+            assert sorted(_search_chunk((spec, 1, height + 1))) == sorted(expected)
+            records = search_star(spec)
+            assert records == _records_from_raw(spec, expected)
+            if not require_primitive:
+                assert search_star(spec, workers=2) == records
+
+    @pytest.mark.parametrize("distinct_only", (True, False))
+    @pytest.mark.parametrize("k", (3, 4))
+    @pytest.mark.parametrize("n", (2, 3, 4, 5))
+    def test_ap_powers(self, n, k, distinct_only):
+        for height in (1, 500 if n == 2 else 200):
+            assert search_ap_powers(n, k, height, distinct_only) == ap_powers_exact_root(
+                n, k, height, distinct_only
+            )
+
+    def test_hits_exist_on_the_grid(self):
+        """The comparisons above are not between empty lists only."""
+        assert (1, -1, 2) in search_star_exact_root(3, 2, 10, L=3)
+        assert (7, 13, 17) in ap_powers_exact_root(2, 3, 20)
+        assert (1, 1, 1, 1) in ap_powers_exact_root(3, 4, 1, distinct_only=False)
+
+
 class TestClassification:
     def test_alpha1_expects_trivial_only(self):
         spec = SearchSpec(p=5, alpha=1, height=25)
@@ -244,6 +296,15 @@ class TestApPowers:
         for x1, x2, x3 in found:
             assert 0 < x1 < x2 < x3 <= 30
             assert x2**2 - x1**2 == x3**2 - x2**2
+
+    def test_recheck_rejects_bad_progressions(self):
+        _check_progressions(2, 7, True, [(1, 5, 7)])
+        _check_progressions(2, 7, False, [(1, 1, 1)])
+        for bases in [(1, 5, 6), (1, 5, 7, 8), (5, 1, 7), (0, 5, 7), (1, 5, 8)]:
+            with pytest.raises(AssertionError):
+                _check_progressions(2, 7, True, [bases])
+        with pytest.raises(AssertionError):
+            _check_progressions(2, 7, True, [(1, 1, 1)])
 
     def test_validation(self):
         with pytest.raises(ValueError):
