@@ -1,6 +1,6 @@
-"""Bounded-height searches: pruned two-variable enumeration against the
-cubic brute-force oracle, canonical deduplication, partition determinism,
-and the power-progression searches.
+"""Bounded-height searches: table-lookup enumeration against the cubic
+brute-force and the root-extraction oracles, canonical deduplication,
+partition determinism, and the power-progression searches.
 """
 
 import json
