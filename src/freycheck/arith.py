@@ -8,7 +8,8 @@ so results stay exact at any magnitude.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+import os
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 __all__ = [
     "DEFAULT_FACTOR_BOUND",
@@ -20,6 +21,7 @@ __all__ = [
     "is_prime",
     "legendre_symbol",
     "mult_order",
+    "ordered_map",
     "primes_up_to",
     "valuation",
 ]
@@ -206,3 +208,28 @@ def exact_root(n: int, k: int) -> Optional[int]:
         return None if r is None else -r
     r = iroot(n, k)
     return r if r**k == n else None
+
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def ordered_map(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> List[R]:
+    """[fn(t) for t in tasks], spread over up to ``workers`` processes.
+
+    A fork-based pool starts all of its processes up front, so the pool
+    is sized min(workers, len(tasks), os.cpu_count()); when that is below
+    two, the tasks run in this process and no pool starts.  Results come
+    back in task order, so output never depends on ``workers``.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    size = min(workers, len(tasks), os.cpu_count() or 1)
+    if size < 2:
+        return [fn(t) for t in tasks]
+    # Imported here: the pool pulls in multiprocessing, which every
+    # single-process call would otherwise pay for at start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return list(pool.map(fn, tasks))

@@ -16,11 +16,10 @@ non-trivial solutions of a^p + 2*b^p + c^p = 0) are ruled out for p.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List
 
-from .arith import is_prime, mult_order, primes_up_to
+from .arith import is_prime, mult_order, ordered_map, primes_up_to
 
 __all__ = [
     "DenesReport",
@@ -141,20 +140,5 @@ def denes_scan(p_max: int, workers: int = 1) -> List[DenesReport]:
     Distinct primes may be evaluated concurrently; the merge order is
     always ascending in p, so results are deterministic.
     """
-    if p_max < 5:
-        return []
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     primes = [p for p in primes_up_to(p_max) if p >= 5]
-    if workers > 1 and len(primes) > 1:
-        # Imported here: the pool pulls in multiprocessing, which every
-        # single-process call would otherwise pay for at start-up.
-        from concurrent.futures import ProcessPoolExecutor
-
-        # A fork-based pool starts all max_workers processes up front.
-        size = min(workers, len(primes), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            reports = list(pool.map(denes_criterion, primes))
-    else:
-        reports = [denes_criterion(p) for p in primes]
-    return sorted(reports, key=lambda rep: rep.p)
+    return ordered_map(denes_criterion, primes, workers)

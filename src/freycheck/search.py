@@ -23,17 +23,15 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
-from .arith import is_prime
+from .arith import is_prime, ordered_map
 from .frey import canonical_triple
 
 __all__ = [
     "SIGMA_PRIMES",
-    "ApSearchOutcome",
     "CaseResult",
     "SearchOutcome",
     "SearchSpec",
@@ -136,39 +134,44 @@ def _records_from_raw(
     return sorted(by_key.values(), key=lambda rec: (rec.normalized_form, rec.content))
 
 
+def _search_specs(specs: Sequence[SearchSpec], workers: int) -> List[List[SolutionRecord]]:
+    """The records of every spec, from one ordered_map over all a-ranges.
+
+    Each spec's range 1..H is cut into at most ``workers`` chunks; the
+    parts are grouped back by position in ``specs``, so repeated specs
+    stay separate and the result does not depend on ``workers``.
+    """
+    if workers < 1:  # checked before ordered_map does: the step divides by it
+        raise ValueError("workers must be >= 1")
+    owners: List[int] = []
+    chunks: List[Tuple[SearchSpec, int, int]] = []
+    for i, spec in enumerate(specs):
+        step = -(-spec.height // workers)
+        for lo in range(1, spec.height + 1, step):
+            owners.append(i)
+            chunks.append((spec, lo, min(lo + step, spec.height + 1)))
+    raw: List[List[Tuple[int, int, int]]] = [[] for _ in specs]
+    for i, part in zip(owners, ordered_map(_search_chunk, chunks, workers)):
+        raw[i].extend(part)
+    return [_records_from_raw(spec, triples) for spec, triples in zip(specs, raw)]
+
+
 def search_star(spec: SearchSpec, workers: int = 1) -> List[SolutionRecord]:
     """All solutions of a^p + L^alpha*b^p + c^p = 0 with entries in [-H, H].
 
     One record per orbit under the a<->c swap and the global sign flip,
     sorted by canonical form; deterministic for any ``workers`` value.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    height = spec.height
-    if workers > 1 and height > 1:
-        step = -(-height // workers)
-        chunks = [
-            (spec, lo, min(lo + step, height + 1))
-            for lo in range(1, height + 1, step)
-        ]
-        from concurrent.futures import ProcessPoolExecutor  # see denes_scan
-
-        # A fork-based pool starts all max_workers processes up front.
-        size = min(workers, len(chunks), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            raw = [triple for part in pool.map(_search_chunk, chunks) for triple in part]
-    else:
-        raw = _search_chunk((spec, 1, height + 1))
-    return _records_from_raw(spec, raw)
+    return _search_specs([spec], workers)[0]
 
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """How a record set relates to the established results for the family."""
+    """How solution records, or progression base tuples, relate to the known results."""
 
     claim: str  # "established" | "empirical"
     expected: str  # "empty" | "trivial-only" | "none"
-    counterexamples: List[SolutionRecord]
+    counterexamples: Union[List[SolutionRecord], List[Tuple[int, ...]]]
 
     @property
     def conforms(self) -> bool:
@@ -222,22 +225,18 @@ def verify_theorem_claims(
     height: int,
     workers: int = 1,
 ) -> List[CaseResult]:
-    """Search every (p, alpha) with alpha < p over L = 2 and classify results."""
-    cases: List[CaseResult] = []
-    for p in p_list:
-        for alpha in alpha_list:
-            if alpha >= p:
-                continue
-            spec = SearchSpec(p=p, alpha=alpha, height=height)
-            records = search_star(spec, workers=workers)
-            cases.append(
-                CaseResult(
-                    spec=spec,
-                    records=records,
-                    outcome=classify_search_outcome(spec, records),
-                )
-            )
-    return cases
+    """Search every (p, alpha) with alpha < p over L = 2 and classify results.
+
+    The whole grid shares one ordered_map, so at most one pool starts.
+    """
+    specs = [
+        SearchSpec(p=p, alpha=alpha, height=height)
+        for p in p_list for alpha in alpha_list if alpha < p
+    ]
+    return [
+        CaseResult(spec=spec, records=records, outcome=classify_search_outcome(spec, records))
+        for spec, records in zip(specs, _search_specs(specs, workers))
+    ]
 
 
 def verify_cubic_cases(height: int, workers: int = 1) -> List[CaseResult]:
@@ -301,20 +300,9 @@ def _check_progressions(
             raise AssertionError("ap-search emitted a non-progression")
 
 
-@dataclass(frozen=True)
-class ApSearchOutcome:
-    claim: str  # "established" | "empirical"
-    expected: str  # "empty" | "none"
-    counterexamples: List[Tuple[int, ...]]
-
-    @property
-    def conforms(self) -> bool:
-        return not self.counterexamples
-
-
 def classify_ap_outcome(
     n: int, k: int, distinct_only: bool, tuples: Sequence[Tuple[int, ...]]
-) -> ApSearchOutcome:
+) -> SearchOutcome:
     """Label progression findings against established non-existence results.
 
     Non-constant progressions are ruled out for four squares, three
@@ -325,7 +313,7 @@ def classify_ap_outcome(
     """
     none_expected = distinct_only and (k == 4 or n >= 3)
     if none_expected:
-        return ApSearchOutcome(
+        return SearchOutcome(
             claim="established", expected="empty", counterexamples=list(tuples)
         )
-    return ApSearchOutcome(claim="empirical", expected="none", counterexamples=[])
+    return SearchOutcome(claim="empirical", expected="none", counterexamples=[])

@@ -7,12 +7,13 @@ import pytest
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Run the process pools of denes and search in process instead.
+    """Run the process pools of denes, search and verify in process instead.
 
-    Both modules import ``concurrent.futures.ProcessPoolExecutor`` only
-    when they start a pool, so the fake replaces it there.  The returned
-    list collects the ``max_workers`` each pool was asked for, so pool
-    sizing can be tested without starting any process.
+    The pool is imported in one place: ``arith.ordered_map`` imports
+    ``concurrent.futures.ProcessPoolExecutor`` only when it starts a
+    pool, so the fake replaces it there.  The returned list collects the
+    ``max_workers`` each pool was asked for, so pool sizing can be tested
+    without starting any process.
     """
     sizes = []
 

@@ -1,6 +1,7 @@
 """Integer and modular arithmetic primitives."""
 
 import math
+import os
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -15,6 +16,7 @@ from freycheck.arith import (
     is_prime,
     legendre_symbol,
     mult_order,
+    ordered_map,
     primes_up_to,
     valuation,
 )
@@ -208,6 +210,14 @@ class TestPrimesUpTo:
         listed = set(primes_up_to(2000))
         for n in range(2001):
             assert (n in listed) == is_prime(n)
+
+
+class TestOrderedMap:
+    def test_keeps_task_order(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert ordered_map(abs, [-3, 1, -2], 1000) == [3, 1, 2]
+        assert ordered_map(abs, [], 4) == []
+        assert pool_sizes == [3]  # no pool for the empty task list
 
 
 class TestFactorize:

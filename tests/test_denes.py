@@ -212,5 +212,16 @@ class TestDenesScan:
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert denes_scan(13, workers=1000) == denes_scan(13)  # primes 5, 7, 11, 13
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        denes_scan(13, workers=4)
-        assert pool_sizes == [3, 4, 1]
+        denes_scan(13, workers=4)  # one core: runs in process
+        assert pool_sizes == [3, 4]
+
+    @pytest.mark.parametrize("cores", [1, None])
+    def test_no_pool_on_one_core(self, pool_sizes, monkeypatch, cores):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert denes_scan(120, workers=4) == denes_scan(120)
+        assert pool_sizes == []
+
+    def test_workers_validated(self):
+        for p_max in (4, 29):
+            with pytest.raises(ValueError):
+                denes_scan(p_max, workers=0)

@@ -14,6 +14,7 @@ from freycheck.cli import jsonable
 from freycheck.frey import canonical_triple
 from freycheck.search import (
     SIGMA_PRIMES,
+    SearchOutcome,
     SearchSpec,
     SolutionRecord,
     _check_progressions,
@@ -147,6 +148,13 @@ class TestSearchStar:
         search_star(spec, workers=1000)
         assert pool_sizes == [5, 2]
 
+    @pytest.mark.parametrize("cores", [1, None])
+    def test_no_pool_on_one_core(self, pool_sizes, monkeypatch, cores):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        spec = SearchSpec(p=3, alpha=1, height=12, require_primitive=False)
+        assert search_star(spec, workers=4) == search_star(spec)
+        assert pool_sizes == []
+
     def test_workers_validated(self):
         with pytest.raises(ValueError):
             search_star(SearchSpec(p=5, alpha=1, height=5), workers=0)
@@ -257,6 +265,24 @@ class TestVerifyDrivers:
     def test_verify_theorem_claims_empty_plist(self):
         assert verify_theorem_claims([], [1, 2], 10) == []
 
+    def test_one_pool_for_the_whole_grid(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        grid = ([3, 5], [1, 2], 7)
+        assert verify_theorem_claims(*grid, workers=2) == verify_theorem_claims(*grid)
+        assert pool_sizes == [2]
+
+    @pytest.mark.parametrize("cores", [1, None])
+    def test_no_pool_on_one_core(self, pool_sizes, monkeypatch, cores):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        grid = ([3, 5], [1, 2], 7)
+        assert verify_theorem_claims(*grid, workers=4) == verify_theorem_claims(*grid)
+        assert pool_sizes == []
+
+    def test_repeated_cases_stay_separate(self):
+        cases = verify_theorem_claims([5, 5], [1, 1], 9, workers=2)
+        assert len(cases) == 4
+        assert cases == verify_theorem_claims([5, 5], [1, 1], 9, workers=1)
+
     def test_case_report_shape(self):
         case = verify_theorem_claims([5], [1], 8)[0]
         doc = jsonable(cli._case_payload(case))
@@ -322,3 +348,4 @@ class TestApPowers:
         assert not bad.conforms and bad.expected == "empty"
         assert classify_ap_outcome(4, 3, True, []).claim == "established"
         assert classify_ap_outcome(2, 4, False, [(1, 1, 1, 1)]).conforms
+        assert isinstance(bad, SearchOutcome)
