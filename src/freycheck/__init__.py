@@ -39,7 +39,6 @@ from .search import (
     classify_search_outcome,
     search_ap_powers,
     search_star,
-    verify_cubic_cases,
     verify_theorem_claims,
 )
 from .tate import LocalData, all_local_data, global_conductor, local_data
@@ -89,6 +88,5 @@ __all__ = [
     "search_star",
     "trace_table",
     "valuation",
-    "verify_cubic_cases",
     "verify_theorem_claims",
 ]

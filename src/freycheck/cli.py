@@ -21,7 +21,6 @@ import csv
 import io
 import json
 import logging
-import os
 import re
 import sys
 from dataclasses import fields, is_dataclass
@@ -60,8 +59,6 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_COUNTEREXAMPLE = 3
 
-FACTOR_BOUND_ENV = "FREYCHECK_FACTOR_BOUND"
-
 log = logging.getLogger("freycheck")
 
 #: A report table: its header and its rows.
@@ -93,14 +90,14 @@ def _int_at_least(minimum: int, kind: str) -> Callable[[str], int]:
         except ValueError:
             raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
         if value < minimum:
-            raise argparse.ArgumentTypeError("expected a %s integer, got %r" % (kind, text))
+            raise argparse.ArgumentTypeError("expected %s, got %r" % (kind, text))
         return value
 
     return parse
 
 
-_positive_int = _int_at_least(1, "positive")
-_nonnegative_int = _int_at_least(0, "non-negative")
+_positive_int = _int_at_least(1, "a positive integer")
+_nonnegative_int = _int_at_least(0, "a non-negative integer")
 
 
 def _comma_ints(count: Optional[int] = None):
@@ -138,19 +135,6 @@ def _merge_negative_list_values(argv: Sequence[str]) -> List[str]:
     return merged
 
 
-def _default_factor_bound() -> int:
-    raw = os.environ.get(FACTOR_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_FACTOR_BOUND
-    try:
-        bound = int(raw)
-    except ValueError:
-        raise ValueError("%s must be an integer, got %r" % (FACTOR_BOUND_ENV, raw))
-    if bound < 2:
-        raise ValueError("%s must be >= 2, got %d" % (FACTOR_BOUND_ENV, bound))
-    return bound
-
-
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="freycheck",
@@ -174,10 +158,10 @@ def build_parser() -> _Parser:
     )
     common.add_argument(
         "--factor-bound",
-        type=_positive_int,
-        default=None,
+        type=_int_at_least(2, "an integer >= 2"),
+        default=DEFAULT_FACTOR_BOUND,
         help="trial-division bound for conductor factorizations "
-        "(default: $%s or %d)" % (FACTOR_BOUND_ENV, DEFAULT_FACTOR_BOUND),
+        "(default: %(default)s)",
     )
 
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -359,7 +343,6 @@ def _case_payload(case: CaseResult) -> Dict[str, object]:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> Report:
-    bound = args.factor_bound or _default_factor_bound()
     a, b, c = args.triple
     alpha_red, b_red = reduce_alpha(args.alpha, b, args.p)
     if alpha_red == 0:
@@ -369,8 +352,8 @@ def _cmd_analyze(args: argparse.Namespace) -> Report:
         )
     params = normalize(args.p, alpha_red, a, b_red, c)
     triple, model = build_frey(params)
-    inv = invariants(triple, args.p, bound)
-    local = all_local_data(model, bound)
+    inv = invariants(triple, args.p, args.factor_bound)
+    local = all_local_data(model, args.factor_bound)
     conductor_oracle = global_conductor(local)
     t_oracle = next((item.conductor_exponent for item in local if item.prime == 2), 0)
     agree = conductor_oracle == inv.conductor and t_oracle == inv.t
@@ -489,9 +472,8 @@ def _cmd_congruence(args: argparse.Namespace) -> Report:
 
 
 def _cmd_conductor(args: argparse.Namespace) -> Report:
-    bound = args.factor_bound or _default_factor_bound()
     model = _model_from_values(args.model)
-    local = all_local_data(model, bound)
+    local = all_local_data(model, args.factor_bound)
     payload: Dict[str, object] = {
         "model": model.coefficients(),
         "discriminant": model.discriminant(),

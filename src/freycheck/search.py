@@ -41,7 +41,6 @@ __all__ = [
     "classify_search_outcome",
     "search_ap_powers",
     "search_star",
-    "verify_cubic_cases",
     "verify_theorem_claims",
 ]
 
@@ -237,15 +236,6 @@ def verify_theorem_claims(
         CaseResult(spec=spec, records=records, outcome=classify_search_outcome(spec, records))
         for spec, records in zip(specs, _search_specs(specs, workers))
     ]
-
-
-def verify_cubic_cases(height: int, workers: int = 1) -> List[CaseResult]:
-    """The two classical p = 3 cases.
-
-    alpha = 1 (a^3 + 2b^3 + c^3 = 0) admits exactly the trivial family;
-    alpha = 2 (a^3 + 4b^3 + c^3 = 0) admits nothing.
-    """
-    return verify_theorem_claims([3], [1, 2], height, workers=workers)
 
 
 def search_ap_powers(

@@ -77,10 +77,6 @@ class LocalData:
     scalings: int
 
 
-def _inv(a: int, m: int) -> int:
-    return pow(a, -1, m)
-
-
 def _exact_div(n: int, d: int) -> int:
     q, r = divmod(n, d)
     if r:
@@ -135,10 +131,10 @@ def local_data_with_model(
             t = (a1 * r + a3) % 3
         else:
             if c4 % p == 0:
-                r = (-b2 * _inv(12, p)) % p
+                r = (-b2 * pow(12, -1, p)) % p
             else:
-                r = (-(c6 + b2 * c4) * _inv(12 * c4 % p, p)) % p
-            t = (-(a1 * r + a3) * _inv(2, p)) % p
+                r = (-(c6 + b2 * c4) * pow(12 * c4 % p, -1, p)) % p
+            t = (-(a1 * r + a3) * pow(2, -1, p)) % p
         E = E.translated(r=r, t=t)
         a1, a2, a3, a4, a6 = E.coefficients()
 
@@ -160,8 +156,8 @@ def local_data_with_model(
             s = a2 % 2
             t = 2 * ((a6 // 4) % 2)
         else:
-            s = (-a1 * _inv(2, p)) % p
-            t = (-a3 * _inv(2, p2)) % p2
+            s = (-a1 * pow(2, -1, p)) % p
+            t = (-a3 * pow(2, -1, p2)) % p2
         E = E.translated(s=s, t=t)
         a1, a2, a3, a4, a6 = E.coefficients()
 
@@ -184,7 +180,7 @@ def local_data_with_model(
             if p == 2:
                 r0 = cq % 2
             else:
-                r0 = ((bq * cq - 9 * dq) * _inv(2 * x_p % p, p)) % p
+                r0 = ((bq * cq - 9 * dq) * pow(2 * x_p % p, -1, p)) % p
             E = E.translated(r=p * r0)
             m = 1
             px = p2  # a4 examined through p*px, a6 through px*py
@@ -197,7 +193,7 @@ def local_data_with_model(
                 a6q = _exact_div(a6, px * py)
                 if (a3q * a3q + 4 * a6q) % p != 0:
                     break
-                y0 = a6q % 2 if p == 2 else (-a3q * _inv(2, p)) % p
+                y0 = a6q % 2 if p == 2 else (-a3q * pow(2, -1, p)) % p
                 E = E.translated(t=py * y0)
                 m += 1
                 py *= p
@@ -207,7 +203,7 @@ def local_data_with_model(
                 a6q = _exact_div(a6, px * py)
                 if (a4q * a4q - 4 * a2q * a6q) % p != 0:
                     break
-                x0 = a6q % 2 if p == 2 else (-a4q * _inv(2 * a2q % p, p)) % p
+                x0 = a6q % 2 if p == 2 else (-a4q * pow(2 * a2q % p, -1, p)) % p
                 E = E.translated(r=px * x0)
                 m += 1
                 px *= p
@@ -219,7 +215,7 @@ def local_data_with_model(
         elif p == 3:
             r0 = (-dq) % 3
         else:
-            r0 = (-bq * _inv(3, p)) % p
+            r0 = (-bq * pow(3, -1, p)) % p
         E = E.translated(r=p * r0)
         a1, a2, a3, a4, a6 = E.coefficients()
 
@@ -227,7 +223,7 @@ def local_data_with_model(
         a6q = _exact_div(a6, p2 * p2)
         if (a3q * a3q + 4 * a6q) % p != 0:
             return LocalData(p, n - 6, n, "IV*", ADDITIVE, scalings), E
-        y0 = a6q % 2 if p == 2 else (-a3q * _inv(2, p)) % p
+        y0 = a6q % 2 if p == 2 else (-a3q * pow(2, -1, p)) % p
         E = E.translated(t=p2 * y0)
         a1, a2, a3, a4, a6 = E.coefficients()
 

@@ -78,23 +78,26 @@ class TestExitCodes:
         )
         assert code == 2 and "not a solution" in err
 
-    def test_domain_error_factor_bound(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.FACTOR_BOUND_ENV, "1000")
+    def test_domain_error_factor_bound(self, capsys):
         code, _, err = run_cli(
-            capsys, "conductor", "--model", "0,0,0,0,%d" % (10**9 + 7)
+            capsys,
+            "conductor",
+            "--model",
+            "0,0,0,0,%d" % (10**9 + 7),
+            "--factor-bound",
+            "1000",
         )
         assert code == 2 and "factorization bound exceeded" in err
 
-    def test_domain_error_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.FACTOR_BOUND_ENV, "not-a-number")
-        code, _, err = run_cli(capsys, "conductor", "--model", "0,0,0,-1,0")
-        assert code == 2 and cli.FACTOR_BOUND_ENV in err
-
-    def test_explicit_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.FACTOR_BOUND_ENV, "not-a-number")
-        code, out, _ = run_cli(
-            capsys, "conductor", "--model", "0,0,0,-1,0", "--factor-bound", "1000"
+    def test_usage_error_factor_bound_below_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "conductor", "--model", "0,0,0,-1,0", "--factor-bound", "1"
         )
+        assert code == 1 and out == "" and "an integer >= 2" in err
+
+    def test_environment_does_not_set_the_factor_bound(self, capsys, monkeypatch):
+        monkeypatch.setenv("FREYCHECK_FACTOR_BOUND", "not-a-number")
+        code, out, _ = run_cli(capsys, "conductor", "--model", "0,0,0,-1,0")
         assert code == 0 and json.loads(out)["conductor"] == 32
 
     def test_counterexample_exit_search(self, capsys, monkeypatch):

@@ -24,7 +24,6 @@ from freycheck.search import (
     classify_search_outcome,
     search_ap_powers,
     search_star,
-    verify_cubic_cases,
     verify_theorem_claims,
 )
 
@@ -243,7 +242,8 @@ class TestClassification:
 
 class TestVerifyDrivers:
     def test_cubic_cases(self):
-        cases = verify_cubic_cases(50)
+        """p = 3: alpha = 1 admits exactly the trivial family, alpha = 2 nothing."""
+        cases = verify_theorem_claims([3], [1, 2], 50)
         by_alpha = {case.spec.alpha: case for case in cases}
         assert set(by_alpha) == {1, 2}
         assert [
@@ -253,7 +253,7 @@ class TestVerifyDrivers:
         assert all(case.conforms for case in cases)
 
     def test_cubic_cases_height_1(self):
-        cases = verify_cubic_cases(1)
+        cases = verify_theorem_claims([3], [1, 2], 1)
         by_alpha = {case.spec.alpha: case for case in cases}
         assert [rec.normalized_form for rec in by_alpha[1].records] == [(-1, 1, -1)]
 
