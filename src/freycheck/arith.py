@@ -23,6 +23,7 @@ __all__ = [
     "mult_order",
     "ordered_map",
     "primes_up_to",
+    "process_count",
     "valuation",
 ]
 
@@ -214,17 +215,22 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
+def process_count(workers: int) -> int:
+    """min(workers, os.cpu_count()): the most processes, or parts of work, worth having."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    return min(workers, os.cpu_count() or 1)
+
+
 def ordered_map(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> List[R]:
     """[fn(t) for t in tasks], spread over up to ``workers`` processes.
 
     A fork-based pool starts all of its processes up front, so the pool
-    is sized min(workers, len(tasks), os.cpu_count()); when that is below
+    is sized min(process_count(workers), len(tasks)); when that is below
     two, the tasks run in this process and no pool starts.  Results come
     back in task order, so output never depends on ``workers``.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    size = min(workers, len(tasks), os.cpu_count() or 1)
+    size = min(process_count(workers), len(tasks))
     if size < 2:
         return [fn(t) for t in tasks]
     # Imported here: the pool pulls in multiprocessing, which every

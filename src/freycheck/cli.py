@@ -27,7 +27,7 @@ from dataclasses import fields, is_dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .arith import DEFAULT_FACTOR_BOUND
+from .arith import DEFAULT_FACTOR_BOUND, valuation
 from .denes import DenesReport, denes_criterion, denes_scan
 from .frey import (
     build_frey,
@@ -355,8 +355,11 @@ def _cmd_analyze(args: argparse.Namespace) -> Report:
     inv = invariants(triple, args.p, args.factor_bound)
     local = all_local_data(model, args.factor_bound)
     conductor_oracle = global_conductor(local)
-    t_oracle = next((item.conductor_exponent for item in local if item.prime == 2), 0)
-    agree = conductor_oracle == inv.conductor and t_oracle == inv.t
+    at_2 = next((item for item in local if item.prime == 2), None)
+    t_oracle = at_2.conductor_exponent if at_2 else 0
+    u_oracle = at_2.min_disc_valuation - 2 * valuation(triple.B, 2) if at_2 else None
+    oracle = (conductor_oracle, t_oracle, u_oracle)
+    agree = oracle == (inv.conductor, inv.t, inv.u)
     payload: Dict[str, object] = {
         "alpha_input": args.alpha,
         "params": params,
@@ -374,7 +377,7 @@ def _cmd_analyze(args: argparse.Namespace) -> Report:
         },
     }
     if not agree:
-        log.error("closed-form table disagrees with the minimal-model oracle")
+        log.error("closed-form table disagrees with the oracle's (conductor, t, u) = %s", oracle)
     return payload, None, EXIT_OK if agree else EXIT_COUNTEREXAMPLE
 
 

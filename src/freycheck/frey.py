@@ -6,11 +6,10 @@ a = -1 mod 4, then mapped to the monomial triple
     A = a^p,   B = 2^alpha * b^p,   C = c^p,   A + B + C = 0,
 
 and to the curve above, whose non-minimal discriminant is 16*(A*B*C)^2.
-Closed-form invariants (conductor exponent at 2 keyed on ord_2(B), odd
-radical, odd discriminant valuations) are computed here symbolically;
-the 2-adic minimal discriminant exponent is the one quantity delegated
-to the independent Tate-algorithm oracle.  The table route and the
-oracle route are never merged: cross-checking them is the point.
+Every invariant (conductor exponent at 2 and 2-adic minimal discriminant
+exponent, both keyed on ord_2(B), odd radical, odd discriminant
+valuations) is computed here in closed form, never by Tate's algorithm:
+the two routes share no code, and cross-checking them is the point.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .arith import DEFAULT_FACTOR_BOUND, factorize, is_prime, valuation
-from . import tate
 from .weierstrass import WeierstrassModel
 
 __all__ = [
@@ -162,14 +160,14 @@ def invariants(
 ) -> CurveInvariants:
     """Closed-form conductor and discriminant data for a Frey triple.
 
-    All fields except ``u`` come from the symbolic table route;
-    ``u`` (minimal discriminant = 2^u * (A*B*C)^2) is delegated to the
-    Tate oracle so the two routes stay comparable downstream.
+    ``u`` (minimal discriminant = 2^u * (A*B*C)^2) is 4 while v_2(Delta) =
+    4 + 2*ord_2(B) < 12 keeps the model minimal at 2; once 16 | B it is -8.
     """
     _require_odd_prime(p)
     triple.validate()
     ord2_b = valuation(triple.B, 2)
     t = CONDUCTOR_EXPONENT_AT_2.get(ord2_b, 1)
+    u = -8 if ord2_b >= 4 else 4
 
     odd_vals: Dict[int, int] = {}
     for entry in (triple.A, triple.B, triple.C):
@@ -180,11 +178,6 @@ def invariants(
     odd_radical = 1
     for ell in odd_vals:
         odd_radical *= ell
-
-    min_v2 = tate.local_data(frey_model(triple), 2).min_disc_valuation
-    u = min_v2 - 2 * ord2_b
-    if t == 1 and u != -8:
-        raise AssertionError("u must be -8 in the multiplicative (t = 1) case")
 
     return CurveInvariants(
         t=t,

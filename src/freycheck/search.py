@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .arith import is_prime, ordered_map
+from .arith import is_prime, ordered_map, process_count
 from .frey import canonical_triple
 
 __all__ = [
@@ -136,16 +136,15 @@ def _records_from_raw(
 def _search_specs(specs: Sequence[SearchSpec], workers: int) -> List[List[SolutionRecord]]:
     """The records of every spec, from one ordered_map over all a-ranges.
 
-    Each spec's range 1..H is cut into at most ``workers`` chunks; the
-    parts are grouped back by position in ``specs``, so repeated specs
-    stay separate and the result does not depend on ``workers``.
+    Each spec's range 1..H is cut into at most ``process_count(workers)``
+    chunks, as each chunk builds its own O(H) table of powers; the parts
+    are grouped back by position in ``specs``, so repeated specs stay
+    separate and the result does not depend on ``workers``.
     """
-    if workers < 1:  # checked before ordered_map does: the step divides by it
-        raise ValueError("workers must be >= 1")
     owners: List[int] = []
     chunks: List[Tuple[SearchSpec, int, int]] = []
     for i, spec in enumerate(specs):
-        step = -(-spec.height // workers)
+        step = -(-spec.height // process_count(workers))
         for lo in range(1, spec.height + 1, step):
             owners.append(i)
             chunks.append((spec, lo, min(lo + step, spec.height + 1)))

@@ -118,12 +118,10 @@ def mod_p_congruent(
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
-    table1 = {rec.ell: rec for rec in trace_table(model1, lmax)}
-    table2 = {rec.ell: rec for rec in trace_table(model2, lmax)}
     compared: List[int] = []
     first_violation: Optional[Tuple[int, int, int]] = None
-    for ell in sorted(table1):
-        rec1, rec2 = table1[ell], table2[ell]
+    for rec1, rec2 in zip(trace_table(model1, lmax), trace_table(model2, lmax), strict=True):
+        ell = rec1.ell
         if ell == p or rec1.reduction != "Good" or rec2.reduction != "Good":
             continue
         compared.append(ell)

@@ -5,6 +5,7 @@ golden stdout, and JSON that matches the in-process objects field for field.
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,25 @@ class TestExitCodes:
             capsys, "analyze", "--p", "5", "--alpha", "1", "--triple=-1,1,-1"
         )
         assert code == 3 and json.loads(out)["cross_check"]["agree"] is False
+
+    def test_counterexample_exit_analyze_u_disagreement(self, capsys, monkeypatch):
+        # Tate's conductor and t stay right; only its u moves off the table's.
+        def shifted(model, bound):
+            return [
+                replace(data, min_disc_valuation=data.min_disc_valuation + 12)
+                if data.prime == 2
+                else data
+                for data in all_local_data(model, bound)
+            ]
+
+        monkeypatch.setattr(cli, "all_local_data", shifted)
+        code, out, _ = run_cli(
+            capsys, "analyze", "--p", "5", "--alpha", "1", "--triple=-1,1,-1"
+        )
+        cross = json.loads(out)["cross_check"]
+        assert code == 3 and cross["agree"] is False
+        assert cross["conductor_oracle"] == cross["conductor_table"] == 32
+        assert cross["t_oracle"] == cross["t_table"] == 5
 
     def test_version(self, capsys):
         code, out, _ = run_cli(capsys, "--version")

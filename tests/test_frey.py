@@ -1,16 +1,19 @@
 """Frey-curve normalization, construction, and the closed-form invariants.
 
-The dual-route requirement lives here: the table-side conductor must
-equal the reduction-algorithm conductor on every synthetic triple, and
-neither side may be computed from the other (the one delegated value,
-the minimal-discriminant 2-exponent u, is pinned by its own spot tests).
+The dual-route requirement lives here: the table-side conductor, t and
+minimal-discriminant 2-exponent u must equal the reduction-algorithm
+values on every synthetic triple, and neither side may be computed from
+the other (``TestRouteBoundary`` checks that the two modules stay apart).
 """
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import freycheck.tate as tate
 from freycheck.arith import valuation
 from freycheck.cli import jsonable
 from freycheck.frey import (
@@ -31,6 +34,36 @@ from freycheck.frey import (
 from freycheck.tate import all_local_data, local_data
 
 from oracles import frey_conductor_oracle, naive_odd_prime_factors, synthetic_frey_triples
+
+
+class TestRouteBoundary:
+    """The table route (frey) and the Tate route (tate) share no code."""
+
+    @staticmethod
+    def _imported_names(module):
+        """Every dotted part of every name the module's source imports."""
+        tree = ast.parse(Path(tate.__file__).with_name(module + ".py").read_text())
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                source = getattr(node, "module", None) or ""
+                for alias in node.names:
+                    found.update(source.split("."), alias.name.split("."))
+        return found
+
+    def test_neither_module_imports_the_other(self):
+        assert "tate" not in self._imported_names("frey")
+        assert "frey" not in self._imported_names("tate")
+
+    def test_invariants_run_no_tate_step(self, monkeypatch):
+        triples = [MonomialTriple(*t) for t in synthetic_frey_triples()]
+        expected = [invariants(triple, 5) for triple in triples]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the table route ran Tate's algorithm")
+
+        monkeypatch.setattr(tate, "local_data_with_model", refuse)
+        assert [invariants(triple, 5) for triple in triples] == expected
 
 
 class TestNormalize:
@@ -213,8 +246,9 @@ class TestTableAgainstOracle:
 
     def test_u_follows_rescale_count(self):
         # Delta_min = 2^u * (A*B*C)^2 and the raw model has Delta =
-        # 16 * (A*B*C)^2, so u = 4 - 12 * (number of 2-rescales).
-        for A, B, C in synthetic_frey_triples()[:60]:
+        # 16 * (A*B*C)^2, so u = 4 - 12 * (number of 2-rescales).  The
+        # triples span ord_2(B) = 1..8, across the table's 3 -> 4 boundary.
+        for A, B, C in synthetic_frey_triples():
             triple = MonomialTriple(A, B, C)
             inv = invariants(triple, 5)
             data = local_data(frey_model(triple), 2)

@@ -10,6 +10,7 @@ import os
 import pytest
 
 import freycheck.cli as cli
+import freycheck.search as search_mod
 from freycheck.cli import jsonable
 from freycheck.frey import canonical_triple
 from freycheck.search import (
@@ -146,6 +147,21 @@ class TestSearchStar:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         search_star(spec, workers=1000)
         assert pool_sizes == [5, 2]
+
+    def test_chunks_follow_the_pool_not_workers(self, pool_sizes, monkeypatch):
+        spec = SearchSpec(p=3, alpha=1, height=50)
+        expected = search_star(spec, workers=1)
+        calls = []
+        chunk = search_mod._search_chunk
+
+        def counted(args):
+            calls.append(args)
+            return chunk(args)
+
+        monkeypatch.setattr(search_mod, "_search_chunk", counted)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert search_star(spec, workers=1000) == expected
+        assert len(calls) == 2 and pool_sizes == [2]
 
     @pytest.mark.parametrize("cores", [1, None])
     def test_no_pool_on_one_core(self, pool_sizes, monkeypatch, cores):
