@@ -17,13 +17,9 @@ human layout carries no compatibility promise.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
-import logging
 import re
 import sys
-from dataclasses import fields, is_dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -59,7 +55,8 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_COUNTEREXAMPLE = 3
 
-log = logging.getLogger("freycheck")
+#: Set by ``entry``: how ``_log_error`` configures logging in the CLI process.
+_LOG_FORMAT: Optional[str] = None
 
 #: A report table: its header and its rows.
 Table = Tuple[Sequence[str], Sequence[Sequence[object]]]
@@ -240,13 +237,14 @@ def build_parser() -> _Parser:
 def jsonable(value: object) -> object:
     """Plain JSON data for a report value.
 
-    Dataclasses become dicts by field, tuples become lists and dict keys
-    become strings.  Keys are converted here rather than by ``json.dumps``
+    Records (NamedTuples) become dicts by field, other tuples become lists
+    and dict keys become strings.  Records are tuples too, so they are
+    tested first.  Keys are converted here rather than by ``json.dumps``
     so that ``sort_keys`` orders them as strings ("11" before "3") and the
     key/value listings see the same keys as the JSON.
     """
-    if is_dataclass(value):
-        value = {field.name: getattr(value, field.name) for field in fields(value)}
+    if hasattr(value, "_asdict"):
+        value = value._asdict()
     if isinstance(value, dict):
         return {str(key): jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -255,6 +253,8 @@ def jsonable(value: object) -> object:
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    import csv
+
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
     return buffer.getvalue()
@@ -270,6 +270,8 @@ def _key_value_rows(payload: Dict[str, object], prefix: str = "") -> List[Tuple[
         elif isinstance(value, list) and all(not isinstance(v, (dict, list)) for v in value):
             rows.append((name, " ".join(str(v) for v in value)))
         elif isinstance(value, list):
+            import json
+
             rows.append((name, json.dumps(value, sort_keys=True)))
         else:
             rows.append((name, value))
@@ -287,6 +289,8 @@ def _render(command: str, fmt: str, payload: object, table: Optional[Table]) -> 
     """
     payload = jsonable(payload)
     if fmt == "json":
+        import json
+
         if command == "denes":
             return "".join(json.dumps(report, sort_keys=True) + "\n" for report in payload)
         doc = dict(schema_version=SCHEMA_VERSION, toolkit_version=__version__, command=command)
@@ -377,7 +381,7 @@ def _cmd_analyze(args: argparse.Namespace) -> Report:
         },
     }
     if not agree:
-        log.error("closed-form table disagrees with the oracle's (conductor, t, u) = %s", oracle)
+        _log_error("closed-form table disagrees with the oracle's (conductor, t, u) = %s", oracle)
     return payload, None, EXIT_OK if agree else EXIT_COUNTEREXAMPLE
 
 
@@ -386,8 +390,7 @@ def _cmd_denes(args: argparse.Namespace) -> Report:
         reports = [denes_criterion(args.p)]
     else:
         reports = denes_scan(args.scan, workers=args.workers)
-    header = [field.name for field in fields(DenesReport)]
-    return reports, _table(reports, header), EXIT_OK
+    return reports, _table(reports, DenesReport._fields), EXIT_OK
 
 
 def _cmd_search(args: argparse.Namespace) -> Report:
@@ -397,7 +400,7 @@ def _cmd_search(args: argparse.Namespace) -> Report:
     records = search_star(spec, workers=args.workers)
     case = CaseResult(spec, records, classify_search_outcome(spec, records))
     if not case.conforms:
-        log.error(
+        _log_error(
             "%d record(s) contradict the expected verdict %r",
             len(case.outcome.counterexamples),
             case.outcome.expected,
@@ -411,7 +414,7 @@ def _cmd_ap_search(args: argparse.Namespace) -> Report:
     tuples = search_ap_powers(args.n, args.k, args.height, distinct_only=distinct_only)
     outcome = classify_ap_outcome(args.n, args.k, distinct_only, tuples)
     if not outcome.conforms:
-        log.error(
+        _log_error(
             "%d progression(s) contradict an established non-existence result",
             len(outcome.counterexamples),
         )
@@ -435,7 +438,7 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
     )
     all_conform = all(case.conforms for case in cases)
     if not all_conform:
-        log.error("at least one (p, alpha) case contradicts the expected verdict")
+        _log_error("at least one (p, alpha) case contradicts the expected verdict")
     payload: Dict[str, object] = {
         "p_list": args.p_list,
         "alpha_list": args.alpha_list,
@@ -525,6 +528,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return code
 
 
+def _log_error(message: str, *args: object) -> None:
+    """Log on the ``freycheck`` logger; only a run that logs imports ``logging``."""
+    import logging
+
+    if _LOG_FORMAT is not None:
+        logging.basicConfig(stream=sys.stderr, format=_LOG_FORMAT)
+    logging.getLogger("freycheck").error(message, *args)
+
+
 def entry() -> None:
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    global _LOG_FORMAT
+    _LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
     sys.exit(main())

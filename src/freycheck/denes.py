@@ -16,8 +16,7 @@ non-trivial solutions of a^p + 2*b^p + c^p = 0) are ruled out for p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 from .arith import is_prime, mult_order, ordered_map, primes_up_to
 
@@ -31,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DenesReport:
+class DenesReport(NamedTuple):
     p: int
     is_regular: bool
     irregular_indices: List[int]

@@ -15,8 +15,7 @@ the two routes share no code, and cross-checking them is the point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .arith import DEFAULT_FACTOR_BOUND, factorize, is_prime, valuation
 from .weierstrass import WeierstrassModel
@@ -42,8 +41,7 @@ __all__ = [
 CONDUCTOR_EXPONENT_AT_2: Dict[int, int] = {1: 5, 2: 3, 3: 3, 4: 0}
 
 
-@dataclass(frozen=True)
-class FreyParams:
+class FreyParams(NamedTuple):
     p: int
     alpha: int
     a: int
@@ -52,8 +50,7 @@ class FreyParams:
     normalized: bool
 
 
-@dataclass(frozen=True)
-class MonomialTriple:
+class MonomialTriple(NamedTuple):
     A: int
     B: int
     C: int
@@ -71,8 +68,7 @@ class MonomialTriple:
             raise ValueError("not a Frey triple (A must be -1 mod 4)")
 
 
-@dataclass(frozen=True)
-class CurveInvariants:
+class CurveInvariants(NamedTuple):
     t: int
     odd_radical: int
     conductor: int

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from .arith import is_prime, ordered_map, process_count
 from .frey import canonical_triple
@@ -52,23 +51,35 @@ SIGMA_PRIMES = frozenset({3, 5, 7, 11, 13, 17, 19, 23, 29, 53, 59})
 TRIVIAL_FORM = (-1, 1, -1)
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class _SearchSpecFields(NamedTuple):
     p: int
     alpha: int
     height: int
     L: int = 2
     require_primitive: bool = True
 
-    def __post_init__(self) -> None:
-        if self.p < 3 or self.p % 2 == 0 or not is_prime(self.p):
+
+class SearchSpec(_SearchSpecFields):
+    """One search; every way of making one (``_replace``, unpickling) validates."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, p: int, alpha: int, height: int, L: int = 2, require_primitive: bool = True
+    ) -> "SearchSpec":
+        if p < 3 or p % 2 == 0 or not is_prime(p):
             raise ValueError("p must be an odd prime")
-        if self.alpha < 0:
+        if alpha < 0:
             raise ValueError("alpha must be non-negative")
-        if not is_prime(self.L):
+        if not is_prime(L):
             raise ValueError("L must be prime")
-        if self.height < 1:
+        if height < 1:
             raise ValueError("height must be >= 1")
+        return super().__new__(cls, p, alpha, height, L, require_primitive)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> "SearchSpec":
+        return cls(*iterable)
 
     @property
     def reduced_alpha(self) -> int:
@@ -76,8 +87,7 @@ class SearchSpec:
         return self.alpha % self.p
 
 
-@dataclass(frozen=True)
-class SolutionRecord:
+class SolutionRecord(NamedTuple):
     a: int
     b: int
     c: int
@@ -163,8 +173,7 @@ def search_star(spec: SearchSpec, workers: int = 1) -> List[SolutionRecord]:
     return _search_specs([spec], workers)[0]
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """How solution records, or progression base tuples, relate to the known results."""
 
     claim: str  # "established" | "empirical"
@@ -206,8 +215,7 @@ def classify_search_outcome(
     return SearchOutcome(claim="empirical", expected="none", counterexamples=[])
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     spec: SearchSpec
     records: List[SolutionRecord]
     outcome: SearchOutcome

@@ -30,8 +30,7 @@ characteristics (wild parts included automatically).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .arith import (
     DEFAULT_FACTOR_BOUND,
@@ -60,8 +59,7 @@ MULT_NONSPLIT = "MultiplicativeNonsplit"
 ADDITIVE = "Additive"
 
 
-@dataclass(frozen=True)
-class LocalData:
+class LocalData(NamedTuple):
     """Reduction data of a curve at one prime.
 
     ``scalings`` counts how many times the algorithm replaced the input

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .arith import is_prime, primes_up_to
 from . import tate
@@ -28,21 +27,19 @@ CONGRUENCE_DISCLAIMER = (
 )
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     ell: int
     a_ell: Optional[int]
     reduction: str  # "Good" | "Bad"
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     p: int
     lmax: int
     compared_primes: List[int]
     congruent: bool
     first_violation: Optional[Tuple[int, int, int]]
-    disclaimer: str = field(default=CONGRUENCE_DISCLAIMER)
+    disclaimer: str = CONGRUENCE_DISCLAIMER
 
 
 def count_points(

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 __all__ = ["WeierstrassModel"]
 
 
-@dataclass(frozen=True)
-class WeierstrassModel:
+class WeierstrassModel(NamedTuple):
     """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6 over the integers."""
 
     a1: int

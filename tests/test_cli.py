@@ -1,11 +1,12 @@
 """Command-line contract: exit codes, output shapes, determinism,
-golden stdout, and JSON that matches the in-process objects field for field.
+golden stdout, JSON that matches the in-process objects field for field,
+the record types' contract, and what importing the CLI loads.
 """
 
 import json
+import pickle
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,13 @@ from freycheck import __version__
 from freycheck.cli import jsonable
 from freycheck.denes import denes_criterion
 from freycheck.frey import CurveInvariants, build_frey, invariants, normalize
-from freycheck.search import SearchSpec, SolutionRecord, search_star
+from freycheck.search import (
+    CaseResult,
+    SearchSpec,
+    SolutionRecord,
+    classify_search_outcome,
+    search_star,
+)
 from freycheck.tate import all_local_data
 from freycheck.traces import mod_p_congruent, trace_table
 from freycheck.weierstrass import WeierstrassModel
@@ -132,7 +139,7 @@ class TestExitCodes:
         # Tate's conductor and t stay right; only its u moves off the table's.
         def shifted(model, bound):
             return [
-                replace(data, min_disc_valuation=data.min_disc_valuation + 12)
+                data._replace(min_disc_valuation=data.min_disc_valuation + 12)
                 if data.prime == 2
                 else data
                 for data in all_local_data(model, bound)
@@ -501,6 +508,63 @@ class TestJsonable:
         assert '"odd_disc_valuations": {"11": 2, "3": 2}' in doc
 
 
+def _sample_records():
+    """One instance of each of the 12 record types, as the library makes them."""
+    params = normalize(5, 1, -1, 1, -1)
+    triple, model = build_frey(params)
+    spec = SearchSpec(p=5, alpha=1, height=5)
+    records = search_star(spec)
+    case = CaseResult(spec, records, classify_search_outcome(spec, records))
+    return [
+        model,
+        all_local_data(model)[0],
+        denes_criterion(37),
+        params,
+        triple,
+        invariants(triple, 5),
+        spec,
+        records[0],
+        case.outcome,
+        case,
+        trace_table(model, 7)[-1],
+        mod_p_congruent(model, model, 5, 20),
+    ]
+
+
+RECORDS = _sample_records()
+
+
+class TestRecords:
+    """Records are immutable NamedTuples; pools pickle them, jsonable maps them by field."""
+
+    def test_every_record_type_is_covered(self):
+        assert sorted(type(record).__name__ for record in RECORDS) == [
+            "CaseResult", "CongruenceReport", "CurveInvariants", "DenesReport",
+            "FreyParams", "LocalData", "MonomialTriple", "SearchOutcome",
+            "SearchSpec", "SolutionRecord", "TraceRecord", "WeierstrassModel",
+        ]
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_fields_cannot_be_assigned(self, record):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], 0)
+        with pytest.raises(AttributeError):
+            setattr(record, "extra", 0)
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_pickle_round_trip(self, record):
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record) and copy == record
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_jsonable_is_a_dict_by_field(self, record):
+        doc = jsonable(record)
+        assert isinstance(doc, dict) and list(doc) == list(record._fields)
+
+    def test_records_compare_equal_to_plain_tuples(self):
+        assert WeierstrassModel(0, 0, 0, -1, 0) == (0, 0, 0, -1, 0)
+
+
 def test_console_script_end_to_end():
     proc = subprocess.run(
         [sys.executable, "-m", "freycheck", "conductor", "--model", "0,0,0,-1,0"],
@@ -524,3 +588,41 @@ def test_cli_import_loads_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_cli_import_loads_every_freycheck_module_and_no_heavy_stdlib():
+    # bench/spans.py finds each freycheck module in sys.modules, so all are
+    # loaded; the stdlib modules below are imported only by the paths that
+    # use them.  The interpreter's own set (site differs between machines)
+    # is subtracted.
+    code = (
+        "import sys; base = set(sys.modules); import freycheck.cli; "
+        "new = set(sys.modules) - base; "
+        "print(sorted({'dataclasses', 'inspect', 'logging', 'csv', 'json'} & new)); "
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'freycheck'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    package = Path(cli.__file__).parent
+    modules = ["freycheck"] + [
+        "freycheck." + path.stem
+        for path in package.glob("*.py")
+        if path.stem not in ("__init__", "__main__")
+    ]
+    assert proc.stdout == "[]\n%s\n" % sorted(modules)
+
+
+def test_entry_logs_a_contradiction_in_the_cli_format():
+    # logging is imported only when an error is logged; entry() still
+    # formats it as "LEVEL freycheck: message" on stderr.
+    code = "import freycheck.cli as cli; cli.all_local_data = lambda m, b: []; cli.entry()"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "analyze", "--p", "7", "--alpha", "1", "--triple=-1,1,-1"],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("ERROR freycheck: closed-form table disagrees")

@@ -57,6 +57,14 @@ class TestSearchSpec:
         with pytest.raises(ValueError, match="height"):
             SearchSpec(p=5, alpha=1, height=0)
 
+    def test_replace_validates(self):
+        spec = SearchSpec(p=5, alpha=1, height=5)
+        assert spec._replace(height=7) == SearchSpec(p=5, alpha=1, height=7)
+        with pytest.raises(ValueError, match="odd prime"):
+            spec._replace(p=9)
+        with pytest.raises(ValueError, match="height"):
+            spec._replace(height=0)
+
     def test_reduced_alpha_marks_fermat_case(self):
         assert SearchSpec(p=5, alpha=10, height=5).reduced_alpha == 0
 
