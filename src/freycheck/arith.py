@@ -36,6 +36,23 @@ MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
+#: (psi, k): the first k witnesses decide every n < psi, where psi is the
+#: least strong pseudoprime to those k bases (Jaeschke, Math. Comp. 61,
+#: 1993; Sorenson & Webster, Math. Comp. 86, 2017).  psi_8 = psi_7 and
+#: psi_10 = psi_11 = psi_9, so k = 8, 10 and 11 never decide alone.
+_MR_PLAN = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (MILLER_RABIN_BOUND, 13),
+)
+
 
 class FactorizationError(ValueError):
     """Trial division hit its bound while a composite cofactor remained."""
@@ -44,8 +61,10 @@ class FactorizationError(ValueError):
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < MILLER_RABIN_BOUND.
 
-    Raises ValueError for inputs at or above the bound instead of
-    returning a probabilistic answer.
+    Strong-probable-prime tests to the first k prime bases, with k the
+    fewest that are proven to decide n (see _MR_PLAN).  Raises
+    ValueError for inputs at or above the bound instead of returning a
+    probabilistic answer.
     """
     if n >= MILLER_RABIN_BOUND:
         raise ValueError(
@@ -61,7 +80,8 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for w in _MR_WITNESSES:
+    k = next(k for psi, k in _MR_PLAN if n < psi)
+    for w in _MR_WITNESSES[:k]:
         x = pow(w, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -6,7 +6,8 @@ power-series inversion mod p, schoolbook products instead of Kronecker
 substitution, full cubic-triple enumeration or per-candidate root
 extraction instead of the table-lookup searches, explicit square-root
 counting or one Euler criterion per x instead of a quadratic-character
-table, and the closed-form valuation table instead of the step-by-step
+table or Shanks-Mestre, the CM formulas of two curves, and the closed-form
+valuation table instead of the step-by-step
 reduction algorithm.  The test suite treats agreement between the two routes as
 the acceptance evidence, so nothing in this module may import from the
 package's computation paths beyond plain data containers.
@@ -294,6 +295,78 @@ def count_points_legendre(coefficients: Sequence[int], ell: int) -> int:
         if gx:
             total += 1 if pow(gx, (ell - 1) // 2, ell) == 1 else -1
     return -total
+
+
+# ---------------------------------------------------------------------------
+# Exact traces of two CM curves (Ireland & Rosen, A Classical Introduction
+# to Modern Number Theory, 2nd ed., ch. 18): O(log ell) per prime, so they
+# check point counts far beyond any enumeration.
+
+
+def cornacchia(d: int, p: int, root: int) -> Tuple[int, int]:
+    """(x, y) with x^2 + d*y^2 = p for a prime p, given root^2 = -d mod p.
+
+    Euclid's algorithm on (p, root) stops at the first remainder below
+    sqrt(p) (Cohen, A Course in Computational Algebraic Number Theory,
+    1.5.2); the cofactor must then be d times a square.
+    """
+    a, b, bound = p, root if 2 * root > p else p - root, math.isqrt(p)
+    while b > bound:
+        a, b = b, a % b
+    c, rem = divmod(p - b * b, d)
+    y = math.isqrt(c)
+    if rem or y * y != c:
+        raise ValueError("%d is not x^2 + %d*y^2" % (p, d))
+    return b, y
+
+
+def cm_trace_x3_minus_x(ell: int) -> int:
+    """a_ell of y^2 = x^3 - x (conductor 32) at an odd prime ell.
+
+    0 for ell = 3 mod 4.  Otherwise ell = a^2 + b^2 with a odd, and the
+    sign makes a + bi primary, a + bi = 1 mod 2 + 2i, i.e. a = b + 1
+    mod 4; then a_ell = 2a (Theorem 5 of ch. 18 with D = 1, whose
+    quartic character is 1).
+    """
+    if ell % 4 == 3:
+        return 0
+    c = next(c for c in range(2, ell) if pow(c, (ell - 1) // 2, ell) == ell - 1)
+    a, b = cornacchia(1, ell, pow(c, (ell - 1) // 4, ell))
+    if a % 2 == 0:
+        a, b = b, a
+    return 2 * a if (a - b) % 4 == 1 else -2 * a
+
+
+_EISENSTEIN_UNITS = ((1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1))
+
+
+def _eisenstein_mul(s: Tuple[int, int], t: Tuple[int, int]) -> Tuple[int, int]:
+    """(u + v*w)(u' + v'*w) in Z[w], w^2 = -1 - w."""
+    (a, b), (c, d) = s, t
+    return a * c - b * d, a * d + b * c - b * d
+
+
+def cm_trace_x3_plus_1(ell: int) -> int:
+    """a_ell of y^2 = x^3 + 1 (conductor 36) at a prime ell >= 5.
+
+    0 for ell = 2 mod 3.  Otherwise ell = N(pi) for the primary
+    pi = u + v*w = 2 mod 3 in Z[w], and a_ell = -Tr(conj(chi) * pi) with
+    chi = (4/pi)_6 = (2/pi)_3 (Theorem 4 of ch. 18 with D = 1).  pi comes
+    from ell = x^2 + 3y^2 by Cornacchia, with sqrt(-3) = 2w + 1 for a
+    cube root of unity w mod ell; chi is 2^((ell-1)/3) mod pi, read
+    against w = -u/v mod pi.
+    """
+    if ell % 3 == 2:
+        return 0
+    w0 = next(r for r in (pow(c, (ell - 1) // 3, ell) for c in range(2, ell)) if r != 1)
+    x, y = cornacchia(3, ell, (2 * w0 + 1) % ell)
+    pi = (x + y, 2 * y)  # x + y*sqrt(-3)
+    associates = (_eisenstein_mul(unit, pi) for unit in _EISENSTEIN_UNITS)
+    u, v = next((u, v) for u, v in associates if u % 3 == 2 and v % 3 == 0)
+    omega = -u * pow(v, -1, ell) % ell
+    chi = {1: (1, 0), omega: (0, 1), omega * omega % ell: (-1, -1)}[pow(2, (ell - 1) // 3, ell)]
+    s, t = _eisenstein_mul((chi[0] - chi[1], -chi[1]), (u, v))  # conj(chi) * pi
+    return -(2 * s - t)
 
 
 # ---------------------------------------------------------------------------

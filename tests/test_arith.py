@@ -54,6 +54,52 @@ class TestIsPrime:
     def test_largest_allowed_input_is_answered(self):
         assert is_prime(MILLER_RABIN_BOUND - 1) in (True, False)
 
+    def test_agrees_with_a_sieve_to_10_6(self):
+        n = 10**6
+        sieve = bytearray([1]) * n
+        sieve[:2] = b"\x00\x00"
+        for q in range(2, math.isqrt(n) + 1):
+            if sieve[q]:
+                sieve[q * q :: q] = bytes(len(range(q * q, n, q)))
+        assert [k for k in range(n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+    # psi_k, the least strong pseudoprime to the first k prime bases, for
+    # k = 1..7, 9 and 12 (psi_8 = psi_7 and psi_10 = psi_11 = psi_9).
+    PSI = {
+        1: 2_047,
+        2: 1_373_653,
+        3: 25_326_001,
+        4: 3_215_031_751,
+        5: 2_152_302_898_747,
+        6: 3_474_749_660_383,
+        7: 341_550_071_728_321,
+        9: 3_825_123_056_546_413_051,
+        12: 318_665_857_834_031_151_167_461,
+    }
+
+    @staticmethod
+    def _strong_probable_prime(n, base):
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            return True
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                return True
+        return False
+
+    def test_least_strong_pseudoprimes_are_composite(self):
+        bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+        for k, psi in self.PSI.items():
+            # psi fools the first k bases, so is_prime must use more of
+            # them once n reaches psi.
+            assert all(self._strong_probable_prime(psi, b) for b in bases[:k]), psi
+            assert psi < MILLER_RABIN_BOUND
+            assert not is_prime(psi), psi
+
 
 class TestValuation:
     def test_examples(self):

@@ -4,6 +4,7 @@ the record types' contract, and what importing the CLI loads.
 """
 
 import json
+import math
 import pickle
 import subprocess
 import sys
@@ -26,6 +27,8 @@ from freycheck.search import (
 from freycheck.tate import all_local_data
 from freycheck.traces import mod_p_congruent, trace_table
 from freycheck.weierstrass import WeierstrassModel
+
+from oracles import count_points_legendre
 
 
 #: Pinned stdout of each TestDeterminism case in each format, one file per
@@ -372,6 +375,23 @@ class TestTracesCommand:
         assert doc["command"] == "traces" and doc["model"] == [0, 0, 0, -1, 0]
         assert [r["ell"] for r in doc["records"]] == [3, 5, 7, 11, 13, 17, 19]
         assert doc["records"] == jsonable(trace_table(WeierstrassModel(0, 0, 0, -1, 0), 20))
+
+    def test_csv_to_3000_on_a_frey_model_matches_the_per_x_legendre_sum(self, capsys):
+        # y^2 = x(x - 3)(x + 32), 3 + 32 - 35 = 0: bad exactly at 3, 5, 7
+        # among odd primes, counted by both regimes of count_points.
+        model = (0, 29, 0, -96, 0)
+        code, out, _ = run_cli(
+            capsys, "traces", "--model", "0,29,0,-96,0", "--lmax", "3000", "--format", "csv"
+        )
+        expected = ["ell,a_ell,reduction"]
+        for ell in range(3, 3001, 2):
+            if any(ell % q == 0 for q in range(3, math.isqrt(ell) + 1, 2)):
+                continue
+            if (3 * 32 * 35) % ell == 0:
+                expected.append("%d,,Bad" % ell)
+            else:
+                expected.append("%d,%d,Good" % (ell, count_points_legendre(model, ell)))
+        assert code == 0 and out.splitlines() == expected
 
 
 class TestCongruenceCommand:

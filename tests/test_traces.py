@@ -1,6 +1,7 @@
-"""Traces of Frobenius: character-table counting vs full enumeration and
-the per-x Legendre sum, CM structure of the conductor-32 curve, and the
-mod-p comparator.
+"""Traces of Frobenius: both point-count regimes against full enumeration,
+the per-x Legendre sum and the CM formulas of y^2 = x^3 - x and
+y^2 = x^3 + 1, Shanks-Mestre against the character sum, CM structure of
+the conductor-32 curve, and the mod-p comparator.
 """
 
 import json
@@ -8,12 +9,13 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freycheck import tate
+from freycheck import tate, traces
 from freycheck.arith import primes_up_to
 from freycheck.cli import jsonable
 from freycheck.frey import build_frey, normalize
 from freycheck.traces import (
     CONGRUENCE_DISCLAIMER,
+    SHANKS_MESTRE_MIN_ELL,
     CongruenceReport,
     TraceRecord,
     count_points,
@@ -22,10 +24,21 @@ from freycheck.traces import (
 )
 from freycheck.weierstrass import WeierstrassModel
 
-from oracles import count_points_enumerate, count_points_legendre
+from oracles import (
+    cm_trace_x3_minus_x,
+    cm_trace_x3_plus_1,
+    count_points_enumerate,
+    count_points_legendre,
+)
 
 CM32 = WeierstrassModel(0, 0, 0, -1, 0)  # y^2 = x^3 - x
 TWIST = WeierstrassModel(0, 0, 0, 1, 0)  # y^2 = x^3 + x
+CM36 = WeierstrassModel(0, 0, 0, 0, 1)  # y^2 = x^3 + 1
+CURVE11 = WeierstrassModel(0, -1, 1, -10, -20)  # 11a1, a3 != 0
+FREY = WeierstrassModel(0, 29, 0, -96, 0)  # y^2 = x(x - 3)(x + 32), 3 + 32 - 35 = 0
+# y^2 = x^3 - x rescaled by u = 233 >= SHANKS_MESTRE_MIN_ELL: non-minimal
+# at 233, where the curve has good reduction.
+BLOWN_UP_CM32 = WeierstrassModel(0, 0, 0, -(233**4), 0)
 
 
 class TestCountPoints:
@@ -76,6 +89,75 @@ class TestCountPoints:
         blown = WeierstrassModel(0, 0, 0, -625, 0)
         assert blown.discriminant() % 5 == 0
         assert count_points(blown, 5) == count_points(CM32, 5)
+
+
+class TestCMOracle:
+    """The CM formulas are checked by enumeration before they check anything."""
+
+    def test_formulas_agree_with_full_enumeration_below_300(self):
+        for ell in primes_up_to(300)[1:]:
+            assert cm_trace_x3_minus_x(ell) == count_points_enumerate(CM32.coefficients(), ell)
+            if ell > 3:
+                assert cm_trace_x3_plus_1(ell) == count_points_enumerate(CM36.coefficients(), ell)
+
+    def test_formulas_agree_with_per_x_legendre_sum_below_1000(self):
+        for ell in primes_up_to(1000)[2:]:
+            assert cm_trace_x3_minus_x(ell) == count_points_legendre(CM32.coefficients(), ell)
+            assert cm_trace_x3_plus_1(ell) == count_points_legendre(CM36.coefficients(), ell)
+
+    def test_supersingular_primes_vanish(self):
+        assert {cm_trace_x3_minus_x(ell) for ell in (10007, 999983)} == {0}  # 3 mod 4
+        assert {cm_trace_x3_plus_1(ell) for ell in (10007, 999983)} == {0}  # 2 mod 3
+
+    def test_count_points_matches_the_formulas_up_to_10_6(self):
+        sample = primes_up_to(10**6)[2::250] + [999983]
+        assert sample[-2] > 990000
+        for ell in sample:
+            assert count_points(CM32, ell, ell_cap=10**6) == cm_trace_x3_minus_x(ell), ell
+            assert count_points(CM36, ell, ell_cap=10**6) == cm_trace_x3_plus_1(ell), ell
+
+
+class TestShanksMestre:
+    @pytest.mark.parametrize(
+        "model, reference",
+        [(FREY, FREY), (CM32, CM32), (CM36, CM36), (CURVE11, CURVE11), (BLOWN_UP_CM32, CM32)],
+        ids=["frey", "cm32", "cm36", "11a1", "non-minimal-at-233"],
+    )
+    def test_agrees_with_character_sum_to_3000(self, model, reference):
+        disc = reference.discriminant()
+        primes = [ell for ell in primes_up_to(3000) if ell >= SHANKS_MESTRE_MIN_ELL - 30]
+        assert primes[0] < SHANKS_MESTRE_MIN_ELL <= primes[4]
+        for ell in primes:
+            if disc % ell:
+                expected = traces._character_sum(reference, ell)
+                assert count_points(model, ell, ell_cap=3000) == expected, ell
+
+    def test_regime_switches_at_the_crossover(self, monkeypatch):
+        summed = []
+        original = traces._character_sum
+
+        def recording(model, ell):
+            summed.append(ell)
+            return original(model, ell)
+
+        monkeypatch.setattr(traces, "_character_sum", recording)
+        for ell in (223, 227, 229, 233, 239, 2999):
+            count_points(CURVE11, ell)
+        assert summed == [223, 227, 229]
+
+    def test_points_exhausted_returns_the_character_sum(self, monkeypatch):
+        # An order routine that never narrows the candidates makes every
+        # x run out; count_points must then fall back to the exact sum.
+        calls = []
+
+        def no_progress(Q, R, K, a, p):
+            calls.append(K)
+            return [0, 1]
+
+        monkeypatch.setattr(traces, "_zeros", no_progress)
+        ell = 1009
+        assert count_points(CURVE11, ell) == count_points_legendre(CURVE11.coefficients(), ell)
+        assert ell - 3 <= len(calls) < ell  # one per x with f(x) != 0
 
 
 class TestTraceTable:
