@@ -38,8 +38,9 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 #: (psi, k): the first k witnesses decide every n < psi, where psi is the
 #: least strong pseudoprime to those k bases (Jaeschke, Math. Comp. 61,
-#: 1993; Sorenson & Webster, Math. Comp. 86, 2017).  psi_8 = psi_7 and
-#: psi_10 = psi_11 = psi_9, so k = 8, 10 and 11 never decide alone.
+#: 1993; Jiang & Deng, Math. Comp. 83, 2014; Sorenson & Webster, Math.
+#: Comp. 86, 2017).  psi_8 = psi_7 and psi_10 = psi_11 = psi_9, so 8, 10
+#: or 11 witnesses would decide no more n than 7 or 9 do.
 _MR_PLAN = (
     (2_047, 1),
     (1_373_653, 2),
