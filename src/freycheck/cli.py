@@ -368,7 +368,7 @@ def _cmd_analyze(args: argparse.Namespace) -> Report:
         "alpha_input": args.alpha,
         "params": params,
         "triple": triple,
-        "model": model.coefficients(),
+        "model": list(model),
         "invariants": inv,
         "trivial_level": is_trivial_level(inv),
         "cartan_type": cartan_type(args.p),
@@ -459,7 +459,7 @@ def _cmd_traces(args: argparse.Namespace) -> Report:
     model = _model_from_values(args.model)
     records = trace_table(model, args.lmax)
     payload: Dict[str, object] = {
-        "model": model.coefficients(),
+        "model": list(model),
         "lmax": args.lmax,
         "records": records,
     }
@@ -470,8 +470,8 @@ def _cmd_congruence(args: argparse.Namespace) -> Report:
     model1 = _model_from_values(args.model1)
     model2 = _model_from_values(args.model2)
     payload: Dict[str, object] = {
-        "model1": model1.coefficients(),
-        "model2": model2.coefficients(),
+        "model1": list(model1),
+        "model2": list(model2),
         "report": mod_p_congruent(model1, model2, args.p, args.lmax),
     }
     return payload, None, EXIT_OK
@@ -481,7 +481,7 @@ def _cmd_conductor(args: argparse.Namespace) -> Report:
     model = _model_from_values(args.model)
     local = all_local_data(model, args.factor_bound)
     payload: Dict[str, object] = {
-        "model": model.coefficients(),
+        "model": list(model),
         "discriminant": model.discriminant(),
         "conductor": global_conductor(local),
         "local_data": local,

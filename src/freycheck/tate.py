@@ -114,7 +114,7 @@ def local_data_with_model(
         n = valuation(delta, p)
         b2, b4, b6, b8 = E.b_invariants()
         c4, c6 = E.c_invariants()
-        a1, a2, a3, a4, a6 = E.coefficients()
+        a1, a2, a3, a4, a6 = E
 
         # Translate the singular point of the reduction to (0, 0).
         if p == 2:
@@ -134,7 +134,7 @@ def local_data_with_model(
                 r = (-(c6 + b2 * c4) * pow(12 * c4 % p, -1, p)) % p
             t = (-(a1 * r + a3) * pow(2, -1, p)) % p
         E = E.translated(r=r, t=t)
-        a1, a2, a3, a4, a6 = E.coefficients()
+        a1, a2, a3, a4, a6 = E
 
         if c4 % p != 0:  # c4 is translation-invariant
             red = MULT_SPLIT if _tangents_rational(a1, a2, p) else MULT_NONSPLIT
@@ -157,7 +157,7 @@ def local_data_with_model(
             s = (-a1 * pow(2, -1, p)) % p
             t = (-a3 * pow(2, -1, p2)) % p2
         E = E.translated(s=s, t=t)
-        a1, a2, a3, a4, a6 = E.coefficients()
+        a1, a2, a3, a4, a6 = E
 
         bq = _exact_div(a2, p)
         cq = _exact_div(a4, p2)
@@ -186,7 +186,7 @@ def local_data_with_model(
             while True:
                 if m > n:
                     raise AssertionError("runaway I_m* loop")
-                a1, a2, a3, a4, a6 = E.coefficients()
+                a1, a2, a3, a4, a6 = E
                 a3q = _exact_div(a3, py)
                 a6q = _exact_div(a6, px * py)
                 if (a3q * a3q + 4 * a6q) % p != 0:
@@ -195,7 +195,7 @@ def local_data_with_model(
                 E = E.translated(t=py * y0)
                 m += 1
                 py *= p
-                a1, a2, a3, a4, a6 = E.coefficients()
+                a1, a2, a3, a4, a6 = E
                 a2q = _exact_div(a2, p)
                 a4q = _exact_div(a4, p * px)
                 a6q = _exact_div(a6, px * py)
@@ -215,7 +215,7 @@ def local_data_with_model(
         else:
             r0 = (-bq * pow(3, -1, p)) % p
         E = E.translated(r=p * r0)
-        a1, a2, a3, a4, a6 = E.coefficients()
+        a1, a2, a3, a4, a6 = E
 
         a3q = _exact_div(a3, p2)
         a6q = _exact_div(a6, p2 * p2)
@@ -223,7 +223,7 @@ def local_data_with_model(
             return LocalData(p, n - 6, n, "IV*", ADDITIVE, scalings), E
         y0 = a6q % 2 if p == 2 else (-a3q * pow(2, -1, p)) % p
         E = E.translated(t=p2 * y0)
-        a1, a2, a3, a4, a6 = E.coefficients()
+        a1, a2, a3, a4, a6 = E
 
         if a4 % (p2 * p2) != 0:
             return LocalData(p, n - 7, n, "III*", ADDITIVE, scalings), E

@@ -56,11 +56,13 @@ class CongruenceReport(NamedTuple):
 
 def count_points(
     model: WeierstrassModel, ell: int, ell_cap: int = DEFAULT_ELL_CAP
-) -> int:
-    """Trace of Frobenius a_ell = ell + 1 - #E(F_ell) for odd good ell.
+) -> Optional[int]:
+    """Trace of Frobenius a_ell = ell + 1 - #E(F_ell) at an odd prime ell.
 
-    A model that is non-minimal at ell is replaced by its ell-minimal
-    model first.  Then one of two exact regimes runs, chosen by ell:
+    Returns None where the curve has bad reduction at ell.  Where ell
+    divides the discriminant, Tate's algorithm decides that, and a model
+    that is non-minimal at a good ell is replaced by its ell-minimal
+    model.  Then one of two exact regimes runs, chosen by ell:
 
     - ell < SHANKS_MESTRE_MIN_ELL: the character sum -sum_x chi(g(x))
       for the quadratic character chi of F_ell.  Completing the square
@@ -82,8 +84,6 @@ def count_points(
     fallback out; timed per prime, the two regimes already cost the same
     near ell = 150 (the measurements are beside SHANKS_MESTRE_MIN_ELL).
     """
-    if ell == 2:
-        raise ValueError("ell = 2 is excluded from trace computations")
     if ell < 3 or not is_prime(ell):
         raise ValueError("ell must be an odd prime")
     if ell > ell_cap:
@@ -92,7 +92,7 @@ def count_points(
     if model.discriminant() % ell == 0:
         data, minimal = tate.local_data_with_model(model, ell)
         if data.reduction != tate.GOOD:
-            raise ValueError("bad reduction at %d" % ell)
+            return None
         model = minimal
     if ell >= SHANKS_MESTRE_MIN_ELL:
         c4, c6 = model.c_invariants()
@@ -239,7 +239,7 @@ def _shanks_mestre(A: int, B: int, ell: int) -> Optional[int]:
 
 
 def trace_table(model: WeierstrassModel, lmax: int) -> List[TraceRecord]:
-    """Trace records at every odd prime ell <= lmax.
+    """Trace records at every odd prime ell <= lmax, one count_points call each.
 
     Bad-reduction primes are marked reduction="Bad" with a_ell = None;
     primes where only the given model (not the curve) is singular are
@@ -248,20 +248,10 @@ def trace_table(model: WeierstrassModel, lmax: int) -> List[TraceRecord]:
     if lmax < 3:
         raise ValueError("lmax must be >= 3")
     model.require_nonsingular()
-    disc = model.discriminant()
     records: List[TraceRecord] = []
-    for ell in primes_up_to(lmax):
-        if ell == 2:
-            continue
-        curve = model
-        if disc % ell == 0:
-            data, curve = tate.local_data_with_model(model, ell)
-            if data.reduction != tate.GOOD:
-                records.append(TraceRecord(ell=ell, a_ell=None, reduction="Bad"))
-                continue
-        records.append(
-            TraceRecord(ell=ell, a_ell=count_points(curve, ell, ell_cap=lmax), reduction="Good")
-        )
+    for ell in primes_up_to(lmax)[1:]:
+        a_ell = count_points(model, ell, ell_cap=lmax)
+        records.append(TraceRecord(ell, a_ell, "Bad" if a_ell is None else "Good"))
     return records
 
 

@@ -16,12 +16,9 @@ class WeierstrassModel(NamedTuple):
     a4: int
     a6: int
 
-    def coefficients(self) -> Tuple[int, int, int, int, int]:
-        return (self.a1, self.a2, self.a3, self.a4, self.a6)
-
     def b_invariants(self) -> Tuple[int, int, int, int]:
         """(b2, b4, b6, b8); they satisfy 4*b8 = b2*b6 - b4**2."""
-        a1, a2, a3, a4, a6 = self.coefficients()
+        a1, a2, a3, a4, a6 = self
         b2 = a1 * a1 + 4 * a2
         b4 = 2 * a4 + a1 * a3
         b6 = a3 * a3 + 4 * a6
@@ -46,7 +43,7 @@ class WeierstrassModel(NamedTuple):
 
         Preserves the discriminant and the c-invariants.
         """
-        a1, a2, a3, a4, a6 = self.coefficients()
+        a1, a2, a3, a4, a6 = self
         return WeierstrassModel(
             a1 + 2 * s,
             a2 - s * a1 + 3 * r - s * s,
@@ -60,9 +57,8 @@ class WeierstrassModel(NamedTuple):
 
         Divides the discriminant by u^12.
         """
-        a1, a2, a3, a4, a6 = self.coefficients()
         coeffs = []
-        for a_i, weight in ((a1, 1), (a2, 2), (a3, 3), (a4, 4), (a6, 6)):
+        for a_i, weight in zip(self, (1, 2, 3, 4, 6)):
             q, rem = divmod(a_i, u**weight)
             if rem:
                 raise ValueError("model is not divisible for rescaling by %d" % u)

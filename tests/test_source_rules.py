@@ -1,0 +1,100 @@
+"""The package's source keeps the toolkit's two standing rules: it imports
+only the standard library, and it uses no floating-point arithmetic.
+
+Each module under ``src/freycheck`` is parsed, not imported, and every
+node is checked: absolute imports must name a stdlib module; float and
+complex literals, true division (``/``, ``/=``), ``float(...)`` and
+``complex(...)`` calls are refused; of ``math`` only the exact integer
+functions may be used.
+"""
+
+import ast
+import sys
+from pathlib import Path
+from typing import List
+
+import pytest
+
+import freycheck
+
+SOURCES = sorted(Path(freycheck.__file__).parent.glob("*.py"))
+EXACT_MATH = {"gcd", "isqrt", "prod", "comb", "lcm", "factorial"}
+
+
+def violations(source: str) -> List[str]:
+    """One line per breach of the rules in ``source``, in line order."""
+    tree = ast.parse(source)
+    math_names = set()  # what "import math [as m]" binds
+    found = []
+    for node in ast.walk(tree):
+        line = getattr(node, "lineno", 0)
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                if top not in sys.stdlib_module_names:
+                    found.append((line, "imports non-stdlib %s" % alias.name))
+                if alias.name == "math":
+                    math_names.add(alias.asname or "math")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] not in sys.stdlib_module_names:
+                found.append((line, "imports non-stdlib %s" % node.module))
+            if node.module == "math":
+                found.extend(
+                    (line, "uses math.%s" % alias.name)
+                    for alias in node.names
+                    if alias.name not in EXACT_MATH
+                )
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((line, "has the inexact literal %r" % node.value))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((line, "divides with /"))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("float", "complex")
+        ):
+            found.append((line, "calls %s" % node.func.id))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in math_names
+            and node.attr not in EXACT_MATH
+        ):
+            found.append((node.lineno, "uses math.%s" % node.attr))
+    return ["line %d: %s" % item for item in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_source_is_stdlib_only_and_exact(path):
+    assert violations(path.read_text()) == []
+
+
+def test_every_rule_fires():
+    source = "\n".join(
+        [
+            "import numpy",
+            "from sympy import factorint",
+            "import math as m",
+            "from math import sqrt, isqrt",
+            "x = 0.5",
+            "z = 2j",
+            "y = 3 / 2",
+            "y /= 2",
+            "w = float(3)",
+            "v = complex(1, 2)",
+            "u = m.log(2) + m.gcd(4, 6)",
+        ]
+    )
+    assert [line.split(": ", 1)[1] for line in violations(source)] == [
+        "imports non-stdlib numpy",
+        "imports non-stdlib sympy",
+        "uses math.sqrt",
+        "has the inexact literal 0.5",
+        "has the inexact literal 2j",
+        "divides with /",
+        "divides with /",
+        "calls float",
+        "calls complex",
+        "uses math.log",
+    ]

@@ -39,6 +39,8 @@ FREY = WeierstrassModel(0, 29, 0, -96, 0)  # y^2 = x(x - 3)(x + 32), 3 + 32 - 35
 # y^2 = x^3 - x rescaled by u = 233 >= SHANKS_MESTRE_MIN_ELL: non-minimal
 # at 233, where the curve has good reduction.
 BLOWN_UP_CM32 = WeierstrassModel(0, 0, 0, -(233**4), 0)
+# The quadratic twist of y^2 = x^3 - x by 233: additive reduction at 233.
+TWIST233_CM32 = WeierstrassModel(0, 0, 0, -(233**2), 0)
 
 
 class TestCountPoints:
@@ -63,12 +65,12 @@ class TestCountPoints:
                 if ell == 2 or disc % ell == 0:
                     continue
                 assert count_points(model, ell) == count_points_enumerate(
-                    model.coefficients(), ell
+                    tuple(model), ell
                 ), (model, ell)
 
     def test_agrees_with_per_x_legendre_sum_at_9973(self):
         for model in (CM32, WeierstrassModel(0, -1, 1, -10, -20), WeierstrassModel(1, -1, 1, -3, 3)):
-            assert count_points(model, 9973) == count_points_legendre(model.coefficients(), 9973)
+            assert count_points(model, 9973) == count_points_legendre(tuple(model), 9973)
 
     def test_rejects_ell_2_and_composites(self):
         with pytest.raises(ValueError):
@@ -77,8 +79,7 @@ class TestCountPoints:
             count_points(CM32, 15)
 
     def test_rejects_bad_reduction(self):
-        with pytest.raises(ValueError, match="bad reduction at 37"):
-            count_points(WeierstrassModel(0, 0, 1, -1, 0), 37)
+        assert count_points(WeierstrassModel(0, 0, 1, -1, 0), 37) is None
 
     def test_rejects_over_cap(self):
         with pytest.raises(ValueError, match="cap"):
@@ -96,14 +97,14 @@ class TestCMOracle:
 
     def test_formulas_agree_with_full_enumeration_below_300(self):
         for ell in primes_up_to(300)[1:]:
-            assert cm_trace_x3_minus_x(ell) == count_points_enumerate(CM32.coefficients(), ell)
+            assert cm_trace_x3_minus_x(ell) == count_points_enumerate(tuple(CM32), ell)
             if ell > 3:
-                assert cm_trace_x3_plus_1(ell) == count_points_enumerate(CM36.coefficients(), ell)
+                assert cm_trace_x3_plus_1(ell) == count_points_enumerate(tuple(CM36), ell)
 
     def test_formulas_agree_with_per_x_legendre_sum_below_1000(self):
         for ell in primes_up_to(1000)[2:]:
-            assert cm_trace_x3_minus_x(ell) == count_points_legendre(CM32.coefficients(), ell)
-            assert cm_trace_x3_plus_1(ell) == count_points_legendre(CM36.coefficients(), ell)
+            assert cm_trace_x3_minus_x(ell) == count_points_legendre(tuple(CM32), ell)
+            assert cm_trace_x3_plus_1(ell) == count_points_legendre(tuple(CM36), ell)
 
     def test_supersingular_primes_vanish(self):
         assert {cm_trace_x3_minus_x(ell) for ell in (10007, 999983)} == {0}  # 3 mod 4
@@ -156,8 +157,22 @@ class TestShanksMestre:
 
         monkeypatch.setattr(traces, "_zeros", no_progress)
         ell = 1009
-        assert count_points(CURVE11, ell) == count_points_legendre(CURVE11.coefficients(), ell)
+        assert count_points(CURVE11, ell) == count_points_legendre(tuple(CURVE11), ell)
         assert ell - 3 <= len(calls) < ell  # one per x with f(x) != 0
+
+
+@pytest.fixture
+def tate_primes(monkeypatch):
+    """The primes tate.local_data_with_model is called at, in call order."""
+    primes = []
+    original = tate.local_data_with_model
+
+    def recording(model, ell):
+        primes.append(ell)
+        return original(model, ell)
+
+    monkeypatch.setattr(tate, "local_data_with_model", recording)
+    return primes
 
 
 class TestTraceTable:
@@ -191,19 +206,21 @@ class TestTraceTable:
             if rec.reduction == "Good" and rec.ell % 4 == 3:
                 assert rec.a_ell == 0
 
-    def test_tate_runs_once_at_a_non_minimal_good_prime(self, monkeypatch):
-        # [0,0,0,-625,0] is non-minimal at 5 but has good reduction there.
-        primes = []
-        original = tate.local_data_with_model
+    def test_tate_runs_once_at_a_non_minimal_good_prime(self, tate_primes):
+        # Both models rescale y^2 = x^3 - x, so each is non-minimal at one
+        # prime where the curve is good: 5 below SHANKS_MESTRE_MIN_ELL, and
+        # 233 above it.
+        cases = ((WeierstrassModel(0, 0, 0, -625, 0), 5, 30), (BLOWN_UP_CM32, 233, 300))
+        for model, ell, lmax in cases:
+            tate_primes.clear()
+            table = trace_table(model, lmax)
+            assert tate_primes == [ell]
+            assert table == trace_table(CM32, lmax)
 
-        def recording(model, ell):
-            primes.append(ell)
-            return original(model, ell)
-
-        monkeypatch.setattr(tate, "local_data_with_model", recording)
-        table = trace_table(WeierstrassModel(0, 0, 0, -625, 0), 30)
-        assert primes == [5]
-        assert table == trace_table(CM32, 30)
+    def test_bad_prime_above_the_crossover(self, tate_primes):
+        table = trace_table(TWIST233_CM32, 300)
+        assert tate_primes == [233]
+        assert [rec for rec in table if rec.reduction == "Bad"] == [TraceRecord(233, None, "Bad")]
 
     def test_roundtrip(self):
         for rec in trace_table(WeierstrassModel(0, -1, 1, -10, -20), 30):
@@ -268,6 +285,8 @@ class TestModPCongruent:
         assert 11 not in report.compared_primes  # bad for the second curve
         assert 2 not in report.compared_primes
         assert report.compared_primes == [3, 5, 13, 17, 19, 23, 29, 31, 37]
+        report = mod_p_congruent(TWIST233_CM32, CM32, 7, 300)
+        assert report.compared_primes == [ell for ell in primes_up_to(300)[1:] if ell not in (7, 233)]
 
     def test_disclaimer_present(self):
         report = mod_p_congruent(CM32, TWIST, 5, 50)
