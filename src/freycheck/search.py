@@ -2,27 +2,50 @@
 
 Two families are covered:
 
-* solutions of a^p + L^alpha * b^p + c^p = 0 with |a|, |b|, |c| <= H
-  (L = 2 by default), enumerated over (a, b) with c found by looking
-  -(a^p + L^alpha * b^p) up in a table of the exact p-th powers c^p,
-  0 < |c| <= H, never by root extraction or floating point;
-* arithmetic progressions of perfect n-th powers with positive bases,
-  found in the same way in a table of exact n-th powers.
+* solutions of a^p + L^alpha * b^p + c^p = 0 with non-zero entries and
+  |a|, |b|, |c| <= H (L = 2 by default), found one sum s = a + c at a
+  time;
+* arithmetic progressions of perfect n-th powers with positive bases.
 
-Each lookup is one set intersection per row (one a, or one x_1), run in
-C by the dict-keys view; memory stays O(H).
+Why searching by sums finds every solution.  The equation is
+homogeneous of degree p, so every solution is d times a primitive one,
+d being its content gcd(a, b, c).  Orient a primitive solution by the
+a<->c swap and the global sign flip so that a = max(|a|, |c|) > 0.  Then
+s = a + c > 0, since s = 0 would force b = 0.  Put
+Phi = (a^p + c^p) / s = sum_i a^(p-1-i) (-c)^i, so s * Phi = -L^alpha b^p;
+modulo s, c = -a and Phi = p a^(p-1).  If a prime q outside {L, p}
+divided both s and Phi it would divide a, hence c = s - a, hence
+L^alpha b^p and so b, against primitivity.  So q divides only one of
+s and Phi, and ord_q(s) = p ord_q(b) is a multiple of p.  Hence
+s = L^i p^j u^p with 1 <= s <= 2H: only O(H^(1/p) log^2 H) sums are
+admissible.
 
-The equation is homogeneous of degree p, so primitive solutions
-determine all solutions; imprimitive records, when requested, are
-tagged with their content gcd.  Search output is canonicalized under
-the a<->c swap and the global sign flip and sorted, so results are
-deterministic and independent of work partitioning.
+For each admissible s, a runs over ceil(s/2)..H and c = s - a.  The
+values a^p + c^p come from one list of exact p-th powers and meet the
+table {-L^alpha b^p : 0 < |b| <= H} in one set intersection, run in C
+by the dict-keys view.  On that range a^p + (s - a)^p is strictly
+increasing in a, so a hit's a is recovered by bisection.  No root is
+extracted and no float is used; memory stays O(H).  Imprimitive
+records, when requested, are the multiples d * (a, b, c) of the
+primitive hits that stay inside the box, tagged with their content.
+
+Three-term progressions of squares x1^2, x2^2, x3^2 are exactly the
+Pythagorean triples u^2 + v^2 = x2^2 with 0 < u < v, where
+x1 = v - u and x3 = v + u; they are listed from Euclid's formula in
+O(H log H), and a fourth term is looked up in a table of squares.  For
+n >= 3 the last terms are looked up in a table of exact n-th powers, one
+set intersection per x1.
+
+Search output is canonicalized under the a<->c swap and the global sign
+flip and sorted, so results are deterministic and independent of work
+partitioning.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from itertools import repeat
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
@@ -35,7 +58,6 @@ __all__ = [
     "SearchOutcome",
     "SearchSpec",
     "SolutionRecord",
-    "TRIVIAL_FORM",
     "classify_ap_outcome",
     "classify_search_outcome",
     "search_ap_powers",
@@ -47,8 +69,9 @@ __all__ = [
 #: have no non-zero solutions whenever p >= 11 is prime, p != L, alpha >= 0.
 SIGMA_PRIMES = frozenset({3, 5, 7, 11, 13, 17, 19, 23, 29, 53, 59})
 
-#: Canonical form of the trivial solution family a = c = -b (L = 2, alpha = 1).
-TRIVIAL_FORM = (-1, 1, -1)
+#: Below this many estimated table lookups a search runs in this process
+#: whatever ``workers`` says (see ``_search_specs``).
+POOL_MIN_LOOKUPS = 3_000_000
 
 
 class _SearchSpecFields(NamedTuple):
@@ -96,27 +119,61 @@ class SolutionRecord(NamedTuple):
     content: int = 1
 
 
-def _search_chunk(args: Tuple[SearchSpec, int, int]) -> List[Tuple[int, int, int]]:
-    """Raw solutions with a in [a_lo, a_hi); a > 0 only (sign flip recovers).
+def _admissible_sums(spec: SearchSpec) -> List[int]:
+    """Every s = L^i p^j u^p with 1 <= s <= 2H, ascending (see the module docstring)."""
+    bound = 2 * spec.height
+    sums = set()
+    u = 1
+    while u**spec.p <= bound:
+        l_part = u**spec.p
+        while l_part <= bound:
+            s = l_part
+            while s <= bound:
+                sums.add(s)
+                s *= spec.p
+            l_part *= spec.L
+        u += 1
+    return sorted(sums)
 
-    A key of ``roots`` is c^p for some 0 < |c| <= H, so a hit already has
-    c != 0 and |c| <= H; p is odd, so each key has one root.
+
+def _search_chunk(args: Tuple[SearchSpec, Sequence[int]]) -> List[Tuple[int, int, int]]:
+    """Raw solutions with a + c in ``sums`` and a = max(|a|, |c|).
+
+    Every primitive solution has such an orientation with an admissible
+    sum s = a + c > 0 (module docstring), so scanning a over
+    ceil(s/2)..H, c = s - a, for each admissible s finds all of them.
+    ``powers[x + H]`` is x^p; a key of ``targets`` is -L^alpha b^p, so a
+    hit has 0 < |b| <= H, and a >= |c| keeps |c| <= H.  Imprimitive hits
+    are dropped here and, when the spec allows them, come back as the
+    multiples d * (a, b, c) of the primitive ones that fit in the box.
     """
-    spec, a_lo, a_hi = args
+    spec, sums = args
     p, height = spec.p, spec.height
     coeff = spec.L**spec.alpha
-    roots = {c**p: c for c in range(-height, height + 1) if c}
-    terms = [coeff * b_pow for b_pow in roots]
+    powers = [x**p for x in range(-height, height + 1)]
+    targets = {coeff * x_pow: -x for x, x_pow in enumerate(powers, -height) if x}
+    descending = powers[:height:-1]  # a^p for a = H, H - 1, ..., 1
     raw: List[Tuple[int, int, int]] = []
-    for a in range(a_lo, a_hi):
-        a_pow = a**p
-        for target in roots.keys() & map(operator.sub, repeat(-a_pow), terms):
-            c = roots[target]
-            b = roots[(-target - a_pow) // coeff]
-            if spec.require_primitive and math.gcd(a, b, c) != 1:
-                continue
-            raw.append((a, b, c))
+    for s in sums:
+        a_lo = (s + 1) // 2
+        count = height - a_lo + 1  # a = H - k and c = s - H + k for k < count
+        hits = targets.keys() & map(operator.add, descending[:count], powers[s : s + count])
+        for value in hits:
+            a = a_lo + bisect_left(
+                range(a_lo, height + 1), value, key=lambda x: x**p + (s - x) ** p
+            )
+            b, c = targets[value], s - a
+            # c = 0 meets the table only when p | alpha: not a solution here.
+            if c and math.gcd(a, b, c) == 1:
+                copies = 1 if spec.require_primitive else height // max(a, abs(b))
+                raw.extend((d * a, d * b, d * c) for d in range(1, copies + 1))
     return raw
+
+
+def _is_trivial(spec: SearchSpec, form: Tuple[int, int, int]) -> bool:
+    """a = c = -L^(alpha // p) * b: the trivial family a = c = -b of the reduced equation."""
+    a, b, c = form
+    return a == c == -(spec.L ** (spec.alpha // spec.p)) * b
 
 
 def _records_from_raw(
@@ -137,29 +194,36 @@ def _records_from_raw(
                 b=content * form[1],
                 c=content * form[2],
                 normalized_form=form,
-                trivial=form == TRIVIAL_FORM,
+                trivial=_is_trivial(spec, form),
                 content=content,
             )
     return sorted(by_key.values(), key=lambda rec: (rec.normalized_form, rec.content))
 
 
 def _search_specs(specs: Sequence[SearchSpec], workers: int) -> List[List[SolutionRecord]]:
-    """The records of every spec, from one ordered_map over all a-ranges.
+    """The records of every spec, from one ordered_map over all sums.
 
-    Each spec's range 1..H is cut into at most ``process_count(workers)``
-    chunks, as each chunk builds its own O(H) table of powers; the parts
-    are grouped back by position in ``specs``, so repeated specs stay
+    The work is estimated as the table lookups, (number of sums) * H per
+    spec; below ``POOL_MIN_LOOKUPS`` a pool costs more than it saves, so
+    everything runs in this process.  Otherwise each spec's sums are
+    dealt round-robin into at most ``process_count(workers)`` chunks, as
+    each chunk builds its own O(H) table of powers.  The parts are
+    grouped back by position in ``specs``, so repeated specs stay
     separate and the result does not depend on ``workers``.
     """
+    all_sums = [_admissible_sums(spec) for spec in specs]
+    lookups = sum(len(sums) * spec.height for spec, sums in zip(specs, all_sums))
+    parts = process_count(workers)
+    if lookups < POOL_MIN_LOOKUPS:
+        parts = 1
     owners: List[int] = []
-    chunks: List[Tuple[SearchSpec, int, int]] = []
-    for i, spec in enumerate(specs):
-        step = -(-spec.height // process_count(workers))
-        for lo in range(1, spec.height + 1, step):
+    chunks: List[Tuple[SearchSpec, List[int]]] = []
+    for i, (spec, sums) in enumerate(zip(specs, all_sums)):
+        for k in range(min(parts, len(sums))):
             owners.append(i)
-            chunks.append((spec, lo, min(lo + step, spec.height + 1)))
+            chunks.append((spec, sums[k::parts]))
     raw: List[List[Tuple[int, int, int]]] = [[] for _ in specs]
-    for i, part in zip(owners, ordered_map(_search_chunk, chunks, workers)):
+    for i, part in zip(owners, ordered_map(_search_chunk, chunks, parts)):
         raw[i].extend(part)
     return [_records_from_raw(spec, triples) for spec, triples in zip(specs, raw)]
 
@@ -261,14 +325,59 @@ def search_ap_powers(
         raise ValueError("only 3- and 4-term progressions are supported")
     if height < 1:
         raise ValueError("height must be >= 1")
+    if n == 2:
+        results = _square_progressions(k, height)
+    else:
+        results = _power_progressions(n, k, height)
+    if not distinct_only:
+        results += [(x,) * k for x in range(1, height + 1)]
+    results.sort()
+    _check_progressions(n, height, distinct_only, results)
+    return results
+
+
+def _square_progressions(k: int, height: int) -> List[Tuple[int, ...]]:
+    """Non-constant progressions of squares, from Pythagorean triples.
+
+    x1^2 + x3^2 = 2 x2^2 with x1 < x3 holds exactly when u = (x3 - x1)/2
+    and v = (x3 + x1)/2 satisfy u^2 + v^2 = x2^2, 0 < u < v.  Every such
+    triple is d * (m^2 - n^2, 2mn, m^2 + n^2) up to the order of the legs,
+    for coprime m > n > 0 of opposite parity; x3 = u + v <= H bounds all
+    three.
+    """
+    squares = {x * x: x for x in range(1, height + 1)}
+    results: List[Tuple[int, ...]] = []
+    m = 2
+    while m * m + 2 * m - 1 <= height:  # the leg sum at n = 1, the least for this m
+        for n in range(m % 2 + 1, m, 2):
+            leg_sum = m * m - n * n + 2 * m * n
+            if leg_sum > height:
+                break
+            if math.gcd(m, n) != 1:
+                continue
+            u, v = sorted((m * m - n * n, 2 * m * n))
+            w = m * m + n * n
+            for d in range(1, height // leg_sum + 1):
+                x1, x2, x3 = d * (v - u), d * w, d * (v + u)
+                if k == 3:
+                    results.append((x1, x2, x3))
+                    continue
+                x4 = squares.get(2 * x3 * x3 - x2 * x2)
+                if x4 is not None:
+                    results.append((x1, x2, x3, x4))
+        m += 1
+    return results
+
+
+def _power_progressions(n: int, k: int, height: int) -> List[Tuple[int, ...]]:
+    """Non-constant progressions of n-th powers, x3 (and x4) looked up in a table."""
     roots = {x**n: x for x in range(1, height + 1)}
     doubled = [2 * x_pow for x_pow in roots]
     results: List[Tuple[int, ...]] = []
     for x1 in range(1, height + 1):
         x1_pow = x1**n
-        x2_start = x1 + 1 if distinct_only else x1
-        # x3^n = 2 x2^n - x1^n over every x2 in range, one lookup each.
-        candidates = map(operator.sub, doubled[x2_start - 1 :], repeat(x1_pow))
+        # x3^n = 2 x2^n - x1^n over every x2 > x1, one lookup each.
+        candidates = map(operator.sub, doubled[x1:], repeat(x1_pow))
         for x3_pow in roots.keys() & candidates:
             x2 = roots[(x3_pow + x1_pow) // 2]
             x3 = roots[x3_pow]
@@ -278,10 +387,6 @@ def search_ap_powers(
             x4 = roots.get(2 * x3_pow - x2**n)
             if x4 is not None:
                 results.append((x1, x2, x3, x4))
-    # Each (x1, x2) gives at most one progression, so sorting restores the
-    # lexicographic order of the row-by-row enumeration.
-    results.sort()
-    _check_progressions(n, height, distinct_only, results)
     return results
 
 

@@ -3,8 +3,9 @@
 Everything here recomputes quantities the package produces, but by a
 different route: exact rationals or an O(p^2) recurrence instead of
 power-series inversion mod p, schoolbook products instead of Kronecker
-substitution, full cubic-triple enumeration or per-candidate root
-extraction instead of the table-lookup searches, explicit square-root
+substitution, full cubic-triple enumeration, per-candidate root
+extraction or one table lookup per row instead of the searches by
+admissible sum and by Pythagorean triple, explicit square-root
 counting or one Euler criterion per x instead of a quadratic-character
 table or Shanks-Mestre, the CM formulas of two curves, and the closed-form
 valuation table instead of the step-by-step
@@ -16,7 +17,9 @@ package's computation paths beyond plain data containers.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -253,6 +256,58 @@ def ap_powers_exact_root(
             if x4 is None or x4 > height:
                 continue
             results.append((x1, x2, x3, x4))
+    return results
+
+
+# ---------------------------------------------------------------------------
+# Searches by table lookup, one set intersection per row (the package's
+# kernels before they moved to sums and Pythagorean triples)
+
+
+def search_star_table(
+    p: int, alpha: int, height: int, L: int = 2, require_primitive: bool = True
+) -> List[Tuple[int, int, int]]:
+    """Raw solutions with 0 < a <= height and 0 < |b|, |c| <= height, in
+    O(H^2) lookups: for each a, c^p = -(a^p + L^alpha*b^p) is looked up
+    over every b in a table of exact p-th powers.
+    """
+    coeff = L**alpha
+    roots = {c**p: c for c in range(-height, height + 1) if c}
+    terms = [coeff * b_pow for b_pow in roots]
+    raw: List[Tuple[int, int, int]] = []
+    for a in range(1, height + 1):
+        a_pow = a**p
+        for target in roots.keys() & map(operator.sub, repeat(-a_pow), terms):
+            c = roots[target]
+            b = roots[(-target - a_pow) // coeff]
+            if require_primitive and math.gcd(a, b, c) != 1:
+                continue
+            raw.append((a, b, c))
+    return raw
+
+
+def ap_powers_table(
+    n: int, k: int, height: int, distinct_only: bool = True
+) -> List[Tuple[int, ...]]:
+    """k-term power progressions over x1, O(H^2) lookups: x3^n = 2 x2^n - x1^n
+    is looked up over every x2 in a table of exact n-th powers, then x4."""
+    roots = {x**n: x for x in range(1, height + 1)}
+    doubled = [2 * x_pow for x_pow in roots]
+    results: List[Tuple[int, ...]] = []
+    for x1 in range(1, height + 1):
+        x1_pow = x1**n
+        x2_start = x1 + 1 if distinct_only else x1
+        candidates = map(operator.sub, doubled[x2_start - 1 :], repeat(x1_pow))
+        for x3_pow in roots.keys() & candidates:
+            x2 = roots[(x3_pow + x1_pow) // 2]
+            x3 = roots[x3_pow]
+            if k == 3:
+                results.append((x1, x2, x3))
+                continue
+            x4 = roots.get(2 * x3_pow - x2**n)
+            if x4 is not None:
+                results.append((x1, x2, x3, x4))
+    results.sort()
     return results
 
 

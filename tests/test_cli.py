@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import freycheck.cli as cli
+import freycheck.search as search_mod
 from freycheck import __version__
 from freycheck.cli import jsonable
 from freycheck.denes import denes_criterion
@@ -297,6 +298,20 @@ class TestSearchCommand:
         assert lines[1] == "-1,1,-1,1,True"
         assert len(lines) == 5  # contents 1..4 of the trivial family
 
+    @pytest.mark.parametrize("p,alpha", [(3, 4), (3, 7), (5, 6)])
+    def test_trivial_family_when_alpha_at_least_p(self, capsys, p, alpha):
+        """a = c = -2^(alpha // p) * b is the trivial solution of the reduced
+        equation, not a counterexample."""
+        code, out, err = run_cli(
+            capsys, "search", "--p", str(p), "--alpha", str(alpha), "--height", "10"
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        k = 2 ** (alpha // p)
+        assert [(r["a"], r["b"], r["c"]) for r in doc["records"]] == [(-k, 1, -k)]
+        assert doc["records"][0]["trivial"] is True
+        assert doc["expected"] == "trivial-only" and doc["conforms"] is True
+
     def test_sigma_family(self, capsys):
         code, out, _ = run_cli(
             capsys, "search", "--p", "11", "--alpha", "1", "--L", "3",
@@ -489,13 +504,15 @@ class TestDeterminism:
             ("search", "--p", "3", "--alpha", "1", "--height", "30"),
             ("denes", "--scan", "80"),
             ("verify", "--p-list", "3,5", "--alpha-list", "1,2", "--height", "12"),
-            # Height 7 splits into uneven chunks for 2 and 3 workers.
+            # Height 7 has 8 admissible sums, dealt unevenly to 3 workers.
             ("search", "--p", "3", "--alpha", "1", "--height", "7"),
             ("verify", "--p-list", "3,5", "--alpha-list", "1,2", "--height", "7"),
         ],
         ids=["search", "denes", "verify", "search-uneven", "verify-uneven"],
     )
-    def test_worker_count_does_not_change_output(self, capsys, args):
+    def test_worker_count_does_not_change_output(self, capsys, monkeypatch, args):
+        # These searches are small enough to skip the pool; split them anyway.
+        monkeypatch.setattr(search_mod, "POOL_MIN_LOOKUPS", 0)
         lone = run_cli(capsys, *args, "--workers", "1")
         for workers in ("2", "3", "4"):
             assert run_cli(capsys, *args, "--workers", workers) == lone, workers

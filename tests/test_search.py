@@ -1,6 +1,8 @@
-"""Bounded-height searches: table-lookup enumeration against the cubic
-brute-force and the root-extraction oracles, canonical deduplication,
-partition determinism, and the power-progression searches.
+"""Bounded-height searches: the search by admissible sums and the
+Pythagorean progressions against the cubic brute force, the row-by-row
+table lookups and the root-extraction oracles; canonical deduplication,
+the trivial family at alpha >= p, partition determinism, the pool
+threshold, and the power-progression searches.
 """
 
 import json
@@ -30,10 +32,19 @@ from freycheck.search import (
 
 from oracles import (
     ap_powers_exact_root,
+    ap_powers_table,
     brute_force_ap_powers,
     brute_force_star,
     search_star_exact_root,
+    search_star_table,
 )
+
+
+@pytest.fixture
+def split_small_searches(monkeypatch):
+    """Let searches far below ``POOL_MIN_LOOKUPS`` use a pool, so pool
+    sizing and partitioning can be tested on them."""
+    monkeypatch.setattr(search_mod, "POOL_MIN_LOOKUPS", 0)
 
 
 class TestSearchSpec:
@@ -137,7 +148,7 @@ class TestSearchStar:
         records = search_star(SearchSpec(p=3, alpha=1, height=4))
         assert [rec.content for rec in records] == [1]
 
-    def test_partition_determinism(self):
+    def test_partition_determinism(self, split_small_searches):
         for workers in (2, 3, 4):
             spec = SearchSpec(p=3, alpha=1, height=18, require_primitive=False)
             assert search_star(spec, workers=workers) == search_star(spec, workers=1)
@@ -148,15 +159,20 @@ class TestSearchStar:
         keys = [(rec.normalized_form, rec.content) for rec in records]
         assert keys == sorted(keys)
 
-    def test_pool_bounded_by_chunks_and_cores(self, pool_sizes, monkeypatch):
+    def test_pool_bounded_by_chunks_and_cores(
+        self, pool_sizes, monkeypatch, split_small_searches
+    ):
         spec = SearchSpec(p=3, alpha=1, height=5)
+        assert search_mod._admissible_sums(spec) == [1, 2, 3, 4, 6, 8, 9]
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert search_star(spec, workers=1000) == search_star(spec)  # 5 chunks
+        assert search_star(spec, workers=1000) == search_star(spec)  # 7 chunks
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         search_star(spec, workers=1000)
-        assert pool_sizes == [5, 2]
+        assert pool_sizes == [7, 2]
 
-    def test_chunks_follow_the_pool_not_workers(self, pool_sizes, monkeypatch):
+    def test_chunks_follow_the_pool_not_workers(
+        self, pool_sizes, monkeypatch, split_small_searches
+    ):
         spec = SearchSpec(p=3, alpha=1, height=50)
         expected = search_star(spec, workers=1)
         calls = []
@@ -172,7 +188,7 @@ class TestSearchStar:
         assert len(calls) == 2 and pool_sizes == [2]
 
     @pytest.mark.parametrize("cores", [1, None])
-    def test_no_pool_on_one_core(self, pool_sizes, monkeypatch, cores):
+    def test_no_pool_on_one_core(self, pool_sizes, monkeypatch, cores, split_small_searches):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         spec = SearchSpec(p=3, alpha=1, height=12, require_primitive=False)
         assert search_star(spec, workers=4) == search_star(spec)
@@ -182,10 +198,92 @@ class TestSearchStar:
         with pytest.raises(ValueError):
             search_star(SearchSpec(p=5, alpha=1, height=5), workers=0)
 
+    @pytest.mark.parametrize("p,alpha", [(3, 4), (3, 7), (5, 6)])
+    def test_trivial_family_when_alpha_at_least_p(self, p, alpha):
+        """With alpha >= p the trivial family is a = c = -2^(alpha // p) * b:
+        b is rescaled by the p-th power taken out of 2^alpha."""
+        spec = SearchSpec(p=p, alpha=alpha, height=12, require_primitive=False)
+        k = 2 ** (alpha // p)
+        records = search_star(spec)
+        assert [rec.normalized_form for rec in records] == [(-k, 1, -k)] * (12 // k)
+        assert all(rec.trivial for rec in records)
+        outcome = classify_search_outcome(spec, records)
+        assert outcome.expected == "trivial-only" and outcome.conforms
+
+    def test_trivial_flag_needs_the_rescaled_b(self):
+        """(-1, 1, -1) solves no equation with alpha = 4 at p = 3, and
+        (-2, 1, -2) is trivial only when 2^(alpha // p) = 2."""
+        spec = SearchSpec(p=3, alpha=1, height=5)
+        assert not search_mod._is_trivial(spec, (-2, 1, -2))
+        assert search_mod._is_trivial(spec._replace(alpha=4), (-2, 1, -2))
+        assert not search_mod._is_trivial(spec._replace(alpha=4), (-1, 1, -1))
+
+    def test_admissible_sums(self):
+        """s = L^i p^j u^p up to 2H; with L = p the two prime factors merge."""
+        assert search_mod._admissible_sums(SearchSpec(p=3, alpha=1, height=5, L=3)) == [
+            1, 3, 8, 9,
+        ]
+        sums = search_mod._admissible_sums(SearchSpec(p=13, alpha=3, height=1000))
+        # 2^i * 13^j <= 2000: 11 values with j = 0, 8 with j = 1, 4 with j = 2.
+        assert len(sums) == 23 and sums[-1] == 13 * 2**7
+
+    def test_every_solution_has_an_admissible_sum(self):
+        """The divisibility behind the search, on the oracle's solutions:
+        a primitive solution oriented so that a = max(|a|, |c|) has an
+        admissible sum a + c."""
+        # 4^3 - 7*3^3 + 5^3 = 0 has a + c = 3^2: the p^j factor is needed.
+        assert (4, -3, 5) in search_star_table(3, 1, 10, L=7)
+        for p, alpha, L, height in [
+            (3, 2, 3, 60), (3, 1, 2, 60), (3, 4, 2, 60), (5, 1, 2, 20), (3, 1, 7, 10), (3, 2, 7, 40),
+        ]:
+            spec = SearchSpec(p=p, alpha=alpha, height=height, L=L)
+            sums = set(search_mod._admissible_sums(spec))
+            raw = search_star_table(p, alpha, height, L=L)
+            assert raw
+            for a, b, c in raw:
+                top = a if abs(a) >= abs(c) else c
+                sign = 1 if top > 0 else -1
+                assert sign * (a + c) in sums, (a, b, c)
+
+
+class TestPoolThreshold:
+    """A pool starts only when the estimated lookups, (number of sums) * H
+    summed over the specs, reach ``POOL_MIN_LOOKUPS``; the chunks are
+    stubbed, so no real search of that size runs."""
+
+    @pytest.fixture
+    def chunks(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(search_mod, "_search_chunk", lambda args: calls.append(args) or [])
+        return calls
+
+    @staticmethod
+    def _lookups(specs):
+        return sum(len(search_mod._admissible_sums(s)) * s.height for s in specs)
+
+    def test_small_sweeps_run_in_process(self, pool_sizes, chunks):
+        verify_theorem_claims([3, 5, 7, 11, 13], [1, 2, 3, 4], 25, workers=2)
+        assert pool_sizes == [] and len(chunks) == 18
+
+    def test_large_search_starts_a_pool(self, pool_sizes, chunks):
+        spec = SearchSpec(p=5, alpha=1, height=40000)
+        assert self._lookups([spec]) >= search_mod.POOL_MIN_LOOKUPS
+        search_star(spec, workers=2)
+        assert pool_sizes == [2] and len(chunks) == 2
+
+    def test_threshold_is_on_the_whole_grid(self, pool_sizes, chunks):
+        height = 10000
+        specs = [SearchSpec(p=p, alpha=a, height=height) for p in (3, 5) for a in (1, 2)]
+        lookups = self._lookups(specs)
+        assert max(self._lookups([s]) for s in specs) < search_mod.POOL_MIN_LOOKUPS <= lookups
+        verify_theorem_claims([3, 5], [1, 2], height, workers=2)
+        assert pool_sizes == [2] and len(chunks) == 8
+
 
 class TestAgainstRootExtraction:
-    """The table-lookup searches against the root-extraction loops they
-    replaced, at heights the cubic brute force cannot reach."""
+    """The searches against the root-extraction loops of an earlier
+    version, at heights the cubic brute force cannot reach."""
 
     STAR_GRID = [
         (p, alpha, L)
@@ -195,7 +293,7 @@ class TestAgainstRootExtraction:
     ]
 
     @pytest.mark.parametrize("p,alpha,L", STAR_GRID)
-    def test_search_star(self, p, alpha, L):
+    def test_search_star(self, p, alpha, L, split_small_searches):
         height = 200 if p == 3 else 120
         raw = search_star_exact_root(p, alpha, height, L=L)
         for require_primitive in (False, True):
@@ -204,7 +302,6 @@ class TestAgainstRootExtraction:
                 require_primitive=require_primitive,
             )
             expected = [t for t in raw if not require_primitive or math.gcd(*t) == 1]
-            assert sorted(_search_chunk((spec, 1, height + 1))) == sorted(expected)
             records = search_star(spec)
             assert records == _records_from_raw(spec, expected)
             if not require_primitive:
@@ -224,6 +321,69 @@ class TestAgainstRootExtraction:
         assert (1, -1, 2) in search_star_exact_root(3, 2, 10, L=3)
         assert (7, 13, 17) in ap_powers_exact_root(2, 3, 20)
         assert (1, 1, 1, 1) in ap_powers_exact_root(3, 4, 1, distinct_only=False)
+
+
+class TestAgainstTableLookup:
+    """The search by sums and the Pythagorean progressions against the
+    row-by-row table lookups they replaced."""
+
+    @pytest.mark.parametrize("L", (2, 3, 5, 7))
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+    def test_search_star_grid(self, p, L):
+        """Every alpha in 0..2p+1 (so alpha >= p, and L = p where it
+        occurs), at heights up to 40, primitive or not."""
+        for alpha in range(2 * p + 2):
+            for height in (1, 2, 6, 40):
+                for require_primitive in (True, False):
+                    spec = SearchSpec(p, alpha, height, L, require_primitive)
+                    expected = search_star_table(p, alpha, height, L, require_primitive)
+                    assert search_star(spec) == _records_from_raw(spec, expected), spec
+
+    def test_search_star_larger_heights(self):
+        for p, alpha, L, height in [(3, 2, 3, 700), (3, 1, 2, 700), (5, 6, 2, 400), (7, 7, 7, 300)]:
+            for require_primitive in (True, False):
+                spec = SearchSpec(p, alpha, height, L, require_primitive)
+                expected = search_star_table(p, alpha, height, L, require_primitive)
+                assert search_star(spec) == _records_from_raw(spec, expected), spec
+
+    def test_chunks_return_primitive_hits_and_their_multiples(self):
+        spec = SearchSpec(p=3, alpha=2, height=60, L=3, require_primitive=False)
+        raw = _search_chunk((spec, search_mod._admissible_sums(spec)))
+        assert sorted(raw) == sorted(set(raw))
+        assert sorted(_records_from_raw(spec, raw)) == sorted(
+            _records_from_raw(spec, search_star_table(3, 2, 60, L=3, require_primitive=False))
+        )
+
+    @pytest.mark.parametrize("distinct_only", (True, False))
+    @pytest.mark.parametrize("k", (3, 4))
+    def test_square_progressions(self, k, distinct_only):
+        for height in list(range(1, 80)) + [400]:
+            assert search_ap_powers(2, k, height, distinct_only) == ap_powers_table(
+                2, k, height, distinct_only
+            ), height
+
+
+class TestScale:
+    """Heights the O(H^2) sweeps could not reach in a test run, through the CLI."""
+
+    @staticmethod
+    def _run(capsys, *args):
+        code = cli.main(list(args))
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        return json.loads(captured.out)
+
+    def test_search_p5_alpha1_height_20000(self, capsys):
+        doc = self._run(capsys, "search", "--p", "5", "--alpha", "1", "--height", "20000")
+        assert [(r["a"], r["b"], r["c"]) for r in doc["records"]] == [(-1, 1, -1)]
+
+    def test_four_squares_height_20000(self, capsys):
+        doc = self._run(capsys, "ap-search", "--n", "2", "--k", "4", "--height", "20000")
+        assert doc["progressions"] == [] and doc["conforms"] is True
+
+    def test_three_squares_height_2000(self, capsys):
+        doc = self._run(capsys, "ap-search", "--n", "2", "--k", "3", "--height", "2000")
+        assert [tuple(t) for t in doc["progressions"]] == ap_powers_table(2, 3, 2000)
 
 
 class TestClassification:
@@ -289,20 +449,20 @@ class TestVerifyDrivers:
     def test_verify_theorem_claims_empty_plist(self):
         assert verify_theorem_claims([], [1, 2], 10) == []
 
-    def test_one_pool_for_the_whole_grid(self, pool_sizes, monkeypatch):
+    def test_one_pool_for_the_whole_grid(self, pool_sizes, monkeypatch, split_small_searches):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         grid = ([3, 5], [1, 2], 7)
         assert verify_theorem_claims(*grid, workers=2) == verify_theorem_claims(*grid)
         assert pool_sizes == [2]
 
     @pytest.mark.parametrize("cores", [1, None])
-    def test_no_pool_on_one_core(self, pool_sizes, monkeypatch, cores):
+    def test_no_pool_on_one_core(self, pool_sizes, monkeypatch, cores, split_small_searches):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         grid = ([3, 5], [1, 2], 7)
         assert verify_theorem_claims(*grid, workers=4) == verify_theorem_claims(*grid)
         assert pool_sizes == []
 
-    def test_repeated_cases_stay_separate(self):
+    def test_repeated_cases_stay_separate(self, split_small_searches):
         cases = verify_theorem_claims([5, 5], [1, 1], 9, workers=2)
         assert len(cases) == 4
         assert cases == verify_theorem_claims([5, 5], [1, 1], 9, workers=1)
