@@ -139,9 +139,12 @@ def _admissible_sums(spec: SearchSpec) -> List[int]:
 def _search_chunk(args: Tuple[SearchSpec, Sequence[int]]) -> List[Tuple[int, int, int]]:
     """Raw solutions with a + c in ``sums`` and a = max(|a|, |c|).
 
-    Every primitive solution has such an orientation with an admissible
-    sum s = a + c > 0 (module docstring), so scanning a over
-    ceil(s/2)..H, c = s - a, for each admissible s finds all of them.
+    Every primitive solution has such an orientation, and its sum
+    s = a + c > 0 is admissible: s * Phi = -L^alpha b^p with
+    Phi = (a^p + c^p)/s = p a^(p-1) mod s, so a prime q outside {L, p}
+    dividing both s and Phi would divide a, c and b; hence ord_q(s) is a
+    multiple of p (module docstring).  Scanning a over ceil(s/2)..H,
+    c = s - a, for each admissible s therefore finds all of them.
     ``powers[x + H]`` is x^p; a key of ``targets`` is -L^alpha b^p, so a
     hit has 0 < |b| <= H, and a >= |c| keeps |c| <= H.  Imprimitive hits
     are dropped here and, when the spec allows them, come back as the
@@ -345,7 +348,7 @@ def _square_progressions(k: int, height: int) -> List[Tuple[int, ...]]:
     for coprime m > n > 0 of opposite parity; x3 = u + v <= H bounds all
     three.
     """
-    squares = {x * x: x for x in range(1, height + 1)}
+    squares = {x * x: x for x in range(1, height + 1)} if k == 4 else {}
     results: List[Tuple[int, ...]] = []
     m = 2
     while m * m + 2 * m - 1 <= height:  # the leg sum at n = 1, the least for this m
