@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 __all__ = [
     "DEFAULT_FACTOR_BOUND",
@@ -27,8 +27,24 @@ __all__ = [
     "valuation",
 ]
 
-#: Default ceiling for trial-division factorization.
+#: Default ``bound`` of ``factorize``: the prime factors up to it are
+#: always found, and what lies above it must be one certified prime.
 DEFAULT_FACTOR_BOUND = 10**6
+
+#: Brent's rho takes at most this many steps times isqrt(bound) per
+#: constant c before a piece goes to trial division up to the bound.
+#: Measured at the default bound (2-core x86_64, Python 3.11.7): on the
+#: 320 Frey discriminants of the curve-batch benchmark's seeds 0-19, rho
+#: leaves 9 pieces to trial division at 2 and none at 4 or 8; 9 times two
+#: 30-digit primes, which rho cannot split, takes 0.115 s at 4, 0.120 s
+#: at 8 and 0.134 s at 16, against 0.117 s by trial division alone.
+RHO_STEPS_PER_ROOT = 8
+
+#: Trial division runs to this bound (or ``bound``) before rho starts.
+_TRIAL_TO = 1000
+
+#: Rho steps between two gcds.
+_RHO_BATCH = 64
 
 #: Miller-Rabin with the witnesses 2..41 is deterministic below this bound
 #: (Sorenson & Webster).  Larger inputs are rejected, never guessed at.
@@ -56,7 +72,7 @@ _MR_PLAN = (
 
 
 class FactorizationError(ValueError):
-    """Trial division hit its bound while a composite cofactor remained."""
+    """The prime powers above the factor bound are not one certified prime."""
 
 
 def is_prime(n: int) -> bool:
@@ -154,12 +170,16 @@ def primes_up_to(n: int) -> List[int]:
 
 
 def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Dict[int, int]:
-    """Prime factorization of |n| by trial division up to ``bound``.
+    """Prime factorization of |n|, as {prime: exponent} in ascending order.
 
-    A cofactor that survives trial division is kept only when it is
-    certifiably prime (below the square of the last trial divisor, or
-    passing the deterministic primality test); otherwise a
-    FactorizationError is raised.  The result is never silently wrong.
+    Every prime factor up to ``bound`` is found.  Let R be the product of
+    the prime powers above it: the factorization is accepted when R is 1,
+    below the square of the least odd number above ``bound``, or a prime
+    that ``is_prime`` certifies; otherwise a FactorizationError says why.
+    This is exactly the answer of trial division up to ``bound``, but it
+    is reached by trial division to 1000 and Brent's rho, and trial
+    division past 1000 runs only on a piece rho cannot split.  The result
+    is never silently wrong.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -171,32 +191,102 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Dict[int, int]:
     if e2 > 0:
         factors[2] = e2
         n >>= e2
-    f = 3
-    while f <= bound and f * f <= n:
+    n, f = _trial_divide(n, 3, min(bound, _TRIAL_TO), factors, 1)
+    if f * f > n:
+        if n > 1:
+            factors[n] = 1
+        return factors
+    square = ((bound + 1) | 1) ** 2  # the least odd number above bound, squared
+    too_large = max(square, MILLER_RABIN_BOUND)
+    steps = RHO_STEPS_PER_ROOT * math.isqrt(bound)
+    # rest: the prime powers above bound, multiplied; (q, e): q**e divides n.
+    # After trial division past bound, n is all of rest.
+    rest, pieces = (n, []) if f > bound else (1, [(n, 1)])
+    # A piece's prime factors are all >= f, so a piece below f*f is prime.
+    # Once rest reaches too_large, no piece left can change the answer.
+    while pieces and rest < too_large:
+        q, e = pieces.pop()
+        if not (q < f * f or (q < MILLER_RABIN_BOUND and is_prime(q))):
+            # A Frey discriminant 16(ABC)^2 is a square: split it once.
+            root = math.isqrt(q)
+            if root * root == q:
+                pieces.append((root, 2 * e))
+                continue
+            d = _rho_divisor(q, steps)
+            if d:
+                pieces += ((d, e), (q // d, e))
+                continue
+            q = _trial_divide(q, f, bound, factors, e)[0]
+        # q is now 1, a prime, or has no prime factor <= bound.
+        if 1 < q <= bound:
+            factors[q] = factors.get(q, 0) + e
+        else:
+            rest *= q**e
+    if rest >= square:
+        if rest >= MILLER_RABIN_BOUND:
+            raise FactorizationError(
+                "factorization bound exceeded (cofactor too large to certify)"
+            )
+        if not is_prime(rest):
+            raise FactorizationError(
+                "factorization bound exceeded (composite cofactor %d)" % rest
+            )
+    if rest > 1:
+        factors[rest] = 1
+    return dict(sorted(factors.items()))
+
+
+def _trial_divide(
+    n: int, f: int, stop: int, factors: Dict[int, int], times: int
+) -> Tuple[int, int]:
+    """Divide the odd n by f, f + 2, ... while f <= stop and f*f <= n.
+
+    Adds the divisors of n**times found to ``factors`` and returns what is
+    left of n and the next divisor; n's prime factors are all >= it.
+    """
+    while f <= stop and f * f <= n:
         if n % f == 0:
             e = 0
             while n % f == 0:
                 n //= f
                 e += 1
-            factors[f] = e
+            factors[f] = factors.get(f, 0) + e * times
         f += 2
-    if n > 1:
-        if f * f > n:
-            factors[n] = 1
-        else:
-            try:
-                cofactor_is_prime = is_prime(n)
-            except ValueError as exc:
-                raise FactorizationError(
-                    "factorization bound exceeded (cofactor too large to certify)"
-                ) from exc
-            if cofactor_is_prime:
-                factors[n] = 1
-            else:
-                raise FactorizationError(
-                    "factorization bound exceeded (composite cofactor %d)" % n
-                )
-    return factors
+    return n, f
+
+
+def _rho_divisor(n: int, steps: int) -> int:
+    """A divisor 1 < d < n of the odd composite n, or 0 if none was found.
+
+    Brent's cycle-finding rho on x -> x^2 + c for c = 1, 3, 5 (Brent,
+    BIT 20, 1980), multiplying the differences ``_RHO_BATCH`` at a time
+    before each gcd, with at most ``steps`` steps per c.
+    """
+    for c in (1, 3, 5):
+        y, r, q, g, left = 2, 1, 1, 1, steps
+        while g == 1 and 2 * r <= left:
+            left -= 2 * r
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            # The batch overshot: step again from its start, one gcd a step.
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if 1 < g < n:
+            return g
+    return 0
 
 
 def iroot(n: int, k: int) -> int:

@@ -157,8 +157,8 @@ def build_parser() -> _Parser:
         "--factor-bound",
         type=_int_at_least(2, "an integer >= 2"),
         default=DEFAULT_FACTOR_BOUND,
-        help="trial-division bound for conductor factorizations "
-        "(default: %(default)s)",
+        help="a conductor factorization is accepted only if its part above "
+        "this bound is one certified prime (default: %(default)s)",
     )
 
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

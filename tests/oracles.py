@@ -7,11 +7,16 @@ substitution, full cubic-triple enumeration, per-candidate root
 extraction or one table lookup per row instead of the searches by
 admissible sum and by Pythagorean triple, explicit square-root
 counting or one Euler criterion per x instead of a quadratic-character
-table or Shanks-Mestre, the CM formulas of two curves, and the closed-form
-valuation table instead of the step-by-step
-reduction algorithm.  The test suite treats agreement between the two routes as
-the acceptance evidence, so nothing in this module may import from the
-package's computation paths beyond plain data containers.
+table or Shanks-Mestre, the CM formulas of two curves, the closed-form
+valuation table instead of the step-by-step reduction algorithm, and
+trial division instead of Pollard-Brent rho.  The test suite treats
+agreement between the two routes as the acceptance evidence, so nothing
+in this module may import from the package's computation paths beyond
+plain data containers.  The one exception is ``factorize_trial``: it
+certifies its last cofactor with ``arith.is_prime`` and raises
+``arith.FactorizationError``, as the package's factorization did before
+rho, so that the two are compared down to the exception; ``is_prime`` is
+checked on its own against a sieve and the least strong pseudoprimes.
 """
 
 from __future__ import annotations
@@ -519,6 +524,58 @@ def frey_conductor_oracle(
     for q in sorted(set(odd_primes)):
         radical *= q
     return t, (1 << t) * radical
+
+
+# ---------------------------------------------------------------------------
+# Factorization by trial division alone
+
+
+def factorize_trial(n: int, bound: int) -> Dict[int, int]:
+    """Prime factorization of |n| by trial division up to ``bound``.
+
+    ``arith.factorize`` must return the same dict, in the same key order,
+    or raise the same FactorizationError with the same message.  A
+    cofactor that survives trial division is kept only when it is below
+    the square of the next trial divisor or ``is_prime`` certifies it.
+    """
+    from freycheck.arith import FactorizationError, is_prime
+
+    if n == 0:
+        raise ValueError("cannot factor 0")
+    if bound < 2:
+        raise ValueError("factor bound must be >= 2")
+    n = abs(n)
+    factors: Dict[int, int] = {}
+    e2 = (n & -n).bit_length() - 1
+    if e2 > 0:
+        factors[2] = e2
+        n >>= e2
+    f = 3
+    while f <= bound and f * f <= n:
+        if n % f == 0:
+            e = 0
+            while n % f == 0:
+                n //= f
+                e += 1
+            factors[f] = e
+        f += 2
+    if n > 1:
+        if f * f > n:
+            factors[n] = 1
+        else:
+            try:
+                cofactor_is_prime = is_prime(n)
+            except ValueError as exc:
+                raise FactorizationError(
+                    "factorization bound exceeded (cofactor too large to certify)"
+                ) from exc
+            if cofactor_is_prime:
+                factors[n] = 1
+            else:
+                raise FactorizationError(
+                    "factorization bound exceeded (composite cofactor %d)" % n
+                )
+    return factors
 
 
 def naive_odd_prime_factors(n: int) -> List[int]:

@@ -2,10 +2,12 @@
 
 import math
 import os
+import random
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from freycheck import arith
 from freycheck.arith import (
     DEFAULT_FACTOR_BOUND,
     MILLER_RABIN_BOUND,
@@ -22,6 +24,7 @@ from freycheck.arith import (
 )
 from freycheck.denes import wieferich_test
 from freycheck.frey import MonomialTriple, normalize
+from oracles import factorize_trial
 
 nonzero_ints = st.integers(min_value=-(10**6), max_value=10**6).filter(lambda n: n != 0)
 
@@ -306,6 +309,137 @@ class TestFactorize:
         # last trial divisor's square, but it is composite -> loud failure.
         with pytest.raises(FactorizationError):
             factorize(101 * 103 * 107 * 109, bound=10)
+
+
+def _outcome(fn, n, bound):
+    """What fn(n, bound) gives: its items in order, or its exception."""
+    try:
+        return list(fn(n, bound).items())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_matches_trial_division(cases):
+    for n, bound in cases:
+        assert _outcome(factorize, n, bound) == _outcome(factorize_trial, n, bound), (
+            n,
+            bound,
+        )
+
+
+#: Primes just above and just below 10^6, the default factor bound.
+ABOVE_10_6 = (1000003, 1050011, 1120001, 1200007, 1300021, 1400017, 1450019)
+BELOW_10_6 = (999983, 979987, 959969, 939997, 919979, 904999)
+#: Mersenne primes above MILLER_RABIN_BOUND.
+M89, M107 = 2**89 - 1, 2**107 - 1
+
+
+def _frey_discriminants():
+    """48 discriminants 16(ABC)^2 of Frey curves y^2 = x(x - A)(x + B),
+    C = -A - B, shaped like the conductor calls of the curve-batch
+    benchmark: in each of three rounds, 2 where A is a multiple of a prime
+    just above 10^6, 4 where it is a multiple of one just below, and 10
+    where every prime of ABC is below 10^6."""
+    rng = random.Random(20)
+
+    def largest_prime(x):
+        return max(factorize_trial(x, math.isqrt(abs(x)) + 1), default=1)
+
+    discs = []
+    for _ in range(3):
+        tops = rng.sample(ABOVE_10_6, 2) + rng.sample(BELOW_10_6, 4) + [0] * 10
+        for top in tops:
+            while True:
+                if top:
+                    A = top * rng.randrange(1, 2 * 10**9 // top) * rng.choice((1, -1))
+                else:
+                    A = rng.randrange(-(10**9), 10**9)
+                B = 2 * rng.randrange(1, 10**9 // 2) * rng.choice((1, -1))
+                C = -A - B
+                if A % 4 != 3 or C == 0 or math.gcd(A, B) != 1:
+                    continue
+                if all(largest_prime(x) < 10**6 for x in (A // (top or 1), B, C)):
+                    discs.append(16 * (A * B * C) ** 2)
+                    break
+    return discs
+
+
+class TestFactorizeMatchesTrialDivision:
+    """factorize against tests/oracles.py's factorize_trial: the same items
+    in the same order, or the same exception with the same message."""
+
+    BOUNDS = (2, 3, 10, 11, 100, 101, 997, 1000, 1001, 5000, 20000)
+
+    def test_random_products_of_small_primes(self):
+        rng = random.Random(12)
+        primes = primes_up_to(20000)
+        cases = []
+        for _ in range(3000):
+            n = rng.choice((1, -1)) << rng.randint(0, 5)
+            for _ in range(rng.randint(1, 5)):
+                n *= rng.choice(primes) ** rng.randint(1, 3)
+            cases.append((n, rng.choice(self.BOUNDS)))
+        _assert_matches_trial_division(cases)
+
+    def test_units_powers_of_two_and_invalid_input(self):
+        cases = [(n, b) for n in (1, -1, 2, -2, 2**64, -(2**200)) for b in self.BOUNDS]
+        cases += [(0, 10), (0, 10**6), (12, 1), (12, 0), (12, -5)]
+        _assert_matches_trial_division(cases)
+
+    def test_primes_just_above_and_below_the_bound(self):
+        cases = []
+        for bound in (1000, 1009, 1013, 10**4):
+            near = [p for p in range(bound - 60, bound + 60) if is_prime(p)]
+            for p in near:
+                for q in near:
+                    cases += [(p * q, bound), (9 * p * p * q, bound)]
+                cases += [(p, bound), (p * p, bound), (p**3, bound)]
+        # Each of these costs trial division to 10^6 in the oracle.
+        cases += [(p**k, 10**6) for p in (999983, 1000003) for k in (1, 2, 3)]
+        cases += [(p * q, 10**6) for p in ABOVE_10_6[:3] for q in ABOVE_10_6[:3]]
+        cases += [(p * q * q, 10**6) for p in BELOW_10_6[:3] for q in ABOVE_10_6[:2]]
+        # 1093^2 and 3511^2 pass Fermat's test to base 2.
+        cases += [(1093**2, b) for b in (1000, 1093, 1100)]
+        cases += [(3511**2 * 1093, b) for b in (2000, 4000)]
+        _assert_matches_trial_division(cases)
+
+    def test_cofactors_at_and_beyond_the_certification_bound(self):
+        below = next(n for n in range(MILLER_RABIN_BOUND - 2, 0, -2) if is_prime(n))
+        cases = [(m * k, 10**4) for m in (below, M89) for k in (1, 3, 1009, 2**5 * 999983)]
+        cases += [(M89 * M107, 5000), (M89**2, 5000), (M89 * 1009 * 1013, 1013)]
+        # MILLER_RABIN_BOUND itself is a strong pseudoprime to 13 bases.
+        cases += [(MILLER_RABIN_BOUND * k, 10**4) for k in (1, 9, 1009)]
+        cases += [(below * 2**3, 10**6), (3 * M89, 10**6)]
+        _assert_matches_trial_division(cases)
+
+    def test_frey_discriminants(self):
+        assert all(is_prime(p) for p in ABOVE_10_6 + BELOW_10_6)
+        _assert_matches_trial_division((d, DEFAULT_FACTOR_BOUND) for d in _frey_discriminants())
+
+    def test_trial_division_alone_gives_the_same_answers(self, monkeypatch):
+        # No rho steps: every piece past 1000 goes to trial division.
+        monkeypatch.setattr(arith, "RHO_STEPS_PER_ROOT", 0)
+        rng = random.Random(13)
+        primes = primes_up_to(20000)
+        cases = []
+        for _ in range(300):
+            n = 1
+            for _ in range(rng.randint(1, 4)):
+                n *= rng.choice(primes) ** rng.randint(1, 2)
+            cases.append((n, rng.choice((1001, 5000, 20000))))
+        _assert_matches_trial_division(cases)
+
+    def test_agrees_with_sympy_on_smooth_numbers(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(14)
+        for _ in range(20):
+            n = rng.choice((1, -1))
+            digits = rng.randint(40, 60)
+            while len(str(abs(n))) < digits:
+                n *= sympy.prevprime(rng.randrange(3, 10**6 + 1))
+            expected = {p: e for p, e in sympy.factorint(abs(n)).items()}
+            result = factorize(n)
+            assert result == expected and list(result) == sorted(expected)
 
 
 class TestRoots:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import freycheck.cli as cli
+import freycheck.denes as denes_mod
 import freycheck.search as search_mod
 from freycheck import __version__
 from freycheck.cli import jsonable
@@ -100,6 +101,19 @@ class TestExitCodes:
             "1000",
         )
         assert code == 2 and "factorization bound exceeded" in err
+
+    def test_domain_error_discriminant_beyond_certification(self, capsys):
+        # Delta = -2^6 * 157 * 3779 * R, R = 4675926601 * 16273230731 *
+        # 149515342841813843: R is above MILLER_RABIN_BOUND, so no answer
+        # is given, however the primes below the bound are found.
+        code, out, err = run_cli(
+            capsys, "conductor", "--model", "0,0,0,-1,%d" % 10**21
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "freycheck conductor: error: factorization bound exceeded "
+            "(cofactor too large to certify)\n"
+        )
 
     def test_usage_error_factor_bound_below_2(self, capsys):
         code, out, err = run_cli(
@@ -511,8 +525,9 @@ class TestDeterminism:
         ids=["search", "denes", "verify", "search-uneven", "verify-uneven"],
     )
     def test_worker_count_does_not_change_output(self, capsys, monkeypatch, args):
-        # These searches are small enough to skip the pool; split them anyway.
+        # These runs are small enough to skip the pool; split them anyway.
         monkeypatch.setattr(search_mod, "POOL_MIN_LOOKUPS", 0)
+        monkeypatch.setattr(denes_mod, "POOL_MIN_PRIME_SUM", 0)
         lone = run_cli(capsys, *args, "--workers", "1")
         for workers in ("2", "3", "4"):
             assert run_cli(capsys, *args, "--workers", workers) == lone, workers

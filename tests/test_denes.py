@@ -12,6 +12,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import freycheck.denes as denes_mod
 from freycheck.arith import mult_order, primes_up_to
 from freycheck.cli import jsonable
 from freycheck.denes import (
@@ -203,10 +204,29 @@ class TestDenesScan:
     def test_scan_below_range_is_empty(self):
         assert denes_scan(4) == []
 
-    def test_parallel_matches_sequential(self):
+    @pytest.fixture
+    def split_small_scans(self, monkeypatch):
+        """Let scans far below ``POOL_MIN_PRIME_SUM`` use a pool, so pool
+        sizing can be tested on them."""
+        monkeypatch.setattr(denes_mod, "POOL_MIN_PRIME_SUM", 0)
+
+    def test_parallel_matches_sequential(self, split_small_scans):
         assert denes_scan(120, workers=4) == denes_scan(120, workers=1)
 
-    def test_pool_bounded_by_primes_and_cores(self, pool_sizes, monkeypatch):
+    def test_pool_starts_at_the_prime_sum_threshold(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        prime_sum = sum(p for p in primes_up_to(120) if p >= 5)
+        assert prime_sum < denes_mod.POOL_MIN_PRIME_SUM
+        denes_scan(120, workers=2)
+        assert pool_sizes == []
+        monkeypatch.setattr(denes_mod, "POOL_MIN_PRIME_SUM", prime_sum + 1)
+        denes_scan(120, workers=2)
+        assert pool_sizes == []
+        monkeypatch.setattr(denes_mod, "POOL_MIN_PRIME_SUM", prime_sum)
+        denes_scan(120, workers=2)
+        assert pool_sizes == [2]
+
+    def test_pool_bounded_by_primes_and_cores(self, pool_sizes, monkeypatch, split_small_scans):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert denes_scan(120, workers=1000) == denes_scan(120)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -216,7 +236,7 @@ class TestDenesScan:
         assert pool_sizes == [3, 4]
 
     @pytest.mark.parametrize("cores", [1, None])
-    def test_no_pool_on_one_core(self, pool_sizes, monkeypatch, cores):
+    def test_no_pool_on_one_core(self, pool_sizes, monkeypatch, cores, split_small_scans):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         assert denes_scan(120, workers=4) == denes_scan(120)
         assert pool_sizes == []
