@@ -207,7 +207,8 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Dict[int, int]:
     while pieces and rest < too_large:
         q, e = pieces.pop()
         if not (q < f * f or (q < MILLER_RABIN_BOUND and is_prime(q))):
-            # A Frey discriminant 16(ABC)^2 is a square: split it once.
+            # What trial division leaves of a Frey discriminant 16(ABC)^2
+            # is a square: rho then runs on its root, once.
             root = math.isqrt(q)
             if root * root == q:
                 pieces.append((root, 2 * e))
@@ -256,7 +257,7 @@ def _trial_divide(
 
 
 def _rho_divisor(n: int, steps: int) -> int:
-    """A divisor 1 < d < n of the odd composite n, or 0 if none was found.
+    """A divisor 1 < d < n of the odd n > 1, or 0 if none was found.
 
     Brent's cycle-finding rho on x -> x^2 + c for c = 1, 3, 5 (Brent,
     BIT 20, 1980), multiplying the differences ``_RHO_BATCH`` at a time
