@@ -14,6 +14,8 @@ import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import freycheck.cli as cli
+import freycheck.denes as denes_mod
+import freycheck.search as search_mod
 from freycheck.cli import jsonable
 from freycheck.denes import bernoulli_mod_p, denes_criterion, denes_scan
 from freycheck.frey import MonomialTriple, build_frey, frey_model, invariants, normalize
@@ -195,7 +197,11 @@ def test_criterion_7_trace_properties():
         assert elapsed < 30.0, "trace property sweep took %.2fs" % elapsed
 
 
-def test_criterion_8_cli_determinism():
+def test_criterion_8_cli_determinism(monkeypatch):
+    # The scans and searches below are small enough to skip the pool;
+    # split them anyway, so that --workers 4 really runs in a pool.
+    monkeypatch.setattr(search_mod, "POOL_MIN_LOOKUPS", 0)
+    monkeypatch.setattr(denes_mod, "POOL_MIN_PRIME_SUM", 0)
     with criterion(8, "byte-identical CLI output across repeat runs and worker counts 1/4"):
         invocations = [
             ("conductor", "--model", "0,0,0,-1,0"),
