@@ -14,9 +14,9 @@ agreement between the two routes as the acceptance evidence, so nothing
 in this module may import from the package's computation paths beyond
 plain data containers.  The one exception is ``factorize_trial``: it
 certifies its last cofactor with ``arith.is_prime`` and raises
-``arith.FactorizationError``, as the package's factorization did before
-rho, so that the two are compared down to the exception; ``is_prime`` is
-checked on its own against a sieve and the least strong pseudoprimes.
+``arith.FactorizationError``, so that it and ``arith.factorize`` are
+compared down to the exception; ``is_prime`` is checked on its own
+against a sieve and the least strong pseudoprimes.
 """
 
 from __future__ import annotations
