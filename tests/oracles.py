@@ -1,8 +1,9 @@
 """Independent test oracles.
 
 Everything here recomputes quantities the package produces, but by a
-different route: exact rationals or an O(p^2) recurrence instead of
-power-series inversion mod p, schoolbook products instead of Kronecker
+different route: exact rationals, an O(p^2) recurrence or Newton's
+power-series inversion instead of Voronoi's congruence and one
+correlation per prime, schoolbook products instead of Kronecker
 substitution, full cubic-triple enumeration, per-candidate root
 extraction or one table lookup per row instead of the searches by
 admissible sum and by Pythagorean triple, explicit square-root
@@ -78,7 +79,7 @@ def bernoulli_mod_p_recurrence(p: int) -> Dict[int, int]:
     sum(C(m+1, j) * B_j, j = 0..m) = 0 solved for B_m one index at a
     time, with the denominators m + 1 <= p - 2 inverted mod p.  O(p^2)
     field operations: the package's kernel before it moved to power-series
-    inversion, kept as its reference.
+    inversion.
     """
     inv = [0, 1]
     for i in range(2, p):
@@ -97,6 +98,60 @@ def bernoulli_mod_p_recurrence(p: int) -> Dict[int, int]:
         b[m] = (-s) * inv[m + 1] % p
         out[m] = b[m]
     return out
+
+
+def _poly_mul_mod(a: List[int], b: List[int], p: int, n: int) -> List[int]:
+    """First n coefficients of a*b mod p, by Kronecker substitution.
+
+    Coefficients in [0, p) are packed into one int, one byte-aligned slot
+    each; a slot holds any product coefficient, a sum of at most
+    min(len(a), len(b)) terms below p^2, so no slot carries into the
+    next.  One big-int multiply then replaces the schoolbook double loop.
+    Each coefficient is packed and unpacked by its own ``to_bytes`` and
+    ``from_bytes``, unlike the package's strided-slice packer.
+    """
+    a, b = a[:n], b[:n]
+    width = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
+
+    def pack(coeffs: List[int]) -> int:
+        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+
+    size = min(n, len(a) + len(b) - 1)
+    raw = (pack(a) * pack(b)).to_bytes((len(a) + len(b) - 1) * width, "little")
+    return [int.from_bytes(raw[i : i + width], "little") % p for i in range(0, size * width, width)]
+
+
+def bernoulli_mod_p_newton(p: int) -> Dict[int, int]:
+    """B_k mod p for even 2 <= k <= p-3 by inverting a power series.
+
+    x/(e^x - 1) = sum B_k x^k/k!, so B_k/k! are the coefficients of the
+    inverse of f = (e^x - 1)/x = sum x^k/(k+1)! mod x^(p-2); over F_p
+    these need only (p-2)! and smaller factorials, all invertible.  The
+    inverse comes from Newton iteration g <- g*(2 - f*g), doubling the
+    precision each step: about 2 log2(p) products by ``_poly_mul_mod``.
+    The package's kernel before it moved to Voronoi's congruence and one
+    correlation per prime, kept as its reference.
+    """
+    n = p - 2
+    fact = [1] * (n + 1)
+    for k in range(1, n + 1):
+        fact[k] = fact[k - 1] * k % p
+    inv_fact = [1] * (n + 1)
+    inv_fact[n] = pow(fact[n], -1, p)
+    for k in range(n, 0, -1):
+        inv_fact[k - 1] = inv_fact[k] * k % p
+    f = inv_fact[1:]  # f_k = 1/(k+1)!
+    precisions = []  # n, ceil(n/2), ..., down to 2
+    m = n
+    while m > 1:
+        precisions.append(m)
+        m = (m + 1) // 2
+    g = [1]
+    for m in reversed(precisions):
+        t = [(-c) % p for c in _poly_mul_mod(f, g, p, m)]
+        t[0] = (t[0] + 2) % p
+        g = _poly_mul_mod(g, t, p, m)
+    return {k: g[k] * fact[k] % p for k in range(2, p - 2, 2)}
 
 
 def poly_mul_schoolbook(

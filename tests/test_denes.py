@@ -1,13 +1,17 @@
 """Regularity, order-of-2, and Wieferich criterion.
 
-The mod-p Bernoulli computation (power-series inversion) is validated
-against two oracles in tests/oracles.py: the exact-rational recurrence
-over Fraction values, reduced mod p at the end, and the O(p^2) binomial
-recurrence carried out in F_p.
+The mod-p Bernoulli computation (Voronoi's congruence as one correlation
+per prime) is validated against three oracles in tests/oracles.py: the
+exact-rational recurrence over Fraction values, reduced mod p at the
+end, the O(p^2) binomial recurrence carried out in F_p, and Newton's
+power-series inversion.  Its Kronecker packer is checked against the
+schoolbook product.
 """
 
 import json
 import os
+import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +21,9 @@ from freycheck.arith import mult_order, primes_up_to
 from freycheck.cli import jsonable
 from freycheck.denes import (
     DenesReport,
-    _poly_mul_mod,
+    _least_primitive_root,
+    _poly_mul,
+    _slot_width,
     bernoulli_mod_p,
     denes_criterion,
     denes_scan,
@@ -27,7 +33,9 @@ from freycheck.denes import (
 
 from oracles import (
     IRREGULAR_PRIMES_BELOW_300,
+    _poly_mul_mod,
     bernoulli_fractions,
+    bernoulli_mod_p_newton,
     bernoulli_mod_p_oracle,
     bernoulli_mod_p_recurrence,
     poly_mul_schoolbook,
@@ -59,6 +67,40 @@ class TestBernoulliModP:
     def test_agrees_with_recurrence_oracle(self):
         for p in [q for q in primes_up_to(1000) if q >= 5] + [1499, 3001]:
             assert bernoulli_mod_p(p) == bernoulli_mod_p_recurrence(p), p
+
+    def test_agrees_with_newton_oracle(self):
+        for p in [q for q in primes_up_to(2000) if q >= 5] + [4999, 9973, 20011]:
+            assert bernoulli_mod_p(p) == bernoulli_mod_p_newton(p), p
+
+    def test_shortest_correlations(self):
+        # h = (p - 1)/2 = 2 and 3: one and two indices, a negacyclic and a
+        # cyclic correlation.
+        bern = bernoulli_fractions(4)
+        for p in (5, 7):
+            expected = bernoulli_mod_p_oracle(p, bern)
+            assert bernoulli_mod_p(p) == expected
+            assert bernoulli_mod_p_newton(p) == bernoulli_mod_p_recurrence(p) == expected
+
+    def test_large_least_primitive_roots(self):
+        # Voronoi's congruence is used with c = g; a large g widens the
+        # range of v_i = 2 floor(g r / p) - g + 1.
+        bern = bernoulli_fractions(188)
+        for p, g in ((191, 19), (409, 21), (2161, 23), (5881, 31)):
+            assert _least_primitive_root(p) == g
+            residues = bernoulli_mod_p(p)
+            assert residues == bernoulli_mod_p_newton(p), p
+            if p < 3000:
+                assert residues == bernoulli_mod_p_recurrence(p), p
+            if p < 300:
+                assert residues == bernoulli_mod_p_oracle(p, bern), p
+
+    def test_irregular_anchors_against_every_oracle(self):
+        bern = bernoulli_fractions(154)
+        for p, indices in ((37, [32]), (59, [44]), (67, [58]), (157, [62, 110])):
+            residues = bernoulli_mod_p(p)
+            assert sorted(k for k, v in residues.items() if v == 0) == indices
+            assert residues == bernoulli_mod_p_newton(p) == bernoulli_mod_p_recurrence(p)
+            assert residues == bernoulli_mod_p_oracle(p, bern)
 
     def test_oracle_spot_values(self):
         # The oracle itself is anchored on textbook rationals.
@@ -96,6 +138,61 @@ class TestPolyMulMod:
         a, b = data.draw(coeffs), data.draw(coeffs)
         n = data.draw(st.integers(min_value=1, max_value=len(a) + len(b) + 2))
         assert _poly_mul_mod(a, b, p, n) == poly_mul_schoolbook(a, b, p, n)
+
+
+def _check_poly_mul(a, b, p):
+    n = len(a) + len(b) - 1
+    assert [c % p for c in _poly_mul(a, b, p)] == poly_mul_schoolbook(a, b, p, n), (p, len(a), len(b))
+
+
+class TestKroneckerPacking:
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
+    def test_maximal_residues_at_a_byte_boundary(self, width):
+        # All residues p - 1 make the middle coefficients of a*a reach the
+        # slot bound len * (p - 1)^2.  ``length`` is the longest whose
+        # bound fits ``width`` bytes, and one more needs the next byte.
+        # Slots wider than 8 bytes are read in 64-bit limbs, so widths 9,
+        # 10, 16 and 17 take two or three limbs.
+        p = isqrt((256**width - 1) // 40) + 1
+        length = (256**width - 1) // (p - 1) ** 2
+        assert _slot_width(length, p) == width
+        assert _slot_width(length + 1, p) == width + 1
+        for n in (length, length + 1):
+            top = [p - 1] * n
+            _check_poly_mul(top, top, p)
+            _check_poly_mul(top, [p - 1] * (2 * n + 3), p)
+        rng = random.Random(width)
+        for _ in range(5):
+            a = [rng.randrange(p) for _ in range(rng.randint(1, 40))]
+            b = [rng.randrange(p) for _ in range(rng.randint(1, 40))]
+            _check_poly_mul(a, b, p)
+
+    def test_largest_residues(self):
+        p = 2**64
+        for length in (1, 2, 3, 31):
+            _check_poly_mul([p - 1] * length, [p - 1] * length, p)
+
+    def test_bernoulli_slots_pass_eight_bytes_near_3_3_million(self):
+        # The kernel multiplies two lists of h = (p - 1)/2 residues.  Its
+        # slots outgrow one 64-bit word just above p = 3.3 million, where
+        # the same packer goes on in limbs.
+        def width(p):
+            return _slot_width((p - 1) // 2, p)
+
+        assert width(3_300_000) == 8
+        assert width(3_330_000) == 9
+
+    def test_empty_high_limb_bytes(self):
+        # Residues below 2^8 in 9-byte slots: the high limb is all zeros.
+        a = [255] * 40
+        _check_poly_mul(a, a, 2**33)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_schoolbook(self, data):
+        p = data.draw(st.sampled_from([2, 5, 7, 127, 251, 257, 8191, 65521, 2**32 + 15, 2**61 - 1]))
+        coeffs = st.lists(st.integers(min_value=0, max_value=p - 1), min_size=1, max_size=80)
+        _check_poly_mul(data.draw(coeffs), data.draw(coeffs), p)
 
 
 class TestIsRegular:
