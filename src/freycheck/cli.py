@@ -17,6 +17,7 @@ human layout carries no compatibility promise.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import re
 import sys
@@ -540,4 +541,10 @@ def _log_error(message: str, *args: object) -> None:
 def entry() -> None:
     global _LOG_FORMAT
     _LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
+    # The objects made by start-up and imports live until exit, and the
+    # interpreter's last collection at shutdown walks them all: about 10 ms
+    # of a 140 ms ``conductor`` call (2-core x86_64, Python 3.11.7).  Frozen,
+    # they are skipped by every collection; collection stays enabled for
+    # what ``main`` allocates.
+    gc.freeze()
     sys.exit(main())

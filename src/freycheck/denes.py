@@ -21,13 +21,20 @@ Buhler, Crandall, Ernvall, Metsankyla and Shokrollahi (J. Symb. Comput.
 31, 2001) and Hart, Harvey and Ong (Math. Comp. 86, 2017) do; the
 product is one big-int multiply by Kronecker substitution, and memory
 is O(p).  Its docstring gives the identities.
+
+Regularity asks only whether some B_2t vanishes, and B_2t is the folded
+sum of that product times 2t g^(2t-1) g^(-t(t-1)) / (g^(2t) - 1), a unit
+mod p because 2t < p.  So ``is_regular`` and ``denes_criterion`` read the
+irregular indices from the zeros of the folded sums: no logarithm table
+and no multiply per index (Buhler et al., ibid.).
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from typing import Dict, List, NamedTuple, Sequence
+from operator import add, sub
+from typing import Dict, Iterator, List, NamedTuple, Sequence
 
 from .arith import factorize, is_prime, mult_order, ordered_map, primes_up_to, process_count
 
@@ -42,11 +49,13 @@ __all__ = [
 
 #: Below this sum of the primes scanned, a scan runs in this process
 #: whatever ``workers`` says.  A prime's cost grows about linearly with
-#: it, and a pool of two starts paying for itself between p_max = 2200
-#: (sum 327,193) and 2800 (sum 527,243), and wins every run from 3000
-#: (sum 593,818): medians of 9 interleaved CLI runs with ``--workers 2``
-#: against in-process, on 2-core x86_64, Python 3.11.7.
-POOL_MIN_PRIME_SUM = 450_000
+#: it.  A pool of two ties at p_max = 2600 (sum 448,864) and 3000 (sum
+#: 593,818; it won 4 and 7 of 9 runs in two rounds), wins 7 or 8 of 9
+#: from 3200 (sum 661,922) and every run from 3500 (sum 785,757): medians
+#: of 9 interleaved CLI runs with ``--workers 2`` against in-process, on
+#: 2-core x86_64, Python 3.11.7.  The bound sits between the last tie and
+#: the first steady win, about ``--scan 2850``.
+POOL_MIN_PRIME_SUM = 550_000
 
 #: array("Q") words are in the host's byte order; slots are little-endian.
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -121,6 +130,40 @@ def _least_primitive_root(p: int) -> int:
     return g
 
 
+def _powers(g: int, p: int) -> List[int]:
+    """[g^0, g^1, ..., g^(p-2)] mod p, by doubling.
+
+    Each step multiplies the whole table so far by the next power of g,
+    one list comprehension, and the last step is cut at g^(p-2): about
+    log2(p) comprehensions instead of p - 2 serial steps.
+    """
+    n = p - 1
+    power = [1]
+    step = g  # g^len(power)
+    while len(power) < n:
+        power += [step * x % p for x in power[: n - len(power)]]
+        step = step * step % p
+    return power
+
+
+def _voronoi_sums(p: int) -> "tuple[List[int], Iterator[int]]":
+    """(powers of g, folded sums) for Voronoi's congruence at p.
+
+    g is the least primitive root mod p and ``power[e] = g^e``.  The t-th
+    folded sum (t = 1 .. h - 1, h = (p - 1)/2) is the correlation
+    sum_{i<h} a_i b_(i+t) of ``bernoulli_mod_p``'s docstring, an exact
+    integer not reduced mod p; it is g^(t(t-1)) S_2t mod p.
+    """
+    _require_criterion_prime(p)
+    g = _least_primitive_root(p)
+    n, h = p - 1, (p - 1) // 2
+    power = _powers(g, p)
+    a = [(2 * (g * r // p) - g + 1) * power[-i * i % n] % p for i, r in enumerate(power[:h])]
+    b = [power[j * (j - 1) % n] for j in range(h)]
+    prod = _poly_mul(a[::-1], b, p)
+    return power, map(add if h % 2 else sub, prod[h:], prod)
+
+
 def bernoulli_mod_p(p: int) -> Dict[int, int]:
     """Residues of B_k mod p for even 2 <= k <= p - 3 (B_1 = -1/2 convention).
 
@@ -151,31 +194,25 @@ def bernoulli_mod_p(p: int) -> Dict[int, int]:
     the inverse read from a table of discrete logarithms.  Besides the
     product, O(p) operations on small ints and O(p) memory.
     """
-    _require_criterion_prime(p)
-    g = _least_primitive_root(p)
-    n, h = p - 1, (p - 1) // 2
-    power = [1] * n  # power[e] = g^e
-    log = [0] * p  # log[g^e] = e
-    x = 1
-    for e in range(1, n):
-        x = x * g % p
-        power[e] = x
-        log[x] = e
-    a = [(2 * (g * r // p) - g + 1) * power[-i * i % n] % p for i, r in enumerate(power[:h])]
-    b = [power[j * (j - 1) % n] for j in range(h)]
-    prod = _poly_mul(a[::-1], b, p)
-    sign = 1 if h % 2 else -1
+    power, sums = _voronoi_sums(p)
+    n = p - 1
+    log = dict(zip(power, range(n)))  # log[g^e] = e
     # The power is g^(2t-1) g^(-t(t-1)) / (g^(2t) - 1).
     return {
-        2 * t: 2 * t * (hi + sign * lo) * power[(3 * t - 1 - t * t - log[power[2 * t] - 1]) % n] % p
-        for t, lo, hi in zip(range(1, h), prod, prod[h:])
+        2 * t: 2 * t * s * power[(3 * t - 1 - t * t - log[power[2 * t] - 1]) % n] % p
+        for t, s in enumerate(sums, 1)
     }
 
 
 def is_regular(p: int) -> "tuple[bool, List[int]]":
-    """(regularity of p, ascending list of even k <= p - 3 with B_k = 0 mod p)."""
-    residues = bernoulli_mod_p(p)
-    irregular = sorted(k for k, v in residues.items() if v == 0)
+    """(regularity of p, ascending list of even k <= p - 3 with B_k = 0 mod p).
+
+    B_2t = 2t g^(2t-1) g^(-t(t-1)) / (g^(2t) - 1) times the folded sum of
+    ``_voronoi_sums``, and for 2t < p every factor but the sum is a unit
+    mod p.  So B_2t = 0 exactly when the folded sum is: no logarithm
+    table and no multiply per t.
+    """
+    irregular = [2 * t for t, s in enumerate(_voronoi_sums(p)[1], 1) if not s % p]
     return (not irregular), irregular
 
 

@@ -16,6 +16,7 @@ import freycheck.cli as cli
 import freycheck.denes as denes_mod
 import freycheck.search as search_mod
 from freycheck import __version__
+from freycheck.arith import primes_up_to
 from freycheck.cli import jsonable
 from freycheck.denes import denes_criterion
 from freycheck.frey import CurveInvariants, build_frey, invariants, normalize
@@ -627,6 +628,58 @@ def test_console_script_end_to_end():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["conductor"] == 32
     assert proc.stderr == ""
+
+
+def test_entry_freezes_the_import_time_heap():
+    # An atexit hook registered before entry() runs after main() returns.
+    code = (
+        "import atexit, gc, sys; import freycheck.cli as cli; "
+        "atexit.register(lambda: sys.stderr.write('%s %s' % (gc.get_freeze_count() > 0, gc.isenabled()))); "
+        "cli.entry()"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "conductor", "--model", "0,0,0,-1,0"],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["conductor"] == 32
+    assert proc.stderr == "True True"
+
+
+def test_frozen_heap_forks_a_real_pool():
+    # 593,818, the sum of the primes 5..3000, is above POOL_MIN_PRIME_SUM,
+    # so --workers 2 forks a pool after the freeze.
+    assert sum(p for p in primes_up_to(3000) if p >= 5) >= denes_mod.POOL_MIN_PRIME_SUM
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "freycheck", "denes", "--scan", "3000", "--workers", workers],
+            capture_output=True,
+            check=False,
+        )
+        for workers in ("1", "2")
+    ]
+    assert [(proc.returncode, proc.stderr) for proc in outputs] == [(0, b"")] * 2
+    assert outputs[0].stdout.count(b"\n") == 428
+    assert outputs[1].stdout == outputs[0].stdout
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (["denes", "--p", "7", "--scan", "10"], 1, "not allowed with argument"),
+        (["conductor", "--model", "0,0,0,-1,%d" % 10**21], 2, "factorization bound exceeded"),
+    ],
+    ids=["usage", "refusal"],
+)
+def test_module_exit_codes(args, code, message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "freycheck", *args], capture_output=True, text=True, check=False
+    )
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert message in proc.stderr
 
 
 def test_cli_import_loads_no_process_pool():

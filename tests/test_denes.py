@@ -5,7 +5,9 @@ per prime) is validated against three oracles in tests/oracles.py: the
 exact-rational recurrence over Fraction values, reduced mod p at the
 end, the O(p^2) binomial recurrence carried out in F_p, and Newton's
 power-series inversion.  Its Kronecker packer is checked against the
-schoolbook product.
+schoolbook product, and its table of powers against ``pow``.  The
+zeros of ``bernoulli_mod_p`` are the oracle of ``is_regular``, which
+reads them from the folded sums alone.
 """
 
 import json
@@ -23,6 +25,7 @@ from freycheck.denes import (
     DenesReport,
     _least_primitive_root,
     _poly_mul,
+    _powers,
     _slot_width,
     bernoulli_mod_p,
     denes_criterion,
@@ -195,6 +198,19 @@ class TestKroneckerPacking:
         _check_poly_mul(data.draw(coeffs), data.draw(coeffs), p)
 
 
+class TestPowers:
+    # Each doubling step ends at a power of two, so p - 1 = 4, 16, 256 and
+    # 65536 end on a full step and their neighbours on a cut one; p - 1 =
+    # 36, 100 and 400 are squares.
+    @pytest.mark.parametrize(
+        "p",
+        [5, 7, 13, 17, 19, 31, 37, 41, 97, 101, 103, 251, 257, 263, 397, 401, 409, 65521, 65537, 65539],
+    )
+    def test_matches_pow(self, p):
+        for g in {_least_primitive_root(p), 2, p - 1}:
+            assert _powers(g, p) == [pow(g, e, p) for e in range(p - 1)], (p, g)
+
+
 class TestIsRegular:
     def test_regular_examples(self):
         assert is_regular(5) == (True, [])
@@ -202,9 +218,21 @@ class TestIsRegular:
         assert is_regular(31) == (True, [])
 
     def test_irregular_anchors(self):
+        # h = (p - 1)/2 is even at 37, 157 and 617 (negacyclic) and odd at
+        # 59 and 491 (cyclic).
         assert is_regular(37) == (False, [32])
         assert is_regular(59) == (False, [44])
         assert is_regular(157) == (False, [62, 110])
+        assert is_regular(491) == (False, [292, 336, 338])
+        assert is_regular(617) == (False, [20, 174, 338])
+
+    def test_zeros_of_bernoulli_mod_p(self):
+        # p = 5 (h = 2) and p = 7 (h = 3) are the shortest correlations of
+        # each sign.
+        for p in [q for q in primes_up_to(2000) if q >= 5] + [4999, 9973, 20011]:
+            residues = bernoulli_mod_p(p)
+            zeros = sorted(k for k, v in residues.items() if v == 0)
+            assert is_regular(p) == (not zeros, zeros), p
 
     def test_full_table_below_300(self):
         for p in primes_up_to(300):
@@ -276,6 +304,24 @@ class TestDenesCriterion:
             assert (p - 1) % r.ord2 == 0
             assert r.ord2 == mult_order(2, p)
             assert r.is_regular == (not r.irregular_indices)
+
+    def test_matches_bernoulli_mod_p_and_mult_order(self):
+        for p in primes_up_to(3000):
+            if p < 5:
+                continue
+            irregular = sorted(k for k, v in bernoulli_mod_p(p).items() if v == 0)
+            ord2 = mult_order(2, p)
+            order_condition = ord2 % 2 == 0 or ord2 == (p - 1) // 2
+            wieferich = pow(2, p - 1, p * p) == 1
+            assert denes_criterion(p) == DenesReport(
+                p=p,
+                is_regular=not irregular,
+                irregular_indices=irregular,
+                ord2=ord2,
+                order_condition=order_condition,
+                wieferich_violation=wieferich,
+                criterion_holds=not irregular and order_condition and not wieferich,
+            ), p
 
     def test_report_roundtrip(self):
         report = denes_criterion(37)
