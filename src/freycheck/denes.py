@@ -22,19 +22,21 @@ Buhler, Crandall, Ernvall, Metsankyla and Shokrollahi (J. Symb. Comput.
 product is one big-int multiply by Kronecker substitution, and memory
 is O(p).  Its docstring gives the identities.
 
-Regularity asks only whether some B_2t vanishes, and B_2t is the folded
-sum of that product times 2t g^(2t-1) g^(-t(t-1)) / (g^(2t) - 1), a unit
-mod p because 2t < p.  So ``is_regular`` and ``denes_criterion`` read the
-irregular indices from the zeros of the folded sums: no logarithm table
-and no multiply per index (Buhler et al., ibid.).
+Regularity asks only whether some B_2t vanishes.  B_2t is the folded
+sum of that product times 2t g^(2t-1) g^(kt - t(t-1)) / (g^(2t) - 1),
+with g the primitive root and k = 0 or 1, and that factor is a unit mod
+p because 2t < p.  So ``is_regular`` and ``denes_criterion`` read the
+irregular indices from the folded sums that p divides: no logarithm
+table and no multiply per index (Buhler et al., ibid.), and the sums
+are tested in their packed form.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from operator import add, sub
-from typing import Dict, Iterator, List, NamedTuple, Sequence
+from math import isqrt
+from typing import Dict, List, NamedTuple, Sequence
 
 from .arith import factorize, is_prime, mult_order, ordered_map, primes_up_to, process_count
 
@@ -60,6 +62,9 @@ POOL_MIN_PRIME_SUM = 550_000
 #: array("Q") words are in the host's byte order; slots are little-endian.
 _BIG_ENDIAN = sys.byteorder == "big"
 
+#: The array type code whose items are exactly n bytes, n = 1, 2, 4, 8.
+_TYPECODE = {array(code).itemsize: code for code in "BHILQ"}
+
 
 class DenesReport(NamedTuple):
     p: int
@@ -83,11 +88,18 @@ def _slot_width(terms: int, p: int) -> int:
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
-    """Residues below 2^64 as one int, ``width`` little-endian bytes each
-    (bytes past the eighth stay zero)."""
-    words = array("Q", coeffs)
+    """Values below 2^(8 min(width, 8)) as one int, ``width`` little-endian
+    bytes each (bytes past the eighth stay zero).
+
+    A width that is an array item size is the array's own bytes; any
+    other goes through ``array("Q")`` words and one strided copy per byte.
+    """
+    code = _TYPECODE.get(width)
+    words = array(code or "Q", coeffs)
     if _BIG_ENDIAN:
         words.byteswap()
+    if code:
+        return int.from_bytes(words, "little")
     raw = words.tobytes()
     slots = bytearray(len(coeffs) * width)
     for k in range(min(width, 8)):
@@ -95,20 +107,14 @@ def _pack(coeffs: Sequence[int], width: int) -> int:
     return int.from_bytes(slots, "little")
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> Sequence[int]:
-    """Every coefficient of a*b, exactly, by Kronecker substitution.
+def _unpack(value: int, count: int, width: int) -> Sequence[int]:
+    """The ``count`` slots of ``width`` little-endian bytes in ``value``.
 
-    Needs 2 <= p <= 2^64 and coefficients in [0, p).  A product
-    coefficient is a sum of at most min(len(a), len(b)) terms below p^2,
-    so slots of ``_slot_width`` bytes never carry into each other, and
-    one big-int multiply replaces the double loop.  Packing and unpacking
-    are strided byte-slice copies between the slots and ``array("Q")``
-    words.  A slot wider than 8 bytes (p above about 3.3 million in the
-    Bernoulli kernel) is read in 64-bit limbs, most significant first.
+    Strided byte-slice copies fill ``array("Q")`` words; a slot wider than
+    8 bytes (p above about 3.3 million in the Bernoulli kernel) is read in
+    64-bit limbs, most significant first.
     """
-    width = _slot_width(min(len(a), len(b)), p)
-    count = len(a) + len(b) - 1
-    raw = (_pack(a, width) * _pack(b, width)).to_bytes(count * width, "little")
+    raw = value.to_bytes(count * width, "little")
     coeffs: Sequence[int] = []
     for base in reversed(range(0, width, 8)):
         limb = bytearray(count * 8)
@@ -121,6 +127,39 @@ def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> Sequence[int]:
     return coeffs
 
 
+def _divisible_slots(value: int, count: int, width: int, p: int) -> List[int]:
+    """Ascending indices of the slots among the ``count`` slots of ``width``
+    bytes in ``value`` that hold a multiple of the odd prime p.
+
+    With W = 8 * width and 0 <= x < 2^W, p divides x exactly when
+    x * p^(-1) mod 2^W <= (2^W - 1) // p (Granlund and Montgomery, PLDI
+    1994, section 9).  The even and the odd slots are tested in turn,
+    each with an empty slot above it, so one multiply by p^(-1) acts on
+    every slot at once; adding 2^W - 1 - (2^W - 1) // p then carries
+    into bit W of a slot exactly when p does not divide it.
+    """
+    bits = 8 * width
+    top = (1 << bits) - 1
+    pairs = (count + 1) // 2
+    low = int.from_bytes((b"\xff" * width + bytes(width)) * pairs, "little")
+    bias = int.from_bytes(((top - top // p).to_bytes(width, "little") + bytes(width)) * pairs, "little")
+    inverse = pow(p, -1, 1 << bits)
+    carries = [
+        ((((value >> bits * odd) & low) * inverse & low) + bias >> bits) & low for odd in (0, 1)
+    ]
+    if carries[0].bit_count() + carries[1].bit_count() == count:
+        return []
+    flags = bytearray(2 * pairs)  # 1 where the slot carried, 0 where p divides it
+    for odd, carry in enumerate(carries):
+        flags[odd::2] = carry.to_bytes(2 * width * pairs, "little")[:: 2 * width]
+    found = []
+    t = flags.find(0)
+    while 0 <= t < count:
+        found.append(t)
+        t = flags.find(0, t + 1)
+    return found
+
+
 def _least_primitive_root(p: int) -> int:
     """Least g whose order mod the prime p is p - 1."""
     primes = factorize(p - 1)
@@ -131,37 +170,56 @@ def _least_primitive_root(p: int) -> int:
 
 
 def _powers(g: int, p: int) -> List[int]:
-    """[g^0, g^1, ..., g^(p-2)] mod p, by doubling.
+    """[g^0, g^1, ..., g^(p-2)] mod p for a primitive root g.
 
-    Each step multiplies the whole table so far by the next power of g,
-    one list comprehension, and the last step is cut at g^(p-2): about
-    log2(p) comprehensions instead of p - 2 serial steps.
+    The first half is built in blocks of s = isqrt(p - 1): s - 1 serial
+    steps give the first block, and each later block is the first times
+    g^(js), one list comprehension.  Since g^((p-1)/2) = -1, the second
+    half is p minus the first.
     """
-    n = p - 1
-    power = [1]
-    step = g  # g^len(power)
-    while len(power) < n:
-        power += [step * x % p for x in power[: n - len(power)]]
-        step = step * step % p
-    return power
+    h = (p - 1) // 2
+    step = isqrt(p - 1)
+    block = [1] * step
+    for e in range(1, step):
+        block[e] = block[e - 1] * g % p
+    stride = block[-1] * g % p  # g^step
+    power = block[:]
+    shift = stride
+    for start in range(step, h, step):
+        power += [shift * x % p for x in block[: h - start]]
+        shift = shift * stride % p
+    return power + [p - x for x in power]
 
 
-def _voronoi_sums(p: int) -> "tuple[List[int], Iterator[int]]":
-    """(powers of g, folded sums) for Voronoi's congruence at p.
+def _voronoi_sums(p: int) -> "tuple[List[int], int, int, int]":
+    """(power, k, width, sums): Voronoi's sums at p as one packed int.
 
-    g is the least primitive root mod p and ``power[e] = g^e``.  The t-th
-    folded sum (t = 1 .. h - 1, h = (p - 1)/2) is the correlation
-    sum_{i<h} a_i b_(i+t) of ``bernoulli_mod_p``'s docstring, an exact
-    integer not reduced mod p; it is g^(t(t-1)) S_2t mod p.
+    g is the least primitive root mod p, ``power[e] = g^e`` and h = (p -
+    1)/2.  ``sums`` holds h - 1 slots of ``width`` bytes; slot t - 1 is
+    the cyclic correlation sum_{i<h} a_i b_(i+t) of ``bernoulli_mod_p``'s
+    docstring, twisted by g^k with k = 0 (h odd) or 1 (h even), an exact
+    integer not reduced mod p.  It is g^(t(t-1) - kt) S_2t mod p.
     """
-    _require_criterion_prime(p)
     g = _least_primitive_root(p)
     n, h = p - 1, (p - 1) // 2
+    k = 1 - h % 2
     power = _powers(g, p)
-    a = [(2 * (g * r // p) - g + 1) * power[-i * i % n] % p for i, r in enumerate(power[:h])]
-    b = [power[j * (j - 1) % n] for j in range(h)]
-    prod = _poly_mul(a[::-1], b, p)
-    return power, map(add if h % 2 else sub, prod[h:], prod)
+    # v[r] = 2 floor(g r / p) - g + 1, constant on g runs of residues r.
+    edges = [-(-q * p // g) for q in range(g + 1)]
+    v: List[int] = []
+    for q in range(g):
+        v += [2 * q - g + 1] * (edges[q + 1] - edges[q])
+    a = [v[r] * power[(k - i) * i % n] % p for i, r in zip(range(h), power)]
+    a.reverse()
+    # b_j = b_(c-j), c = h + 1 + k: the first m are looked up, the rest mirrored.
+    c = h + 1 + k
+    m = min(c // 2 + 1, h)
+    b = [power[j * (j - 1 - k) % n] for j in range(m)]
+    b += b[c - m : k + 1 : -1]
+    width = _slot_width(h, p)
+    bits = 8 * width
+    prod = _pack(a, width) * _pack(b, width)
+    return power, k, width, (prod >> bits * h) + (prod & ((1 << bits * (h - 1)) - 1))
 
 
 def bernoulli_mod_p(p: int) -> Dict[int, int]:
@@ -183,36 +241,53 @@ def bernoulli_mod_p(p: int) -> Dict[int, int]:
 
         S_2t = g^(-t(t-1)) sum_{i<h} a_i b_(i+t),  a_i = v_i g^(-i^2),  b_j = g^(j(j-1)).
 
-    As g^h = -1, b_(j+h) = (-1)^(h-1) b_j, so the correlation is cyclic
-    (h odd) or negacyclic (h even) of length h: with P the product of
-    a reversed and b_0 .. b_(h-1), sum_i a_i b_(i+t) = P_(h-1+t) +-
-    P_(t-1).  P is one big-int multiply (``_poly_mul``) in slots of
-    ceil(bits(h (p - 1)^2) / 8) bytes.  Then
+    As g^h = -1, b_(j+h) = (-1)^(h-1) b_j: the correlation is cyclic of
+    length h when h is odd.  When h is even, a_i g^i and b_j g^(-j) make
+    it cyclic, and the sum is multiplied by g^(-t).  So with k = 0 (h
+    odd) or 1 (h even), a_i = v_i g^(ki - i^2), b_j = g^(j(j-1-k)) and P
+    the product of a reversed and b_0 .. b_(h-1),
+
+        g^(t(t-1) - kt) S_2t = P_(h-1+t) + P_(t-1).
+
+    P is one big-int multiply by Kronecker substitution in slots of
+    ceil(bits(h (p - 1)^2) / 8) bytes, and P_(h-1+t) + P_(t-1) fits one
+    such slot: the upper half of P shifted down plus its lower half is
+    every folded sum at once.  As g^h = -1, b_(h+1+k-j) = b_j, so half of
+    b is looked up and half mirrored.  Then
 
         B_2t = 2t g^(2t-1) S_2t / (g^(2t) - 1),
 
     the inverse read from a table of discrete logarithms.  Besides the
     product, O(p) operations on small ints and O(p) memory.
     """
-    power, sums = _voronoi_sums(p)
+    _require_criterion_prime(p)
+    power, k, width, sums = _voronoi_sums(p)
     n = p - 1
     log = dict(zip(power, range(n)))  # log[g^e] = e
-    # The power is g^(2t-1) g^(-t(t-1)) / (g^(2t) - 1).
+    # The power is g^(2t-1) g^(kt - t(t-1)) / (g^(2t) - 1).
     return {
-        2 * t: 2 * t * s * power[(3 * t - 1 - t * t - log[power[2 * t] - 1]) % n] % p
-        for t, s in enumerate(sums, 1)
+        2 * t: 2 * t * s * power[(3 * t - 1 + k * t - t * t - log[power[2 * t] - 1]) % n] % p
+        for t, s in enumerate(_unpack(sums, n // 2 - 1, width), 1)
     }
+
+
+def _irregular_indices(p: int) -> List[int]:
+    """Ascending even k <= p - 3 with B_k = 0 mod p, for a prime p >= 5."""
+    _, _, width, sums = _voronoi_sums(p)
+    return [2 * t + 2 for t in _divisible_slots(sums, (p - 3) // 2, width, p)]
 
 
 def is_regular(p: int) -> "tuple[bool, List[int]]":
     """(regularity of p, ascending list of even k <= p - 3 with B_k = 0 mod p).
 
-    B_2t = 2t g^(2t-1) g^(-t(t-1)) / (g^(2t) - 1) times the folded sum of
-    ``_voronoi_sums``, and for 2t < p every factor but the sum is a unit
-    mod p.  So B_2t = 0 exactly when the folded sum is: no logarithm
-    table and no multiply per t.
+    B_2t = 2t g^(2t-1) g^(kt - t(t-1)) / (g^(2t) - 1) times the folded sum
+    of ``_voronoi_sums``, and for 2t < p every factor but the sum is a
+    unit mod p.  So B_2t = 0 exactly when p divides the folded sum: no
+    logarithm table, no multiply per t, and the sums are tested in their
+    packed slots without being unpacked (``_divisible_slots``).
     """
-    irregular = [2 * t for t, s in enumerate(_voronoi_sums(p)[1], 1) if not s % p]
+    _require_criterion_prime(p)
+    irregular = _irregular_indices(p)
     return (not irregular), irregular
 
 
@@ -226,7 +301,8 @@ def wieferich_test(p: int) -> bool:
 def denes_criterion(p: int) -> DenesReport:
     """Evaluate all three hypotheses at p and combine them."""
     _require_criterion_prime(p)
-    regular, irregular = is_regular(p)
+    irregular = _irregular_indices(p)
+    regular = not irregular
     ord2 = mult_order(2, p)
     order_condition = (ord2 % 2 == 0) or (ord2 == (p - 1) // 2)
     wieferich_violation = wieferich_test(p)

@@ -7,7 +7,8 @@ end, the O(p^2) binomial recurrence carried out in F_p, and Newton's
 power-series inversion.  Its Kronecker packer is checked against the
 schoolbook product, and its table of powers against ``pow``.  The
 zeros of ``bernoulli_mod_p`` are the oracle of ``is_regular``, which
-reads them from the folded sums alone.
+tests the packed folded sums for divisibility by p without solving for
+any B_k; that test is checked against ``%``.
 """
 
 import json
@@ -23,10 +24,12 @@ from freycheck.arith import mult_order, primes_up_to
 from freycheck.cli import jsonable
 from freycheck.denes import (
     DenesReport,
+    _divisible_slots,
     _least_primitive_root,
-    _poly_mul,
+    _pack,
     _powers,
     _slot_width,
+    _unpack,
     bernoulli_mod_p,
     denes_criterion,
     denes_scan,
@@ -76,8 +79,8 @@ class TestBernoulliModP:
             assert bernoulli_mod_p(p) == bernoulli_mod_p_newton(p), p
 
     def test_shortest_correlations(self):
-        # h = (p - 1)/2 = 2 and 3: one and two indices, a negacyclic and a
-        # cyclic correlation.
+        # h = (p - 1)/2 = 2 and 3: one and two indices, a twisted (h even)
+        # and a plain (h odd) cyclic correlation.
         bern = bernoulli_fractions(4)
         for p in (5, 7):
             expected = bernoulli_mod_p_oracle(p, bern)
@@ -143,6 +146,12 @@ class TestPolyMulMod:
         assert _poly_mul_mod(a, b, p, n) == poly_mul_schoolbook(a, b, p, n)
 
 
+def _poly_mul(a, b, p):
+    """Every coefficient of a*b by the kernel's Kronecker packer."""
+    width = _slot_width(min(len(a), len(b)), p)
+    return _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1, width)
+
+
 def _check_poly_mul(a, b, p):
     n = len(a) + len(b) - 1
     assert [c % p for c in _poly_mul(a, b, p)] == poly_mul_schoolbook(a, b, p, n), (p, len(a), len(b))
@@ -198,17 +207,61 @@ class TestKroneckerPacking:
         _check_poly_mul(data.draw(coeffs), data.draw(coeffs), p)
 
 
+def _primitive_roots(p, count):
+    return [g for g in range(2, p) if mult_order(g, p) == p - 1][:count]
+
+
 class TestPowers:
-    # Each doubling step ends at a power of two, so p - 1 = 4, 16, 256 and
-    # 65536 end on a full step and their neighbours on a cut one; p - 1 =
-    # 36, 100 and 400 are squares.
+    # Blocks are isqrt(p - 1) long: p - 1 = 4, 16, 36, 100, 400 and 65536
+    # are squares, and their neighbours end on a cut block.
     @pytest.mark.parametrize(
         "p",
-        [5, 7, 13, 17, 19, 31, 37, 41, 97, 101, 103, 251, 257, 263, 397, 401, 409, 65521, 65537, 65539],
+        [5, 7, 13, 17, 19, 31, 37, 41, 97, 101, 103, 397, 401, 409, 65521, 65537, 65539],
     )
     def test_matches_pow(self, p):
-        for g in {_least_primitive_root(p), 2, p - 1}:
+        for g in _primitive_roots(p, 3):
             assert _powers(g, p) == [pow(g, e, p) for e in range(p - 1)], (p, g)
+
+
+class TestDivisibleSlots:
+    @staticmethod
+    def _check(values, width, p):
+        value = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in values), "little")
+        expected = [t for t, x in enumerate(values) if x % p == 0]
+        assert _divisible_slots(value, len(values), width, p) == expected, (width, p, values)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 9])
+    def test_edges_of_a_slot(self, width):
+        top = 256**width - 1
+        for p in (5, 7, 251, 997, 65521):
+            if p > top:
+                continue
+            last = top - top % p  # the largest multiple of p in a slot
+            edges = [x for x in (0, p, top, last, last - 1, last + 1, p - 1, p + 1) if x <= top]
+            for count in (1, 2, 3, len(edges)):
+                self._check(edges[:count], width, p)
+                self._check(edges[:count][::-1], width, p)
+
+    def test_random_slots_with_planted_multiples(self):
+        rng = random.Random(15)
+        for _ in range(300):
+            p = rng.choice([5, 7, 11, 101, 499, 997, 9973])
+            width = _slot_width((p - 1) // 2, p) + rng.randint(0, 2)
+            top = 256**width - 1
+            values = [
+                rng.randrange(top // p + 1) * p if rng.random() < 0.1 else rng.randrange(top + 1)
+                for _ in range(rng.randint(1, 60))
+            ]
+            self._check(values, width, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_remainder(self, data):
+        p = data.draw(st.sampled_from([5, 7, 13, 257, 8191, 65537]))
+        width = data.draw(st.integers(min_value=(p.bit_length() + 7) // 8, max_value=9))
+        slots = st.integers(min_value=0, max_value=256**width - 1)
+        values = data.draw(st.lists(slots, min_size=1, max_size=40))
+        self._check(values, width, p)
 
 
 class TestIsRegular:
@@ -218,8 +271,8 @@ class TestIsRegular:
         assert is_regular(31) == (True, [])
 
     def test_irregular_anchors(self):
-        # h = (p - 1)/2 is even at 37, 157 and 617 (negacyclic) and odd at
-        # 59 and 491 (cyclic).
+        # h = (p - 1)/2 is even at 37, 157 and 617 (the correlation is
+        # twisted by g) and odd at 59 and 491 (it is not).
         assert is_regular(37) == (False, [32])
         assert is_regular(59) == (False, [44])
         assert is_regular(157) == (False, [62, 110])
