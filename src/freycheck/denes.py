@@ -51,13 +51,13 @@ __all__ = [
 
 #: Below this sum of the primes scanned, a scan runs in this process
 #: whatever ``workers`` says.  A prime's cost grows about linearly with
-#: it.  A pool of two ties at p_max = 2600 (sum 448,864) and 3000 (sum
-#: 593,818; it won 4 and 7 of 9 runs in two rounds), wins 7 or 8 of 9
-#: from 3200 (sum 661,922) and every run from 3500 (sum 785,757): medians
-#: of 9 interleaved CLI runs with ``--workers 2`` against in-process, on
-#: 2-core x86_64, Python 3.11.7.  The bound sits between the last tie and
-#: the first steady win, about ``--scan 2850``.
-POOL_MIN_PRIME_SUM = 550_000
+#: it.  A pool of two loses at p_max = 2600 (sum 448,864; 1 of 9 runs),
+#: ties at 2800 (sum 527,243; 6 of 9) and 3000 (sum 593,818; 3, 5 and 7
+#: of 9 in three rounds), and wins 7 to 9 of 9 from 3200 (sum 661,922):
+#: medians of 9 interleaved CLI runs with ``--workers 2`` against
+#: in-process, on 2-core x86_64, Python 3.11.7.  The bound sits between
+#: the last tie and the first steady win, about ``--scan 3100``.
+POOL_MIN_PRIME_SUM = 625_000
 
 #: array("Q") words are in the host's byte order; slots are little-endian.
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -141,16 +141,16 @@ def _divisible_slots(value: int, count: int, width: int, p: int) -> List[int]:
     bits = 8 * width
     top = (1 << bits) - 1
     pairs = (count + 1) // 2
-    low = int.from_bytes((b"\xff" * width + bytes(width)) * pairs, "little")
-    bias = int.from_bytes(((top - top // p).to_bytes(width, "little") + bytes(width)) * pairs, "little")
-    inverse = pow(p, -1, 1 << bits)
-    carries = [
-        ((((value >> bits * odd) & low) * inverse & low) + bias >> bits) & low for odd in (0, 1)
-    ]
-    if carries[0].bit_count() + carries[1].bit_count() == count:
-        return []
-    flags = bytearray(2 * pairs)  # 1 where the slot carried, 0 where p divides it
-    for odd, carry in enumerate(carries):
+
+    def spread(slot: int) -> int:
+        """``slot`` in the low half of each of ``pairs`` double slots."""
+        return int.from_bytes((slot.to_bytes(width, "little") + bytes(width)) * pairs, "little")
+
+    low, bias, inverse = spread(top), spread(top - top // p), pow(p, -1, 1 << bits)
+    flags = bytearray(2 * pairs)  # 1 where a slot carried, 0 where p divides it
+    for odd in (0, 1):
+        x = (value >> bits * odd) & low
+        carry = (((x * inverse & low) + bias) >> bits) & low
         flags[odd::2] = carry.to_bytes(2 * width * pairs, "little")[:: 2 * width]
     found = []
     t = flags.find(0)
@@ -182,9 +182,8 @@ def _powers(g: int, p: int) -> List[int]:
     block = [1] * step
     for e in range(1, step):
         block[e] = block[e - 1] * g % p
-    stride = block[-1] * g % p  # g^step
+    shift = stride = block[-1] * g % p  # g^step
     power = block[:]
-    shift = stride
     for start in range(step, h, step):
         power += [shift * x % p for x in block[: h - start]]
         shift = shift * stride % p
@@ -252,8 +251,9 @@ def bernoulli_mod_p(p: int) -> Dict[int, int]:
     P is one big-int multiply by Kronecker substitution in slots of
     ceil(bits(h (p - 1)^2) / 8) bytes, and P_(h-1+t) + P_(t-1) fits one
     such slot: the upper half of P shifted down plus its lower half is
-    every folded sum at once.  As g^h = -1, b_(h+1+k-j) = b_j, so half of
-    b is looked up and half mirrored.  Then
+    every folded sum at once.  As h + 1 + k is even, (h + 1 + k - j)(h - j)
+    = j(j - 1 - k) mod p - 1, so b_(h+1+k-j) = b_j: half of b is looked
+    up and half mirrored.  Then
 
         B_2t = 2t g^(2t-1) S_2t / (g^(2t) - 1),
 
@@ -271,12 +271,6 @@ def bernoulli_mod_p(p: int) -> Dict[int, int]:
     }
 
 
-def _irregular_indices(p: int) -> List[int]:
-    """Ascending even k <= p - 3 with B_k = 0 mod p, for a prime p >= 5."""
-    _, _, width, sums = _voronoi_sums(p)
-    return [2 * t + 2 for t in _divisible_slots(sums, (p - 3) // 2, width, p)]
-
-
 def is_regular(p: int) -> "tuple[bool, List[int]]":
     """(regularity of p, ascending list of even k <= p - 3 with B_k = 0 mod p).
 
@@ -287,7 +281,8 @@ def is_regular(p: int) -> "tuple[bool, List[int]]":
     packed slots without being unpacked (``_divisible_slots``).
     """
     _require_criterion_prime(p)
-    irregular = _irregular_indices(p)
+    _, _, width, sums = _voronoi_sums(p)
+    irregular = [2 * t + 2 for t in _divisible_slots(sums, (p - 3) // 2, width, p)]
     return (not irregular), irregular
 
 
@@ -300,9 +295,7 @@ def wieferich_test(p: int) -> bool:
 
 def denes_criterion(p: int) -> DenesReport:
     """Evaluate all three hypotheses at p and combine them."""
-    _require_criterion_prime(p)
-    irregular = _irregular_indices(p)
-    regular = not irregular
+    regular, irregular = is_regular(p)  # checks that p is a prime >= 5
     ord2 = mult_order(2, p)
     order_condition = (ord2 % 2 == 0) or (ord2 == (p - 1) // 2)
     wieferich_violation = wieferich_test(p)

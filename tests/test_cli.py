@@ -634,7 +634,8 @@ def test_entry_freezes_the_import_time_heap():
     # An atexit hook registered before entry() runs after main() returns.
     code = (
         "import atexit, gc, sys; import freycheck.cli as cli; "
-        "atexit.register(lambda: sys.stderr.write('%s %s' % (gc.get_freeze_count() > 0, gc.isenabled()))); "
+        "atexit.register(lambda: sys.stderr.write("
+        "'%s %s' % (gc.get_freeze_count() > 0, gc.isenabled()))); "
         "cli.entry()"
     )
     proc = subprocess.run(
@@ -649,19 +650,19 @@ def test_entry_freezes_the_import_time_heap():
 
 
 def test_frozen_heap_forks_a_real_pool():
-    # 593,818, the sum of the primes 5..3000, is above POOL_MIN_PRIME_SUM,
+    # 661,922, the sum of the primes 5..3200, is above POOL_MIN_PRIME_SUM,
     # so --workers 2 forks a pool after the freeze.
-    assert sum(p for p in primes_up_to(3000) if p >= 5) >= denes_mod.POOL_MIN_PRIME_SUM
+    assert sum(p for p in primes_up_to(3200) if p >= 5) >= denes_mod.POOL_MIN_PRIME_SUM
     outputs = [
         subprocess.run(
-            [sys.executable, "-m", "freycheck", "denes", "--scan", "3000", "--workers", workers],
+            [sys.executable, "-m", "freycheck", "denes", "--scan", "3200", "--workers", workers],
             capture_output=True,
             check=False,
         )
         for workers in ("1", "2")
     ]
     assert [(proc.returncode, proc.stderr) for proc in outputs] == [(0, b"")] * 2
-    assert outputs[0].stdout.count(b"\n") == 428
+    assert outputs[0].stdout.count(b"\n") == 450
     assert outputs[1].stdout == outputs[0].stdout
 
 
