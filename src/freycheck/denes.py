@@ -27,8 +27,7 @@ sum of that product times 2t g^(2t-1) g^(kt - t(t-1)) / (g^(2t) - 1),
 with g the primitive root and k = 0 or 1, and that factor is a unit mod
 p because 2t < p.  So ``is_regular`` and ``denes_criterion`` read the
 irregular indices from the folded sums that p divides: no logarithm
-table and no multiply per index (Buhler et al., ibid.), and the sums
-are tested in their packed form.
+table and no multiply per index (Buhler et al., ibid.).
 """
 
 from __future__ import annotations
@@ -125,39 +124,6 @@ def _unpack(value: int, count: int, width: int) -> Sequence[int]:
             words.byteswap()
         coeffs = [(c << 64) | w for c, w in zip(coeffs, words)] if coeffs else words
     return coeffs
-
-
-def _divisible_slots(value: int, count: int, width: int, p: int) -> List[int]:
-    """Ascending indices of the slots among the ``count`` slots of ``width``
-    bytes in ``value`` that hold a multiple of the odd prime p.
-
-    With W = 8 * width and 0 <= x < 2^W, p divides x exactly when
-    x * p^(-1) mod 2^W <= (2^W - 1) // p (Granlund and Montgomery, PLDI
-    1994, section 9).  The even and the odd slots are tested in turn,
-    each with an empty slot above it, so one multiply by p^(-1) acts on
-    every slot at once; adding 2^W - 1 - (2^W - 1) // p then carries
-    into bit W of a slot exactly when p does not divide it.
-    """
-    bits = 8 * width
-    top = (1 << bits) - 1
-    pairs = (count + 1) // 2
-
-    def spread(slot: int) -> int:
-        """``slot`` in the low half of each of ``pairs`` double slots."""
-        return int.from_bytes((slot.to_bytes(width, "little") + bytes(width)) * pairs, "little")
-
-    low, bias, inverse = spread(top), spread(top - top // p), pow(p, -1, 1 << bits)
-    flags = bytearray(2 * pairs)  # 1 where a slot carried, 0 where p divides it
-    for odd in (0, 1):
-        x = (value >> bits * odd) & low
-        carry = (((x * inverse & low) + bias) >> bits) & low
-        flags[odd::2] = carry.to_bytes(2 * width * pairs, "little")[:: 2 * width]
-    found = []
-    t = flags.find(0)
-    while 0 <= t < count:
-        found.append(t)
-        t = flags.find(0, t + 1)
-    return found
 
 
 def _least_primitive_root(p: int) -> int:
@@ -277,12 +243,12 @@ def is_regular(p: int) -> "tuple[bool, List[int]]":
     B_2t = 2t g^(2t-1) g^(kt - t(t-1)) / (g^(2t) - 1) times the folded sum
     of ``_voronoi_sums``, and for 2t < p every factor but the sum is a
     unit mod p.  So B_2t = 0 exactly when p divides the folded sum: no
-    logarithm table, no multiply per t, and the sums are tested in their
-    packed slots without being unpacked (``_divisible_slots``).
+    logarithm table and no multiply per t.
     """
     _require_criterion_prime(p)
     _, _, width, sums = _voronoi_sums(p)
-    irregular = [2 * t + 2 for t in _divisible_slots(sums, (p - 3) // 2, width, p)]
+    folded = _unpack(sums, (p - 3) // 2, width)
+    irregular = [2 * t for t, s in enumerate(folded, 1) if s % p == 0]
     return (not irregular), irregular
 
 

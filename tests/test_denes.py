@@ -7,8 +7,7 @@ end, the O(p^2) binomial recurrence carried out in F_p, and Newton's
 power-series inversion.  Its Kronecker packer is checked against the
 schoolbook product, and its table of powers against ``pow``.  The
 zeros of ``bernoulli_mod_p`` are the oracle of ``is_regular``, which
-tests the packed folded sums for divisibility by p without solving for
-any B_k; that test is checked against ``%``.
+tests the folded sums for divisibility by p without solving for any B_k.
 """
 
 import json
@@ -24,7 +23,6 @@ from freycheck.arith import mult_order, primes_up_to
 from freycheck.cli import jsonable
 from freycheck.denes import (
     DenesReport,
-    _divisible_slots,
     _least_primitive_root,
     _pack,
     _powers,
@@ -221,47 +219,6 @@ class TestPowers:
     def test_matches_pow(self, p):
         for g in _primitive_roots(p, 3):
             assert _powers(g, p) == [pow(g, e, p) for e in range(p - 1)], (p, g)
-
-
-class TestDivisibleSlots:
-    @staticmethod
-    def _check(values, width, p):
-        value = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in values), "little")
-        expected = [t for t, x in enumerate(values) if x % p == 0]
-        assert _divisible_slots(value, len(values), width, p) == expected, (width, p, values)
-
-    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 9])
-    def test_edges_of_a_slot(self, width):
-        top = 256**width - 1
-        for p in (5, 7, 251, 997, 65521):
-            if p > top:
-                continue
-            last = top - top % p  # the largest multiple of p in a slot
-            edges = [x for x in (0, p, top, last, last - 1, last + 1, p - 1, p + 1) if x <= top]
-            for count in (1, 2, 3, len(edges)):
-                self._check(edges[:count], width, p)
-                self._check(edges[:count][::-1], width, p)
-
-    def test_random_slots_with_planted_multiples(self):
-        rng = random.Random(15)
-        for _ in range(300):
-            p = rng.choice([5, 7, 11, 101, 499, 997, 9973])
-            width = _slot_width((p - 1) // 2, p) + rng.randint(0, 2)
-            top = 256**width - 1
-            values = [
-                rng.randrange(top // p + 1) * p if rng.random() < 0.1 else rng.randrange(top + 1)
-                for _ in range(rng.randint(1, 60))
-            ]
-            self._check(values, width, p)
-
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_matches_remainder(self, data):
-        p = data.draw(st.sampled_from([5, 7, 13, 257, 8191, 65537]))
-        width = data.draw(st.integers(min_value=(p.bit_length() + 7) // 8, max_value=9))
-        slots = st.integers(min_value=0, max_value=256**width - 1)
-        values = data.draw(st.lists(slots, min_size=1, max_size=40))
-        self._check(values, width, p)
 
 
 class TestIsRegular:
