@@ -156,14 +156,14 @@ def _powers(g: int, p: int) -> List[int]:
     return power + [p - x for x in power]
 
 
-def _voronoi_sums(p: int) -> "tuple[List[int], int, int, int]":
-    """(power, k, width, sums): Voronoi's sums at p as one packed int.
+def _voronoi_sums(p: int) -> "tuple[List[int], int, Sequence[int]]":
+    """(power, k, sums): Voronoi's sums at p, folded.
 
     g is the least primitive root mod p, ``power[e] = g^e`` and h = (p -
-    1)/2.  ``sums`` holds h - 1 slots of ``width`` bytes; slot t - 1 is
-    the cyclic correlation sum_{i<h} a_i b_(i+t) of ``bernoulli_mod_p``'s
-    docstring, twisted by g^k with k = 0 (h odd) or 1 (h even), an exact
-    integer not reduced mod p.  It is g^(t(t-1) - kt) S_2t mod p.
+    1)/2.  ``sums`` has h - 1 entries; entry t - 1 is the cyclic
+    correlation sum_{i<h} a_i b_(i+t) of ``bernoulli_mod_p``'s docstring,
+    twisted by g^k with k = 0 (h odd) or 1 (h even), an exact integer not
+    reduced mod p.  It is g^(t(t-1) - kt) S_2t mod p.
     """
     g = _least_primitive_root(p)
     n, h = p - 1, (p - 1) // 2
@@ -184,7 +184,8 @@ def _voronoi_sums(p: int) -> "tuple[List[int], int, int, int]":
     width = _slot_width(h, p)
     bits = 8 * width
     prod = _pack(a, width) * _pack(b, width)
-    return power, k, width, (prod >> bits * h) + (prod & ((1 << bits * (h - 1)) - 1))
+    folded = (prod >> bits * h) + (prod & ((1 << bits * (h - 1)) - 1))
+    return power, k, _unpack(folded, h - 1, width)
 
 
 def bernoulli_mod_p(p: int) -> Dict[int, int]:
@@ -227,13 +228,13 @@ def bernoulli_mod_p(p: int) -> Dict[int, int]:
     product, O(p) operations on small ints and O(p) memory.
     """
     _require_criterion_prime(p)
-    power, k, width, sums = _voronoi_sums(p)
+    power, k, sums = _voronoi_sums(p)
     n = p - 1
     log = dict(zip(power, range(n)))  # log[g^e] = e
     # The power is g^(2t-1) g^(kt - t(t-1)) / (g^(2t) - 1).
     return {
         2 * t: 2 * t * s * power[(3 * t - 1 + k * t - t * t - log[power[2 * t] - 1]) % n] % p
-        for t, s in enumerate(_unpack(sums, n // 2 - 1, width), 1)
+        for t, s in enumerate(sums, 1)
     }
 
 
@@ -246,9 +247,8 @@ def is_regular(p: int) -> "tuple[bool, List[int]]":
     logarithm table and no multiply per t.
     """
     _require_criterion_prime(p)
-    _, _, width, sums = _voronoi_sums(p)
-    folded = _unpack(sums, (p - 3) // 2, width)
-    irregular = [2 * t for t, s in enumerate(folded, 1) if s % p == 0]
+    _, _, sums = _voronoi_sums(p)
+    irregular = [2 * t for t, s in enumerate(sums, 1) if s % p == 0]
     return (not irregular), irregular
 
 
