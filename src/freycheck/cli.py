@@ -542,9 +542,10 @@ def entry() -> None:
     global _LOG_FORMAT
     _LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
     # The objects made by start-up and imports live until exit, and the
-    # interpreter's last collection at shutdown walks them all: about 10 ms
-    # of a 140 ms ``conductor`` call (2-core x86_64, Python 3.11.7).  Frozen,
-    # they are skipped by every collection; collection stays enabled for
-    # what ``main`` allocates.
+    # interpreter's last collection at shutdown walks them all: 7 to 12 ms
+    # of a 120 to 140 ms ``conductor`` call (medians of 41 interleaved
+    # runs with and without the freeze, 2-core x86_64, Python 3.11.7).
+    # Frozen, they are skipped by every collection; collection stays
+    # enabled for what ``main`` allocates.
     gc.freeze()
     sys.exit(main())
