@@ -140,49 +140,48 @@ def build_parser() -> _Parser:
         "and exhaustive bounded-height searches for a^p + 2^alpha*b^p + c^p = 0.",
     )
     parser.add_argument("--version", action="version", version="freycheck " + __version__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("json", "csv", "human"),
-        default=None,
-        help="output format (default: csv for traces, json elsewhere)",
-    )
-    common.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="worker processes for search and scan subcommands (default: 1)",
-    )
-    common.add_argument(
-        "--factor-bound",
+    def command(name: str, handler: Callable, help: str, fmt: str = "json") -> _Parser:
+        # --format is added per subcommand, not through a shared parent:
+        # parents share their action objects, and with them the default.
+        cmd = sub.add_parser(name, help=help)
+        cmd.set_defaults(handler=handler)
+        cmd.add_argument(
+            "--format",
+            choices=("json", "csv", "human"),
+            default=fmt,
+            help="output format (default: %(default)s)",
+        )
+        return cmd
+
+    model = dict(type=_comma_ints(5), required=True, metavar="a1,a2,a3,a4,a6")
+    workers = dict(type=_positive_int, default=1, help="worker processes (default: %(default)s)")
+    factor_bound = dict(
         type=_int_at_least(2, "an integer >= 2"),
         default=DEFAULT_FACTOR_BOUND,
         help="a conductor factorization is accepted only if its part above "
         "this bound is one certified prime (default: %(default)s)",
     )
 
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def command(name: str, help: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[common], help=help)
-
-    model = dict(type=_comma_ints(5), required=True, metavar="a1,a2,a3,a4,a6")
-
     analyze = command(
-        "analyze", "normalize a solution, build its Frey curve, cross-check invariants"
+        "analyze",
+        _cmd_analyze,
+        "normalize a solution, build its Frey curve, cross-check invariants",
     )
     analyze.add_argument("--p", type=_positive_int, required=True)
     analyze.add_argument("--alpha", type=_nonnegative_int, required=True)
     analyze.add_argument("--triple", type=_comma_ints(3), required=True, metavar="a,b,c")
+    analyze.add_argument("--factor-bound", **factor_bound)
 
-    denes = command("denes", "evaluate the regularity/order-of-2/Wieferich criterion")
+    denes = command("denes", _cmd_denes, "evaluate the regularity/order-of-2/Wieferich criterion")
     group = denes.add_mutually_exclusive_group(required=True)
     group.add_argument("--p", type=_positive_int)
     group.add_argument("--scan", type=_positive_int, metavar="MAX")
+    denes.add_argument("--workers", **workers)
 
     search = command(
-        "search", "exhaustive bounded-height search for a^p + L^alpha*b^p + c^p = 0"
+        "search", _cmd_search, "exhaustive bounded-height search for a^p + L^alpha*b^p + c^p = 0"
     )
     search.add_argument("--p", type=_positive_int, required=True)
     search.add_argument("--alpha", type=_nonnegative_int, required=True)
@@ -193,9 +192,12 @@ def build_parser() -> _Parser:
         action="store_true",
         help="also report solutions with gcd(a, b, c) > 1, tagged with their content",
     )
+    search.add_argument("--workers", **workers)
 
     ap_search = command(
-        "ap-search", "arithmetic progressions of perfect n-th powers with positive bases"
+        "ap-search",
+        _cmd_ap_search,
+        "arithmetic progressions of perfect n-th powers with positive bases",
     )
     ap_search.add_argument("--n", type=_positive_int, required=True)
     ap_search.add_argument("--k", type=_positive_int, required=True, choices=(3, 4))
@@ -207,26 +209,36 @@ def build_parser() -> _Parser:
     )
 
     verify = command(
-        "verify", "batch search over (p, alpha) grids and classify against known results"
+        "verify",
+        _cmd_verify,
+        "batch search over (p, alpha) grids and classify against known results",
     )
     verify.add_argument("--p-list", type=_comma_ints(), required=True, metavar="p1,p2,...")
     verify.add_argument("--alpha-list", type=_comma_ints(), required=True, metavar="a1,a2,...")
     verify.add_argument("--height", type=_positive_int, default=25)
+    verify.add_argument("--workers", **workers)
 
-    traces = command("traces", "trace-of-Frobenius table for a Weierstrass model")
+    traces = command(
+        "traces", _cmd_traces, "trace-of-Frobenius table for a Weierstrass model", fmt="csv"
+    )
     traces.add_argument("--model", **model)
     traces.add_argument("--lmax", type=_positive_int, default=100)
 
-    congruence = command("congruence", "compare traces of two curves mod p over good primes")
+    congruence = command(
+        "congruence", _cmd_congruence, "compare traces of two curves mod p over good primes"
+    )
     congruence.add_argument("--model1", **model)
     congruence.add_argument("--model2", **model)
     congruence.add_argument("--p", type=_positive_int, required=True)
     congruence.add_argument("--lmax", type=_positive_int, default=100)
 
     conductor = command(
-        "conductor", "global conductor and per-prime local data via minimal-model reduction"
+        "conductor",
+        _cmd_conductor,
+        "global conductor and per-prime local data via minimal-model reduction",
     )
     conductor.add_argument("--model", **model)
+    conductor.add_argument("--factor-bound", **factor_bound)
 
     return parser
 
@@ -497,18 +509,6 @@ def _cmd_conductor(args: argparse.Namespace) -> Report:
     return payload, _table(local, header), EXIT_OK
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "denes": _cmd_denes,
-    "search": _cmd_search,
-    "ap-search": _cmd_ap_search,
-    "verify": _cmd_verify,
-    "traces": _cmd_traces,
-    "congruence": _cmd_congruence,
-    "conductor": _cmd_conductor,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -518,14 +518,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(tokens)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handler = _HANDLERS[args.command]
     try:
-        payload, table, code = handler(args)
+        payload, table, code = args.handler(args)
     except ValueError as exc:
         sys.stderr.write("freycheck %s: error: %s\n" % (args.command, exc))
         return EXIT_DOMAIN
-    fmt = args.format or ("csv" if args.command == "traces" else "json")
-    sys.stdout.write(_render(args.command, fmt, payload, table))
+    sys.stdout.write(_render(args.command, args.format, payload, table))
     return code
 
 

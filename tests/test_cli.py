@@ -3,11 +3,15 @@ golden stdout, JSON that matches the in-process objects field for field,
 the record types' contract, and what importing the CLI loads.
 """
 
+import argparse
+import ast
+import inspect
 import json
 import math
 import pickle
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -176,6 +180,50 @@ class TestExitCodes:
     def test_version(self, capsys):
         code, out, _ = run_cli(capsys, "--version")
         assert code == 0 and __version__ in out
+
+
+def _subcommands():
+    """Each subcommand's name and parser."""
+    (sub,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return sub.choices
+
+
+class TestOptions:
+    """Each subcommand takes exactly the options its handler reads."""
+
+    @pytest.mark.parametrize("name", sorted(_subcommands()))
+    def test_options_are_the_args_the_handler_reads(self, name):
+        command = _subcommands()[name]
+        tree = ast.parse(textwrap.dedent(inspect.getsource(command.get_default("handler"))))
+        read = {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"
+        }
+        options = {action.dest for action in command._actions} - {"help"}
+        # main reads --format to render the report.
+        assert options == read | {"format"}
+
+    def test_format_defaults(self):
+        defaults = {name: cmd.get_default("format") for name, cmd in _subcommands().items()}
+        assert defaults.pop("traces") == "csv"
+        assert set(defaults.values()) == {"json"}
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("traces", "--model", "0,0,0,-1,0", "--workers", "2"),
+            ("denes", "--p", "7", "--factor-bound", "10"),
+        ],
+        ids=["traces-workers", "denes-factor-bound"],
+    )
+    def test_option_the_command_does_not_read_is_a_usage_error(self, capsys, args):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: %s %s" % args[-2:] in err
 
 
 class TestAnalyze:
@@ -584,32 +632,42 @@ def _sample_records():
     ]
 
 
-RECORDS = _sample_records()
+RECORD_TYPES = [
+    "CaseResult", "CongruenceReport", "CurveInvariants", "DenesReport",
+    "FreyParams", "LocalData", "MonomialTriple", "SearchOutcome",
+    "SearchSpec", "SolutionRecord", "TraceRecord", "WeierstrassModel",
+]
+
+
+@pytest.fixture(scope="module")
+def sample_records():
+    # Built on first use, not at import: a fault in a kernel fails these
+    # tests, not the collection of the whole file.
+    return _sample_records()
+
+
+@pytest.fixture(params=RECORD_TYPES)
+def record(request, sample_records):
+    (record,) = [r for r in sample_records if type(r).__name__ == request.param]
+    return record
 
 
 class TestRecords:
     """Records are immutable NamedTuples; pools pickle them, jsonable maps them by field."""
 
-    def test_every_record_type_is_covered(self):
-        assert sorted(type(record).__name__ for record in RECORDS) == [
-            "CaseResult", "CongruenceReport", "CurveInvariants", "DenesReport",
-            "FreyParams", "LocalData", "MonomialTriple", "SearchOutcome",
-            "SearchSpec", "SolutionRecord", "TraceRecord", "WeierstrassModel",
-        ]
+    def test_every_record_type_is_covered(self, sample_records):
+        assert sorted(type(record).__name__ for record in sample_records) == RECORD_TYPES
 
-    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
     def test_fields_cannot_be_assigned(self, record):
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], 0)
         with pytest.raises(AttributeError):
             setattr(record, "extra", 0)
 
-    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
     def test_pickle_round_trip(self, record):
         copy = pickle.loads(pickle.dumps(record))
         assert type(copy) is type(record) and copy == record
 
-    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
     def test_jsonable_is_a_dict_by_field(self, record):
         doc = jsonable(record)
         assert isinstance(doc, dict) and list(doc) == list(record._fields)
