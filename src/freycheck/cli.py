@@ -44,7 +44,7 @@ from .search import (
     verify_theorem_claims,
 )
 from .tate import all_local_data, global_conductor
-from .traces import mod_p_congruent, trace_table
+from .traces import MAX_ELL, mod_p_congruent, trace_table
 from .weierstrass import WeierstrassModel
 
 __all__ = ["entry", "jsonable", "main"]
@@ -115,6 +115,10 @@ def _comma_ints(count: Optional[int] = None):
     return parse
 
 
+def _model(text: str) -> WeierstrassModel:
+    return WeierstrassModel(*_comma_ints(5)(text))
+
+
 def _merge_negative_list_values(argv: Sequence[str]) -> List[str]:
     merged: List[str] = []
     index = 0
@@ -155,7 +159,8 @@ def build_parser() -> _Parser:
         )
         return cmd
 
-    model = dict(type=_comma_ints(5), required=True, metavar="a1,a2,a3,a4,a6")
+    model = dict(type=_model, required=True, metavar="a1,a2,a3,a4,a6")
+    lmax_help = "largest ell counted, at most MAX_ELL = %d (default: %%(default)s)" % MAX_ELL
     workers = dict(type=_positive_int, default=1, help="worker processes (default: %(default)s)")
     factor_bound = dict(
         type=_int_at_least(2, "an integer >= 2"),
@@ -222,7 +227,7 @@ def build_parser() -> _Parser:
         "traces", _cmd_traces, "trace-of-Frobenius table for a Weierstrass model", fmt="csv"
     )
     traces.add_argument("--model", **model)
-    traces.add_argument("--lmax", type=_positive_int, default=100)
+    traces.add_argument("--lmax", type=_positive_int, default=100, help=lmax_help)
 
     congruence = command(
         "congruence", _cmd_congruence, "compare traces of two curves mod p over good primes"
@@ -230,7 +235,7 @@ def build_parser() -> _Parser:
     congruence.add_argument("--model1", **model)
     congruence.add_argument("--model2", **model)
     congruence.add_argument("--p", type=_positive_int, required=True)
-    congruence.add_argument("--lmax", type=_positive_int, default=100)
+    congruence.add_argument("--lmax", type=_positive_int, default=100, help=lmax_help)
 
     conductor = command(
         "conductor",
@@ -321,12 +326,6 @@ def _render(command: str, fmt: str, payload: object, table: Optional[Table]) -> 
         return _csv_text(("key", "value"), rows)
     width = max(len(name) for name, _ in rows)
     return "".join("%-*s  %s\n" % (width, name, value) for name, value in rows)
-
-
-def _model_from_values(values: Sequence[int]) -> WeierstrassModel:
-    model = WeierstrassModel(*values)
-    model.require_nonsingular()
-    return model
 
 
 def _cell(value: object) -> object:
@@ -469,10 +468,9 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
 
 
 def _cmd_traces(args: argparse.Namespace) -> Report:
-    model = _model_from_values(args.model)
-    records = trace_table(model, args.lmax)
+    records = trace_table(args.model, args.lmax)
     payload: Dict[str, object] = {
-        "model": list(model),
+        "model": list(args.model),
         "lmax": args.lmax,
         "records": records,
     }
@@ -480,22 +478,19 @@ def _cmd_traces(args: argparse.Namespace) -> Report:
 
 
 def _cmd_congruence(args: argparse.Namespace) -> Report:
-    model1 = _model_from_values(args.model1)
-    model2 = _model_from_values(args.model2)
     payload: Dict[str, object] = {
-        "model1": list(model1),
-        "model2": list(model2),
-        "report": mod_p_congruent(model1, model2, args.p, args.lmax),
+        "model1": list(args.model1),
+        "model2": list(args.model2),
+        "report": mod_p_congruent(args.model1, args.model2, args.p, args.lmax),
     }
     return payload, None, EXIT_OK
 
 
 def _cmd_conductor(args: argparse.Namespace) -> Report:
-    model = _model_from_values(args.model)
-    local = all_local_data(model, args.factor_bound)
+    local = all_local_data(args.model, args.factor_bound)
     payload: Dict[str, object] = {
-        "model": list(model),
-        "discriminant": model.discriminant(),
+        "model": list(args.model),
+        "discriminant": args.model.discriminant(),
         "conductor": global_conductor(local),
         "local_data": local,
     }

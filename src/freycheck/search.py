@@ -328,10 +328,14 @@ def search_ap_powers(
         raise ValueError("only 3- and 4-term progressions are supported")
     if height < 1:
         raise ValueError("height must be >= 1")
-    if n == 2:
-        results = _square_progressions(k, height)
-    else:
-        results = _power_progressions(n, k, height)
+    results = _square_progressions(height) if n == 2 else _power_progressions(n, height)
+    if k == 4:
+        # x4^n = 2 x3^n - x2^n extends each three-term progression, one lookup each.
+        roots = {x**n: x for x in range(1, height + 1)}
+        results = [
+            (x1, x2, x3, x4) for x1, x2, x3 in results
+            if (x4 := roots.get(2 * x3**n - x2**n)) is not None
+        ]
     if not distinct_only:
         results += [(x,) * k for x in range(1, height + 1)]
     results.sort()
@@ -339,8 +343,8 @@ def search_ap_powers(
     return results
 
 
-def _square_progressions(k: int, height: int) -> List[Tuple[int, ...]]:
-    """Non-constant progressions of squares, from Pythagorean triples.
+def _square_progressions(height: int) -> List[Tuple[int, ...]]:
+    """Non-constant three-term progressions of squares, from Pythagorean triples.
 
     x1^2 + x3^2 = 2 x2^2 with x1 < x3 holds exactly when u = (x3 - x1)/2
     and v = (x3 + x1)/2 satisfy u^2 + v^2 = x2^2, 0 < u < v.  Every such
@@ -348,7 +352,6 @@ def _square_progressions(k: int, height: int) -> List[Tuple[int, ...]]:
     for coprime m > n > 0 of opposite parity; x3 = u + v <= H bounds all
     three.
     """
-    squares = {x * x: x for x in range(1, height + 1)} if k == 4 else {}
     results: List[Tuple[int, ...]] = []
     m = 2
     while m * m + 2 * m - 1 <= height:  # the leg sum at n = 1, the least for this m
@@ -360,20 +363,15 @@ def _square_progressions(k: int, height: int) -> List[Tuple[int, ...]]:
                 continue
             u, v = sorted((m * m - n * n, 2 * m * n))
             w = m * m + n * n
-            for d in range(1, height // leg_sum + 1):
-                x1, x2, x3 = d * (v - u), d * w, d * (v + u)
-                if k == 3:
-                    results.append((x1, x2, x3))
-                    continue
-                x4 = squares.get(2 * x3 * x3 - x2 * x2)
-                if x4 is not None:
-                    results.append((x1, x2, x3, x4))
+            results.extend(
+                (d * (v - u), d * w, d * (v + u)) for d in range(1, height // leg_sum + 1)
+            )
         m += 1
     return results
 
 
-def _power_progressions(n: int, k: int, height: int) -> List[Tuple[int, ...]]:
-    """Non-constant progressions of n-th powers, x3 (and x4) looked up in a table."""
+def _power_progressions(n: int, height: int) -> List[Tuple[int, ...]]:
+    """Non-constant three-term progressions of n-th powers, x3 looked up in a table."""
     roots = {x**n: x for x in range(1, height + 1)}
     doubled = [2 * x_pow for x_pow in roots]
     results: List[Tuple[int, ...]] = []
@@ -382,14 +380,7 @@ def _power_progressions(n: int, k: int, height: int) -> List[Tuple[int, ...]]:
         # x3^n = 2 x2^n - x1^n over every x2 > x1, one lookup each.
         candidates = map(operator.sub, doubled[x1:], repeat(x1_pow))
         for x3_pow in roots.keys() & candidates:
-            x2 = roots[(x3_pow + x1_pow) // 2]
-            x3 = roots[x3_pow]
-            if k == 3:
-                results.append((x1, x2, x3))
-                continue
-            x4 = roots.get(2 * x3_pow - x2**n)
-            if x4 is not None:
-                results.append((x1, x2, x3, x4))
+            results.append((x1, roots[(x3_pow + x1_pow) // 2], roots[x3_pow]))
     return results
 
 

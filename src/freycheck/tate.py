@@ -248,8 +248,7 @@ def all_local_data(
     Raises FactorizationError if the discriminant cannot be fully
     factored within the bound.
     """
-    model.require_nonsingular()
-    factors = factorize(model.discriminant(), factor_bound)
+    factors = factorize(model.require_nonsingular(), factor_bound)
     return [local_data(model, p) for p in sorted(factors)]
 
 

@@ -12,7 +12,7 @@ from .weierstrass import WeierstrassModel
 
 __all__ = [
     "CONGRUENCE_DISCLAIMER",
-    "DEFAULT_ELL_CAP",
+    "MAX_ELL",
     "SHANKS_MESTRE_MIN_ELL",
     "CongruenceReport",
     "TraceRecord",
@@ -21,8 +21,11 @@ __all__ = [
     "trace_table",
 ]
 
-#: Largest ell accepted by count_points unless the caller raises the cap.
-DEFAULT_ELL_CAP = 10**4
+#: Largest ell that count_points counts at and trace_table tabulates to.
+#: A table's time and memory grow linearly with lmax: traces --lmax 10**7
+#: took 279 s at 813 MB peak RSS (2-core x86_64, Python 3.11.7, 8 GB), so
+#: 10**8 would need about 8 GB.
+MAX_ELL = 10**7
 
 #: count_points sums the character table below this ell and runs
 #: Shanks-Mestre from it on.  Mean time per prime on seven curves (best
@@ -54,10 +57,8 @@ class CongruenceReport(NamedTuple):
     disclaimer: str = CONGRUENCE_DISCLAIMER
 
 
-def count_points(
-    model: WeierstrassModel, ell: int, ell_cap: int = DEFAULT_ELL_CAP
-) -> Optional[int]:
-    """Trace of Frobenius a_ell = ell + 1 - #E(F_ell) at an odd prime ell.
+def count_points(model: WeierstrassModel, ell: int) -> Optional[int]:
+    """Trace of Frobenius a_ell = ell + 1 - #E(F_ell) at an odd prime ell <= MAX_ELL.
 
     Returns None where the curve has bad reduction at ell.  Where ell
     divides the discriminant, Tate's algorithm decides that, and a model
@@ -84,12 +85,11 @@ def count_points(
     fallback out; timed per prime, the two regimes already cost the same
     near ell = 150 (the measurements are beside SHANKS_MESTRE_MIN_ELL).
     """
+    if ell > MAX_ELL:
+        raise ValueError("ell exceeds MAX_ELL = %d" % MAX_ELL)
     if ell < 3 or not is_prime(ell):
         raise ValueError("ell must be an odd prime")
-    if ell > ell_cap:
-        raise ValueError("ell exceeds the configured cap (%d)" % ell_cap)
-    model.require_nonsingular()
-    if model.discriminant() % ell == 0:
+    if model.require_nonsingular() % ell == 0:
         data, minimal = tate.local_data_with_model(model, ell)
         if data.reduction != tate.GOOD:
             return None
@@ -241,16 +241,19 @@ def _shanks_mestre(A: int, B: int, ell: int) -> Optional[int]:
 def trace_table(model: WeierstrassModel, lmax: int) -> List[TraceRecord]:
     """Trace records at every odd prime ell <= lmax, one count_points call each.
 
-    Bad-reduction primes are marked reduction="Bad" with a_ell = None;
-    primes where only the given model (not the curve) is singular are
-    counted on the ell-minimal model.
+    lmax runs from 3 to MAX_ELL; a larger one is refused before the sieve
+    is allocated.  Bad-reduction primes are marked reduction="Bad" with
+    a_ell = None; primes where only the given model (not the curve) is
+    singular are counted on the ell-minimal model.
     """
     if lmax < 3:
         raise ValueError("lmax must be >= 3")
+    if lmax > MAX_ELL:
+        raise ValueError("lmax exceeds MAX_ELL = %d" % MAX_ELL)
     model.require_nonsingular()
     records: List[TraceRecord] = []
     for ell in primes_up_to(lmax)[1:]:
-        a_ell = count_points(model, ell, ell_cap=lmax)
+        a_ell = count_points(model, ell)
         records.append(TraceRecord(ell, a_ell, "Bad" if a_ell is None else "Good"))
     return records
 
@@ -266,6 +269,7 @@ def mod_p_congruent(
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
+    model2.require_nonsingular()  # before model1's table is counted
     compared: List[int] = []
     first_violation: Optional[Tuple[int, int, int]] = None
     for rec1, rec2 in zip(trace_table(model1, lmax), trace_table(model2, lmax), strict=True):

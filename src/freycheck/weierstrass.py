@@ -34,9 +34,12 @@ class WeierstrassModel(NamedTuple):
         b2, b4, b6, b8 = self.b_invariants()
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
-    def require_nonsingular(self) -> None:
-        if self.discriminant() == 0:
+    def require_nonsingular(self) -> int:
+        """The discriminant, checked to be non-zero."""
+        disc = self.discriminant()
+        if disc == 0:
             raise ValueError("singular model (discriminant is zero)")
+        return disc
 
     def translated(self, r: int = 0, s: int = 0, t: int = 0) -> "WeierstrassModel":
         """Integral change of variables x -> x + r, y -> y + s*x + t.

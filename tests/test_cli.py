@@ -19,6 +19,7 @@ import pytest
 import freycheck.cli as cli
 import freycheck.denes as denes_mod
 import freycheck.search as search_mod
+import freycheck.traces as traces_mod
 from freycheck import __version__
 from freycheck.arith import primes_up_to
 from freycheck.cli import jsonable
@@ -32,7 +33,7 @@ from freycheck.search import (
     search_star,
 )
 from freycheck.tate import all_local_data
-from freycheck.traces import mod_p_congruent, trace_table
+from freycheck.traces import MAX_ELL, mod_p_congruent, trace_table
 from freycheck.weierstrass import WeierstrassModel
 
 from oracles import count_points_legendre
@@ -43,6 +44,16 @@ from oracles import count_points_legendre
 #: bytes of any report shows up here first.
 GOLDEN = Path(__file__).parent / "golden"
 FORMATS = ("json", "csv", "human")
+
+
+@pytest.fixture
+def no_sieve(monkeypatch):
+    """Fail the test if a trace table sieves its primes."""
+
+    def sieve(limit):
+        raise AssertionError("sieved up to %d" % limit)
+
+    monkeypatch.setattr(traces_mod, "primes_up_to", sieve)
 
 
 def run_cli(capsys, *args):
@@ -83,6 +94,26 @@ class TestExitCodes:
     def test_domain_error_singular_model(self, capsys):
         code, _, err = run_cli(capsys, "conductor", "--model", "0,0,0,0,0")
         assert code == 2 and "singular" in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("traces", "--model", "0,0,0,-1,0"),
+            ("congruence", "--model1", "0,0,0,-1,0", "--model2", "0,0,0,1,0", "--p", "5"),
+        ],
+        ids=["traces", "congruence"],
+    )
+    def test_domain_error_lmax_above_max_ell(self, capsys, no_sieve, args):
+        code, out, err = run_cli(capsys, *args, "--lmax", str(MAX_ELL + 1))
+        assert code == 2 and out == ""
+        assert err == "freycheck %s: error: lmax exceeds MAX_ELL = %d\n" % (args[0], MAX_ELL)
+
+    def test_singular_second_model_is_refused_before_the_sieve(self, capsys, no_sieve):
+        code, out, err = run_cli(
+            capsys,
+            "congruence", "--model1", "0,0,0,-1,0", "--model2", "0,0,0,0,0", "--p", "5",
+        )
+        assert code == 2 and out == "" and "singular" in err
 
     def test_domain_error_fermat_case(self, capsys):
         code, _, err = run_cli(

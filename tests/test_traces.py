@@ -5,16 +5,18 @@ the conductor-32 curve, and the mod-p comparator.
 """
 
 import json
+from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from freycheck import tate, traces
-from freycheck.arith import primes_up_to
+from freycheck.arith import MILLER_RABIN_BOUND, is_prime, primes_up_to
 from freycheck.cli import jsonable
 from freycheck.frey import build_frey, normalize
 from freycheck.traces import (
     CONGRUENCE_DISCLAIMER,
+    MAX_ELL,
     SHANKS_MESTRE_MIN_ELL,
     CongruenceReport,
     TraceRecord,
@@ -81,9 +83,24 @@ class TestCountPoints:
     def test_rejects_bad_reduction(self):
         assert count_points(WeierstrassModel(0, 0, 1, -1, 0), 37) is None
 
-    def test_rejects_over_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            count_points(CM32, 10007, ell_cap=10**4)
+    def test_rejects_ell_above_max_ell(self):
+        first_above = next(n for n in count(MAX_ELL + 1) if is_prime(n))
+        # The bound is checked before is_prime, which refuses MILLER_RABIN_BOUND.
+        for ell in (first_above, MILLER_RABIN_BOUND):
+            with pytest.raises(ValueError, match="MAX_ELL"):
+                count_points(CM32, ell)
+
+    def test_counts_up_to_max_ell_without_a_per_call_cap(self):
+        below = [n for n in range(MAX_ELL, MAX_ELL - 100, -1) if is_prime(n)]
+        assert any(ell % 4 == 1 for ell in below)  # not only supersingular primes
+        for ell in [10007, *below]:
+            assert count_points(CM32, ell) == cm_trace_x3_minus_x(ell), ell
+
+    def test_require_nonsingular_returns_the_discriminant(self):
+        for model in (CM32, CM36, CURVE11, FREY, BLOWN_UP_CM32):
+            assert model.require_nonsingular() == model.discriminant() != 0
+        with pytest.raises(ValueError, match="singular"):
+            WeierstrassModel(0, 0, 0, 0, 0).require_nonsingular()
 
     def test_counts_on_ell_minimal_model_when_input_is_non_minimal(self):
         # [0,0,0,-625,0] is the 5-rescale of y^2 = x^3 - x: good at 5.
@@ -114,8 +131,8 @@ class TestCMOracle:
         sample = primes_up_to(10**6)[2::250] + [999983]
         assert sample[-2] > 990000
         for ell in sample:
-            assert count_points(CM32, ell, ell_cap=10**6) == cm_trace_x3_minus_x(ell), ell
-            assert count_points(CM36, ell, ell_cap=10**6) == cm_trace_x3_plus_1(ell), ell
+            assert count_points(CM32, ell) == cm_trace_x3_minus_x(ell), ell
+            assert count_points(CM36, ell) == cm_trace_x3_plus_1(ell), ell
 
 
 class TestShanksMestre:
@@ -131,7 +148,7 @@ class TestShanksMestre:
         for ell in primes:
             if disc % ell:
                 expected = traces._character_sum(reference, ell)
-                assert count_points(model, ell, ell_cap=3000) == expected, ell
+                assert count_points(model, ell) == expected, ell
 
     def test_regime_switches_at_the_crossover(self, monkeypatch):
         summed = []
@@ -184,6 +201,14 @@ class TestTraceTable:
     def test_single_record(self):
         table = trace_table(CM32, 3)
         assert len(table) == 1 and table[0].ell == 3
+
+    def test_lmax_above_max_ell_is_refused_before_the_sieve(self, monkeypatch):
+        def sieve(limit):
+            raise AssertionError("sieved up to %d" % limit)
+
+        monkeypatch.setattr(traces, "primes_up_to", sieve)
+        with pytest.raises(ValueError, match="MAX_ELL"):
+            trace_table(CM32, MAX_ELL + 1)
 
     def test_bad_primes_marked(self):
         table = trace_table(WeierstrassModel(0, -1, 1, -10, -20), 30)
