@@ -6,87 +6,61 @@ with a full minimal-model reduction algorithm), evaluates a classical
 regularity-based criterion for exponents, tabulates traces of Frobenius
 as congruence evidence, and runs exhaustive bounded-height searches for
 the equation itself and for arithmetic progressions of perfect powers.
+
+Importing the package runs none of its submodules: each is registered in
+``sys.modules`` and runs on its first attribute access, so a command
+compiles only the modules it uses.
 """
 
-from .arith import (
-    DEFAULT_FACTOR_BOUND,
-    FactorizationError,
-    exact_root,
-    factorize,
-    is_prime,
-    legendre_symbol,
-    mult_order,
-    primes_up_to,
-    valuation,
-)
-from .denes import DenesReport, bernoulli_mod_p, denes_criterion, denes_scan, is_regular
-from .frey import (
-    CurveInvariants,
-    FreyParams,
-    MonomialTriple,
-    build_frey,
-    canonical_triple,
-    cartan_type,
-    invariants,
-    is_trivial_level,
-    normalize,
-    reduce_alpha,
-)
-from .search import (
-    SIGMA_PRIMES,
-    SearchSpec,
-    SolutionRecord,
-    classify_search_outcome,
-    search_ap_powers,
-    search_star,
-    verify_theorem_claims,
-)
-from .tate import LocalData, all_local_data, global_conductor, local_data
-from .traces import CongruenceReport, TraceRecord, mod_p_congruent, trace_table
-from .weierstrass import WeierstrassModel
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CongruenceReport",
-    "CurveInvariants",
-    "DEFAULT_FACTOR_BOUND",
-    "DenesReport",
-    "FactorizationError",
-    "FreyParams",
-    "LocalData",
-    "MonomialTriple",
-    "SIGMA_PRIMES",
-    "SearchSpec",
-    "SolutionRecord",
-    "TraceRecord",
-    "WeierstrassModel",
-    "__version__",
-    "all_local_data",
-    "bernoulli_mod_p",
-    "build_frey",
-    "canonical_triple",
-    "cartan_type",
-    "classify_search_outcome",
-    "denes_criterion",
-    "denes_scan",
-    "exact_root",
-    "factorize",
-    "global_conductor",
-    "invariants",
-    "is_prime",
-    "is_regular",
-    "is_trivial_level",
-    "legendre_symbol",
-    "local_data",
-    "mod_p_congruent",
-    "mult_order",
-    "normalize",
-    "primes_up_to",
-    "reduce_alpha",
-    "search_ap_powers",
-    "search_star",
-    "trace_table",
-    "valuation",
-    "verify_theorem_claims",
-]
+#: The names the package exports, by the submodule that defines them.
+_EXPORTS = {
+    "arith": (
+        "DEFAULT_FACTOR_BOUND", "FactorizationError", "exact_root", "factorize",
+        "is_prime", "legendre_symbol", "mult_order", "primes_up_to", "valuation",
+    ),
+    "denes": ("DenesReport", "bernoulli_mod_p", "denes_criterion", "denes_scan", "is_regular"),
+    "frey": (
+        "CurveInvariants", "FreyParams", "MonomialTriple", "build_frey", "canonical_triple",
+        "cartan_type", "invariants", "is_trivial_level", "normalize", "reduce_alpha",
+    ),
+    "search": (
+        "SIGMA_PRIMES", "SearchSpec", "SolutionRecord", "classify_search_outcome",
+        "search_ap_powers", "search_star", "verify_theorem_claims",
+    ),
+    "tate": ("LocalData", "all_local_data", "global_conductor", "local_data"),
+    "traces": ("CongruenceReport", "TraceRecord", "mod_p_congruent", "trace_table"),
+    "weierstrass": ("WeierstrassModel",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_HOME, "__version__"])
+
+
+def _register_lazily(name: str) -> None:
+    """Register ``freycheck.<name>`` without running it: its source is
+    compiled and run on the module's first attribute access (the
+    ``importlib.util.LazyLoader`` recipe of the importlib docs)."""
+    spec = importlib.util.find_spec(__name__ + "." + name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    # Bound as an import would bind it, so ``from . import <name>`` finds
+    # it here and does not load it.
+    globals()[name] = module
+
+
+for _name in _EXPORTS:
+    _register_lazily(_name)
+del _name
+
+
+def __getattr__(name: str) -> object:
+    if name in _HOME:
+        return getattr(globals()[_HOME[name]], name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

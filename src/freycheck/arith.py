@@ -13,6 +13,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 __all__ = [
     "DEFAULT_FACTOR_BOUND",
+    "MAX_ELL",
     "MILLER_RABIN_BOUND",
     "FactorizationError",
     "exact_root",
@@ -30,6 +31,13 @@ __all__ = [
 #: Default ``bound`` of ``factorize``: the prime factors up to it are
 #: always found, and what lies above it must be one certified prime.
 DEFAULT_FACTOR_BOUND = 10**6
+
+#: Largest ell that traces.count_points counts at and traces.trace_table
+#: tabulates to; it lives here so the CLI's help can name it without
+#: loading traces.  A table's time and memory grow linearly with lmax:
+#: traces --lmax 10**7 took 279 s at 813 MB peak RSS (2-core x86_64,
+#: Python 3.11.7, 8 GB), so 10**8 would need about 8 GB.
+MAX_ELL = 10**7
 
 #: Brent's rho takes at most this many steps times isqrt(bound) per
 #: constant c before a piece goes to trial division up to the bound.

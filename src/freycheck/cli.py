@@ -23,29 +23,8 @@ import re
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import __version__
-from .arith import DEFAULT_FACTOR_BOUND, valuation
-from .denes import DenesReport, denes_criterion, denes_scan
-from .frey import (
-    build_frey,
-    cartan_type,
-    invariants,
-    is_trivial_level,
-    normalize,
-    reduce_alpha,
-)
-from .search import (
-    CaseResult,
-    SearchSpec,
-    classify_ap_outcome,
-    classify_search_outcome,
-    search_ap_powers,
-    search_star,
-    verify_theorem_claims,
-)
-from .tate import all_local_data, global_conductor
-from .traces import MAX_ELL, mod_p_congruent, trace_table
-from .weierstrass import WeierstrassModel
+from . import __version__, denes, frey, search, tate, traces, weierstrass
+from .arith import DEFAULT_FACTOR_BOUND, MAX_ELL, valuation
 
 __all__ = ["entry", "jsonable", "main"]
 
@@ -115,8 +94,8 @@ def _comma_ints(count: Optional[int] = None):
     return parse
 
 
-def _model(text: str) -> WeierstrassModel:
-    return WeierstrassModel(*_comma_ints(5)(text))
+def _model(text: str) -> weierstrass.WeierstrassModel:
+    return weierstrass.WeierstrassModel(*_comma_ints(5)(text))
 
 
 def _merge_negative_list_values(argv: Sequence[str]) -> List[str]:
@@ -179,25 +158,27 @@ def build_parser() -> _Parser:
     analyze.add_argument("--triple", type=_comma_ints(3), required=True, metavar="a,b,c")
     analyze.add_argument("--factor-bound", **factor_bound)
 
-    denes = command("denes", _cmd_denes, "evaluate the regularity/order-of-2/Wieferich criterion")
-    group = denes.add_mutually_exclusive_group(required=True)
+    denes_cmd = command(
+        "denes", _cmd_denes, "evaluate the regularity/order-of-2/Wieferich criterion"
+    )
+    group = denes_cmd.add_mutually_exclusive_group(required=True)
     group.add_argument("--p", type=_positive_int)
     group.add_argument("--scan", type=_positive_int, metavar="MAX")
-    denes.add_argument("--workers", **workers)
+    denes_cmd.add_argument("--workers", **workers)
 
-    search = command(
+    search_cmd = command(
         "search", _cmd_search, "exhaustive bounded-height search for a^p + L^alpha*b^p + c^p = 0"
     )
-    search.add_argument("--p", type=_positive_int, required=True)
-    search.add_argument("--alpha", type=_nonnegative_int, required=True)
-    search.add_argument("--L", type=_positive_int, default=2)
-    search.add_argument("--height", type=_positive_int, default=25)
-    search.add_argument(
+    search_cmd.add_argument("--p", type=_positive_int, required=True)
+    search_cmd.add_argument("--alpha", type=_nonnegative_int, required=True)
+    search_cmd.add_argument("--L", type=_positive_int, default=2)
+    search_cmd.add_argument("--height", type=_positive_int, default=25)
+    search_cmd.add_argument(
         "--allow-imprimitive",
         action="store_true",
         help="also report solutions with gcd(a, b, c) > 1, tagged with their content",
     )
-    search.add_argument("--workers", **workers)
+    search_cmd.add_argument("--workers", **workers)
 
     ap_search = command(
         "ap-search",
@@ -223,11 +204,11 @@ def build_parser() -> _Parser:
     verify.add_argument("--height", type=_positive_int, default=25)
     verify.add_argument("--workers", **workers)
 
-    traces = command(
+    traces_cmd = command(
         "traces", _cmd_traces, "trace-of-Frobenius table for a Weierstrass model", fmt="csv"
     )
-    traces.add_argument("--model", **model)
-    traces.add_argument("--lmax", type=_positive_int, default=100, help=lmax_help)
+    traces_cmd.add_argument("--model", **model)
+    traces_cmd.add_argument("--lmax", type=_positive_int, default=100, help=lmax_help)
 
     congruence = command(
         "congruence", _cmd_congruence, "compare traces of two curves mod p over good primes"
@@ -342,7 +323,7 @@ def _table(items: Sequence[object], header: Sequence[str]) -> Table:
     return header, [[_cell(getattr(item, name)) for name in header] for item in items]
 
 
-def _case_payload(case: CaseResult) -> Dict[str, object]:
+def _case_payload(case: search.CaseResult) -> Dict[str, object]:
     """Report body of one search, shared by ``search`` and each ``verify`` case."""
     return {
         "spec": case.spec,
@@ -360,17 +341,17 @@ def _case_payload(case: CaseResult) -> Dict[str, object]:
 
 def _cmd_analyze(args: argparse.Namespace) -> Report:
     a, b, c = args.triple
-    alpha_red, b_red = reduce_alpha(args.alpha, b, args.p)
+    alpha_red, b_red = frey.reduce_alpha(args.alpha, b, args.p)
     if alpha_red == 0:
         raise ValueError(
             "not a solution (Fermat case: alpha reduces to 0 mod p, and "
             "a^p + b^p + c^p = 0 has no solutions in non-zero integers)"
         )
-    params = normalize(args.p, alpha_red, a, b_red, c)
-    triple, model = build_frey(params)
-    inv = invariants(triple, args.p, args.factor_bound)
-    local = all_local_data(model, args.factor_bound)
-    conductor_oracle = global_conductor(local)
+    params = frey.normalize(args.p, alpha_red, a, b_red, c)
+    triple, model = frey.build_frey(params)
+    inv = frey.invariants(triple, args.p, args.factor_bound)
+    local = tate.all_local_data(model, args.factor_bound)
+    conductor_oracle = tate.global_conductor(local)
     at_2 = next((item for item in local if item.prime == 2), None)
     t_oracle = at_2.conductor_exponent if at_2 else 0
     u_oracle = at_2.min_disc_valuation - 2 * valuation(triple.B, 2) if at_2 else None
@@ -382,8 +363,8 @@ def _cmd_analyze(args: argparse.Namespace) -> Report:
         "triple": triple,
         "model": list(model),
         "invariants": inv,
-        "trivial_level": is_trivial_level(inv),
-        "cartan_type": cartan_type(args.p),
+        "trivial_level": frey.is_trivial_level(inv),
+        "cartan_type": frey.cartan_type(args.p),
         "cross_check": {
             "conductor_table": inv.conductor,
             "conductor_oracle": conductor_oracle,
@@ -399,18 +380,18 @@ def _cmd_analyze(args: argparse.Namespace) -> Report:
 
 def _cmd_denes(args: argparse.Namespace) -> Report:
     if args.p is not None:
-        reports = [denes_criterion(args.p)]
+        reports = [denes.denes_criterion(args.p)]
     else:
-        reports = denes_scan(args.scan, workers=args.workers)
-    return reports, _table(reports, DenesReport._fields), EXIT_OK
+        reports = denes.denes_scan(args.scan, workers=args.workers)
+    return reports, _table(reports, denes.DenesReport._fields), EXIT_OK
 
 
 def _cmd_search(args: argparse.Namespace) -> Report:
-    spec = SearchSpec(
+    spec = search.SearchSpec(
         args.p, args.alpha, args.height, args.L, require_primitive=not args.allow_imprimitive
     )
-    records = search_star(spec, workers=args.workers)
-    case = CaseResult(spec, records, classify_search_outcome(spec, records))
+    records = search.search_star(spec, workers=args.workers)
+    case = search.CaseResult(spec, records, search.classify_search_outcome(spec, records))
     if not case.conforms:
         _log_error(
             "%d record(s) contradict the expected verdict %r",
@@ -423,8 +404,8 @@ def _cmd_search(args: argparse.Namespace) -> Report:
 
 def _cmd_ap_search(args: argparse.Namespace) -> Report:
     distinct_only = not args.allow_constant
-    tuples = search_ap_powers(args.n, args.k, args.height, distinct_only=distinct_only)
-    outcome = classify_ap_outcome(args.n, args.k, distinct_only, tuples)
+    tuples = search.search_ap_powers(args.n, args.k, args.height, distinct_only=distinct_only)
+    outcome = search.classify_ap_outcome(args.n, args.k, distinct_only, tuples)
     if not outcome.conforms:
         _log_error(
             "%d progression(s) contradict an established non-existence result",
@@ -445,7 +426,7 @@ def _cmd_ap_search(args: argparse.Namespace) -> Report:
 
 
 def _cmd_verify(args: argparse.Namespace) -> Report:
-    cases = verify_theorem_claims(
+    cases = search.verify_theorem_claims(
         args.p_list, args.alpha_list, args.height, workers=args.workers
     )
     all_conform = all(case.conforms for case in cases)
@@ -468,7 +449,7 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
 
 
 def _cmd_traces(args: argparse.Namespace) -> Report:
-    records = trace_table(args.model, args.lmax)
+    records = traces.trace_table(args.model, args.lmax)
     payload: Dict[str, object] = {
         "model": list(args.model),
         "lmax": args.lmax,
@@ -481,17 +462,17 @@ def _cmd_congruence(args: argparse.Namespace) -> Report:
     payload: Dict[str, object] = {
         "model1": list(args.model1),
         "model2": list(args.model2),
-        "report": mod_p_congruent(args.model1, args.model2, args.p, args.lmax),
+        "report": traces.mod_p_congruent(args.model1, args.model2, args.p, args.lmax),
     }
     return payload, None, EXIT_OK
 
 
 def _cmd_conductor(args: argparse.Namespace) -> Report:
-    local = all_local_data(args.model, args.factor_bound)
+    local = tate.all_local_data(args.model, args.factor_bound)
     payload: Dict[str, object] = {
         "model": list(args.model),
         "discriminant": args.model.discriminant(),
-        "conductor": global_conductor(local),
+        "conductor": tate.global_conductor(local),
         "local_data": local,
     }
     header = (

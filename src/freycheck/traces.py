@@ -6,7 +6,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .arith import is_prime, primes_up_to
+from .arith import MAX_ELL, is_prime, primes_up_to
 from . import tate
 from .weierstrass import WeierstrassModel
 
@@ -20,12 +20,6 @@ __all__ = [
     "mod_p_congruent",
     "trace_table",
 ]
-
-#: Largest ell that count_points counts at and trace_table tabulates to.
-#: A table's time and memory grow linearly with lmax: traces --lmax 10**7
-#: took 279 s at 813 MB peak RSS (2-core x86_64, Python 3.11.7, 8 GB), so
-#: 10**8 would need about 8 GB.
-MAX_ELL = 10**7
 
 #: count_points sums the character table below this ell and runs
 #: Shanks-Mestre from it on.  Mean time per prime on seven curves (best

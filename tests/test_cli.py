@@ -19,6 +19,7 @@ import pytest
 import freycheck.cli as cli
 import freycheck.denes as denes_mod
 import freycheck.search as search_mod
+import freycheck.tate as tate_mod
 import freycheck.traces as traces_mod
 from freycheck import __version__
 from freycheck.arith import primes_up_to
@@ -166,7 +167,7 @@ class TestExitCodes:
         fake = [
             SolutionRecord(a=3, b=2, c=7, normalized_form=(3, 2, 7), trivial=False)
         ]
-        monkeypatch.setattr(cli, "search_star", lambda spec, workers=1: fake)
+        monkeypatch.setattr(search_mod, "search_star", lambda spec, workers=1: fake)
         code, out, _ = run_cli(
             capsys, "search", "--p", "5", "--alpha", "1", "--height", "5"
         )
@@ -177,13 +178,13 @@ class TestExitCodes:
 
     def test_counterexample_exit_ap_search(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "search_ap_powers", lambda n, k, h, distinct_only: [(1, 2, 3, 4)]
+            search_mod, "search_ap_powers", lambda n, k, h, distinct_only: [(1, 2, 3, 4)]
         )
         code, out, _ = run_cli(capsys, "ap-search", "--n", "2", "--k", "4")
         assert code == 3 and json.loads(out)["conforms"] is False
 
     def test_counterexample_exit_analyze_disagreement(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "all_local_data", lambda model, bound: [])
+        monkeypatch.setattr(tate_mod, "all_local_data", lambda model, bound: [])
         code, out, _ = run_cli(
             capsys, "analyze", "--p", "5", "--alpha", "1", "--triple=-1,1,-1"
         )
@@ -199,7 +200,7 @@ class TestExitCodes:
                 for data in all_local_data(model, bound)
             ]
 
-        monkeypatch.setattr(cli, "all_local_data", shifted)
+        monkeypatch.setattr(tate_mod, "all_local_data", shifted)
         code, out, _ = run_cli(
             capsys, "analyze", "--p", "5", "--alpha", "1", "--triple=-1,1,-1"
         )
@@ -785,16 +786,27 @@ def test_cli_import_loads_no_process_pool():
     assert proc.stdout == "[]\n"
 
 
-def test_cli_import_loads_every_freycheck_module_and_no_heavy_stdlib():
+#: Prints the freycheck modules whose code has run.  A lazily registered
+#: module is of a subclass of ModuleType until its first attribute
+#: access; ``type`` reads no attribute, so it loads nothing.
+EXECUTED = (
+    "print(sorted(name for name, module in sys.modules.items() "
+    "if name.split('.')[0] == 'freycheck' and type(module) is types.ModuleType))"
+)
+
+
+def test_cli_import_registers_every_module_runs_only_arith_and_no_heavy_stdlib():
     # bench/spans.py finds each freycheck module in sys.modules, so all are
-    # loaded; the stdlib modules below are imported only by the paths that
-    # use them.  The interpreter's own set (site differs between machines)
-    # is subtracted.
+    # registered; of their code only arith's (the parser's bounds) runs.
+    # The stdlib modules below are imported only by the paths that use
+    # them.  The interpreter's own set (site differs between machines) is
+    # subtracted.
     code = (
-        "import sys; base = set(sys.modules); import freycheck.cli; "
+        "import sys, types; base = set(sys.modules); import freycheck.cli; "
         "new = set(sys.modules) - base; "
         "print(sorted({'dataclasses', 'inspect', 'logging', 'csv', 'json'} & new)); "
-        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'freycheck'))"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'freycheck')); "
+        + EXECUTED
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=False
@@ -806,13 +818,57 @@ def test_cli_import_loads_every_freycheck_module_and_no_heavy_stdlib():
         for path in package.glob("*.py")
         if path.stem not in ("__init__", "__main__")
     ]
-    assert proc.stdout == "[]\n%s\n" % sorted(modules)
+    executed = ["freycheck", "freycheck.arith", "freycheck.cli"]
+    assert proc.stdout == "[]\n%s\n%s\n" % (sorted(modules), executed)
+
+
+#: Each command's arguments and the modules besides cli whose code it runs.
+COMMAND_MODULES = [
+    (["conductor", "--model", "0,-1,1,-10,-20"], "arith tate weierstrass"),
+    (["analyze", "--p", "5", "--alpha", "1", "--triple=-1,1,-1"], "arith frey tate weierstrass"),
+    (["traces", "--model", "0,-1,1,-10,-20", "--lmax", "20"], "arith tate traces weierstrass"),
+    (
+        ["congruence", "--model1", "0,-1,1,-10,-20", "--model2", "0,-1,1,0,0",
+         "--p", "5", "--lmax", "20"],
+        "arith tate traces weierstrass",
+    ),
+    (["denes", "--p", "7"], "arith denes"),
+    (["search", "--p", "5", "--alpha", "1", "--height", "3"], "arith frey search weierstrass"),
+    (["ap-search", "--n", "2", "--k", "3", "--height", "3"], "arith frey search weierstrass"),
+    (
+        ["verify", "--p-list", "5", "--alpha-list", "1", "--height", "3"],
+        "arith frey search weierstrass",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, modules", COMMAND_MODULES, ids=[args[0] for args, _ in COMMAND_MODULES]
+)
+def test_each_command_runs_only_its_own_modules(args, modules):
+    code = textwrap.dedent(
+        """\
+        import contextlib, io, sys, types
+        import freycheck.cli as cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            print(cli.main(sys.argv[1:]), file=sys.stderr)
+        """
+    ) + EXECUTED
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=False
+    )
+    assert (proc.returncode, proc.stderr) == (0, "0\n")
+    executed = ["freycheck", "freycheck.cli"] + ["freycheck." + name for name in modules.split()]
+    assert proc.stdout == "%s\n" % sorted(executed)
 
 
 def test_entry_logs_a_contradiction_in_the_cli_format():
     # logging is imported only when an error is logged; entry() still
     # formats it as "LEVEL freycheck: message" on stderr.
-    code = "import freycheck.cli as cli; cli.all_local_data = lambda m, b: []; cli.entry()"
+    code = (
+        "import freycheck.cli as cli, freycheck.tate as tate; "
+        "tate.all_local_data = lambda m, b: []; cli.entry()"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code, "analyze", "--p", "7", "--alpha", "1", "--triple=-1,1,-1"],
         capture_output=True,
