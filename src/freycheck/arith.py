@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 __all__ = [
     "DEFAULT_FACTOR_BOUND",
     "MAX_ELL",
+    "MAX_P",
     "MILLER_RABIN_BOUND",
     "FactorizationError",
     "exact_root",
@@ -23,8 +24,8 @@ __all__ = [
     "legendre_symbol",
     "mult_order",
     "ordered_map",
+    "pool_size",
     "primes_up_to",
-    "process_count",
     "valuation",
 ]
 
@@ -38,6 +39,11 @@ DEFAULT_FACTOR_BOUND = 10**6
 #: traces --lmax 10**7 took 279 s at 813 MB peak RSS (2-core x86_64,
 #: Python 3.11.7, 8 GB), so 10**8 would need about 8 GB.
 MAX_ELL = 10**7
+
+#: Largest p that denes evaluates or scans to, here so the CLI's help can
+#: name it without loading denes.  The Bernoulli kernel's Kronecker slots
+#: fit in 8 bytes up to about p = 3.3 million.
+MAX_P = 3 * 10**6
 
 #: Brent's rho takes at most this many steps times isqrt(bound) per
 #: constant c before a piece goes to trial division up to the bound.
@@ -335,22 +341,21 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def process_count(workers: int) -> int:
-    """min(workers, os.cpu_count()): the most processes, or parts of work, worth having."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return min(workers, os.cpu_count() or 1)
+def pool_size(work: int, share: int) -> int:
+    """Processes worth starting for ``work``: one per ``share`` of it, at
+    most one per CPU, and at least one."""
+    return max(1, min(os.cpu_count() or 1, work // share))
 
 
-def ordered_map(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> List[R]:
-    """[fn(t) for t in tasks], spread over up to ``workers`` processes.
+def ordered_map(fn: Callable[[T], R], tasks: Sequence[T], size: int) -> List[R]:
+    """[fn(t) for t in tasks], spread over up to ``size`` processes.
 
     A fork-based pool starts all of its processes up front, so the pool
-    is sized min(process_count(workers), len(tasks)); when that is below
-    two, the tasks run in this process and no pool starts.  Results come
-    back in task order, so output never depends on ``workers``.
+    is sized min(size, len(tasks)); when that is below two, the tasks run
+    in this process and no pool starts.  Results come back in task order,
+    so output never depends on ``size``.
     """
-    size = min(process_count(workers), len(tasks))
+    size = min(size, len(tasks))
     if size < 2:
         return [fn(t) for t in tasks]
     # Imported here: the pool pulls in multiprocessing, which every

@@ -24,7 +24,7 @@ import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__, denes, frey, search, tate, traces, weierstrass
-from .arith import DEFAULT_FACTOR_BOUND, MAX_ELL, valuation
+from .arith import DEFAULT_FACTOR_BOUND, MAX_ELL, MAX_P, valuation
 
 __all__ = ["entry", "jsonable", "main"]
 
@@ -140,7 +140,6 @@ def build_parser() -> _Parser:
 
     model = dict(type=_model, required=True, metavar="a1,a2,a3,a4,a6")
     lmax_help = "largest ell counted, at most MAX_ELL = %d (default: %%(default)s)" % MAX_ELL
-    workers = dict(type=_positive_int, default=1, help="worker processes (default: %(default)s)")
     factor_bound = dict(
         type=_int_at_least(2, "an integer >= 2"),
         default=DEFAULT_FACTOR_BOUND,
@@ -162,9 +161,10 @@ def build_parser() -> _Parser:
         "denes", _cmd_denes, "evaluate the regularity/order-of-2/Wieferich criterion"
     )
     group = denes_cmd.add_mutually_exclusive_group(required=True)
-    group.add_argument("--p", type=_positive_int)
-    group.add_argument("--scan", type=_positive_int, metavar="MAX")
-    denes_cmd.add_argument("--workers", **workers)
+    group.add_argument("--p", type=_positive_int, help="a prime 5 <= p <= MAX_P = %d" % MAX_P)
+    group.add_argument(
+        "--scan", type=_positive_int, metavar="MAX", help="every prime 5 <= p <= MAX <= MAX_P"
+    )
 
     search_cmd = command(
         "search", _cmd_search, "exhaustive bounded-height search for a^p + L^alpha*b^p + c^p = 0"
@@ -178,7 +178,6 @@ def build_parser() -> _Parser:
         action="store_true",
         help="also report solutions with gcd(a, b, c) > 1, tagged with their content",
     )
-    search_cmd.add_argument("--workers", **workers)
 
     ap_search = command(
         "ap-search",
@@ -202,7 +201,6 @@ def build_parser() -> _Parser:
     verify.add_argument("--p-list", type=_comma_ints(), required=True, metavar="p1,p2,...")
     verify.add_argument("--alpha-list", type=_comma_ints(), required=True, metavar="a1,a2,...")
     verify.add_argument("--height", type=_positive_int, default=25)
-    verify.add_argument("--workers", **workers)
 
     traces_cmd = command(
         "traces", _cmd_traces, "trace-of-Frobenius table for a Weierstrass model", fmt="csv"
@@ -382,7 +380,7 @@ def _cmd_denes(args: argparse.Namespace) -> Report:
     if args.p is not None:
         reports = [denes.denes_criterion(args.p)]
     else:
-        reports = denes.denes_scan(args.scan, workers=args.workers)
+        reports = denes.denes_scan(args.scan)
     return reports, _table(reports, denes.DenesReport._fields), EXIT_OK
 
 
@@ -390,7 +388,7 @@ def _cmd_search(args: argparse.Namespace) -> Report:
     spec = search.SearchSpec(
         args.p, args.alpha, args.height, args.L, require_primitive=not args.allow_imprimitive
     )
-    records = search.search_star(spec, workers=args.workers)
+    records = search.search_star(spec)
     case = search.CaseResult(spec, records, search.classify_search_outcome(spec, records))
     if not case.conforms:
         _log_error(
@@ -426,9 +424,7 @@ def _cmd_ap_search(args: argparse.Namespace) -> Report:
 
 
 def _cmd_verify(args: argparse.Namespace) -> Report:
-    cases = search.verify_theorem_claims(
-        args.p_list, args.alpha_list, args.height, workers=args.workers
-    )
+    cases = search.verify_theorem_claims(args.p_list, args.alpha_list, args.height)
     all_conform = all(case.conforms for case in cases)
     if not all_conform:
         _log_error("at least one (p, alpha) case contradicts the expected verdict")

@@ -37,7 +37,7 @@ from array import array
 from math import isqrt
 from typing import Dict, List, NamedTuple, Sequence
 
-from .arith import factorize, is_prime, mult_order, ordered_map, primes_up_to, process_count
+from .arith import MAX_P, factorize, is_prime, mult_order, ordered_map, pool_size, primes_up_to
 
 __all__ = [
     "DenesReport",
@@ -48,15 +48,15 @@ __all__ = [
     "wieferich_test",
 ]
 
-#: Below this sum of the primes scanned, a scan runs in this process
-#: whatever ``workers`` says.  A prime's cost grows about linearly with
-#: it.  A pool of two loses at p_max = 2600 (sum 448,864; 1 of 9 runs),
-#: ties at 2800 (sum 527,243; 6 of 9) and 3000 (sum 593,818; 3, 5 and 7
-#: of 9 in three rounds), and wins 7 to 9 of 9 from 3200 (sum 661,922):
-#: medians of 9 interleaved CLI runs with ``--workers 2`` against
-#: in-process, on 2-core x86_64, Python 3.11.7.  The bound sits between
-#: the last tie and the first steady win, about ``--scan 3100``.
-POOL_MIN_PRIME_SUM = 625_000
+#: A scan gets one process per this much of the sum of its primes, as a
+#: prime's cost grows about linearly with it.  A pool of two loses at
+#: p_max = 2600 (sum 448,864; 1 of 9 runs), ties at 2800 (sum 527,243; 6
+#: of 9) and 3000 (sum 593,818; 3, 5 and 7 of 9 in three rounds), and
+#: wins 7 to 9 of 9 from 3200 (sum 661,922): medians of 9 interleaved CLI
+#: runs with two processes against one, on 2-core x86_64, Python 3.11.7.
+#: So two shares, 625,000, sit between the last tie and the first steady
+#: win, about ``--scan 3100``.  Pools above two processes are unmeasured.
+PRIME_SUM_PER_PROCESS = 312_500
 
 #: array("Q") words are in the host's byte order; slots are little-endian.
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -76,6 +76,8 @@ class DenesReport(NamedTuple):
 
 
 def _require_criterion_prime(p: int) -> None:
+    if p > MAX_P:
+        raise ValueError("p exceeds MAX_P = %d" % MAX_P)
     if p < 5 or not is_prime(p):
         raise ValueError("p must be a prime >= 5 (p = 2, 3 are out of scope)")
 
@@ -87,8 +89,8 @@ def _slot_width(terms: int, p: int) -> int:
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
-    """Values below 2^(8 min(width, 8)) as one int, ``width`` little-endian
-    bytes each (bytes past the eighth stay zero).
+    """Values below 2^(8 width) as one int, ``width`` <= 8 little-endian
+    bytes each.
 
     A width that is an array item size is the array's own bytes; any
     other goes through ``array("Q")`` words and one strided copy per byte.
@@ -101,29 +103,25 @@ def _pack(coeffs: Sequence[int], width: int) -> int:
         return int.from_bytes(words, "little")
     raw = words.tobytes()
     slots = bytearray(len(coeffs) * width)
-    for k in range(min(width, 8)):
+    for k in range(width):
         slots[k::width] = raw[k::8]
     return int.from_bytes(slots, "little")
 
 
 def _unpack(value: int, count: int, width: int) -> Sequence[int]:
-    """The ``count`` slots of ``width`` little-endian bytes in ``value``.
+    """The ``count`` slots of ``width`` <= 8 little-endian bytes in ``value``.
 
-    Strided byte-slice copies fill ``array("Q")`` words; a slot wider than
-    8 bytes (p above about 3.3 million in the Bernoulli kernel) is read in
-    64-bit limbs, most significant first.
+    Strided byte-slice copies fill ``array("Q")`` words.  Below ``MAX_P``
+    the Bernoulli kernel's slots fit that width.
     """
     raw = value.to_bytes(count * width, "little")
-    coeffs: Sequence[int] = []
-    for base in reversed(range(0, width, 8)):
-        limb = bytearray(count * 8)
-        for k in range(min(8, width - base)):
-            limb[k::8] = raw[base + k :: width]
-        words = array("Q", limb)
-        if _BIG_ENDIAN:
-            words.byteswap()
-        coeffs = [(c << 64) | w for c, w in zip(coeffs, words)] if coeffs else words
-    return coeffs
+    slots = bytearray(count * 8)
+    for k in range(width):
+        slots[k::8] = raw[k::width]
+    words = array("Q", slots)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words
 
 
 def _least_primitive_root(p: int) -> int:
@@ -276,15 +274,14 @@ def denes_criterion(p: int) -> DenesReport:
     )
 
 
-def denes_scan(p_max: int, workers: int = 1) -> List[DenesReport]:
-    """Reports for every prime 5 <= p <= p_max, ascending.
+def denes_scan(p_max: int) -> List[DenesReport]:
+    """Reports for every prime 5 <= p <= p_max <= MAX_P, ascending.
 
-    Distinct primes may be evaluated concurrently, once their sum reaches
-    ``POOL_MIN_PRIME_SUM``; the merge order is always ascending in p, so
-    results are deterministic.
+    Distinct primes are evaluated concurrently, in one process per
+    ``PRIME_SUM_PER_PROCESS`` of their sum; the merge order is always
+    ascending in p, so results are deterministic.
     """
+    if p_max > MAX_P:
+        raise ValueError("p_max exceeds MAX_P = %d" % MAX_P)
     primes = [p for p in primes_up_to(p_max) if p >= 5]
-    parts = process_count(workers)
-    if sum(primes) < POOL_MIN_PRIME_SUM:
-        parts = 1
-    return ordered_map(denes_criterion, primes, parts)
+    return ordered_map(denes_criterion, primes, pool_size(sum(primes), PRIME_SUM_PER_PROCESS))

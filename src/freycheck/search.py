@@ -49,7 +49,7 @@ from bisect import bisect_left
 from itertools import repeat
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
-from .arith import is_prime, ordered_map, process_count
+from .arith import is_prime, ordered_map, pool_size
 from .frey import canonical_triple
 
 __all__ = [
@@ -69,9 +69,13 @@ __all__ = [
 #: have no non-zero solutions whenever p >= 11 is prime, p != L, alpha >= 0.
 SIGMA_PRIMES = frozenset({3, 5, 7, 11, 13, 17, 19, 23, 29, 53, 59})
 
-#: Below this many estimated table lookups a search runs in this process
-#: whatever ``workers`` says (see ``_search_specs``).
-POOL_MIN_LOOKUPS = 3_000_000
+#: A search gets one process per this many estimated table lookups (see
+#: ``_search_specs``).  A pool of two lost to one process up to 3.38M
+#: lookups in ``verify`` and won from 4.24M, and won from 2.13M in
+#: ``search``: medians of 5 CLI runs, 2-core x86_64, Python 3.11.7.  So
+#: two shares, 3,000,000, sit at the crossover.  Pools above two
+#: processes are unmeasured.
+LOOKUPS_PER_PROCESS = 1_500_000
 
 
 class _SearchSpecFields(NamedTuple):
@@ -203,22 +207,19 @@ def _records_from_raw(
     return sorted(by_key.values(), key=lambda rec: (rec.normalized_form, rec.content))
 
 
-def _search_specs(specs: Sequence[SearchSpec], workers: int) -> List[List[SolutionRecord]]:
+def _search_specs(specs: Sequence[SearchSpec]) -> List[List[SolutionRecord]]:
     """The records of every spec, from one ordered_map over all sums.
 
     The work is estimated as the table lookups, (number of sums) * H per
-    spec; below ``POOL_MIN_LOOKUPS`` a pool costs more than it saves, so
-    everything runs in this process.  Otherwise each spec's sums are
-    dealt round-robin into at most ``process_count(workers)`` chunks, as
-    each chunk builds its own O(H) table of powers.  The parts are
-    grouped back by position in ``specs``, so repeated specs stay
-    separate and the result does not depend on ``workers``.
+    spec, and sizes the pool by ``pool_size``.  Each spec's sums are dealt
+    round-robin into at most that many chunks, as each chunk builds its
+    own O(H) table of powers.  The parts are grouped back by position in
+    ``specs``, so repeated specs stay separate and the result does not
+    depend on the pool's size.
     """
     all_sums = [_admissible_sums(spec) for spec in specs]
     lookups = sum(len(sums) * spec.height for spec, sums in zip(specs, all_sums))
-    parts = process_count(workers)
-    if lookups < POOL_MIN_LOOKUPS:
-        parts = 1
+    parts = pool_size(lookups, LOOKUPS_PER_PROCESS)
     owners: List[int] = []
     chunks: List[Tuple[SearchSpec, List[int]]] = []
     for i, (spec, sums) in enumerate(zip(specs, all_sums)):
@@ -231,13 +232,13 @@ def _search_specs(specs: Sequence[SearchSpec], workers: int) -> List[List[Soluti
     return [_records_from_raw(spec, triples) for spec, triples in zip(specs, raw)]
 
 
-def search_star(spec: SearchSpec, workers: int = 1) -> List[SolutionRecord]:
+def search_star(spec: SearchSpec) -> List[SolutionRecord]:
     """All solutions of a^p + L^alpha*b^p + c^p = 0 with entries in [-H, H].
 
     One record per orbit under the a<->c swap and the global sign flip,
-    sorted by canonical form; deterministic for any ``workers`` value.
+    sorted by canonical form; deterministic for any pool size.
     """
-    return _search_specs([spec], workers)[0]
+    return _search_specs([spec])[0]
 
 
 class SearchOutcome(NamedTuple):
@@ -296,7 +297,6 @@ def verify_theorem_claims(
     p_list: Sequence[int],
     alpha_list: Sequence[int],
     height: int,
-    workers: int = 1,
 ) -> List[CaseResult]:
     """Search every (p, alpha) with alpha < p over L = 2 and classify results.
 
@@ -308,7 +308,7 @@ def verify_theorem_claims(
     ]
     return [
         CaseResult(spec=spec, records=records, outcome=classify_search_outcome(spec, records))
-        for spec, records in zip(specs, _search_specs(specs, workers))
+        for spec, records in zip(specs, _search_specs(specs))
     ]
 
 

@@ -1,8 +1,12 @@
 """Shared fixtures."""
 
 import concurrent.futures
+import os
 
 import pytest
+
+import freycheck.denes as denes_mod
+import freycheck.search as search_mod
 
 
 @pytest.fixture
@@ -32,3 +36,20 @@ def pool_sizes(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return sizes
+
+
+@pytest.fixture
+def force_pools(monkeypatch):
+    """A function that sets the pool size of every later scan and search.
+
+    Each process's share of work becomes 1, so ``arith.pool_size`` gives
+    every scan or search ``os.cpu_count()`` processes, which the function
+    sets to its argument; 1 runs everything in this process.
+    """
+    monkeypatch.setattr(denes_mod, "PRIME_SUM_PER_PROCESS", 1)
+    monkeypatch.setattr(search_mod, "LOOKUPS_PER_PROCESS", 1)
+
+    def force(cpus):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+    return force

@@ -14,8 +14,6 @@ import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import freycheck.cli as cli
-import freycheck.denes as denes_mod
-import freycheck.search as search_mod
 from freycheck.cli import jsonable
 from freycheck.denes import bernoulli_mod_p, denes_criterion, denes_scan
 from freycheck.frey import MonomialTriple, build_frey, frey_model, invariants, normalize
@@ -197,12 +195,10 @@ def test_criterion_7_trace_properties():
         assert elapsed < 30.0, "trace property sweep took %.2fs" % elapsed
 
 
-def test_criterion_8_cli_determinism(monkeypatch):
+def test_criterion_8_cli_determinism(force_pools):
     # The scans and searches below are small enough to skip the pool;
-    # split them anyway, so that --workers 4 really runs in a pool.
-    monkeypatch.setattr(search_mod, "POOL_MIN_LOOKUPS", 0)
-    monkeypatch.setattr(denes_mod, "POOL_MIN_PRIME_SUM", 0)
-    with criterion(8, "byte-identical CLI output across repeat runs and worker counts 1/4"):
+    # size their pools anyway, so that a pool of 4 really runs.
+    with criterion(8, "byte-identical CLI output across repeat runs and pool sizes 1/4"):
         invocations = [
             ("conductor", "--model", "0,0,0,-1,0"),
             ("conductor", "--model", "0,3,0,2,0"),
@@ -221,13 +217,10 @@ def test_criterion_8_cli_determinism(monkeypatch):
             ),
         ]
         for args in invocations:
-            # Only the commands with a pool take --workers; the others run
-            # four times as they are.
-            if args[0] in ("denes", "search", "verify"):
-                runs = [args + ("--workers", workers) for workers in ("1", "4", "1", "4")]
-            else:
-                runs = [args] * 4
-            outputs = {run_cli(*run) for run in runs}
+            outputs = set()
+            for cpus in (1, 4, 1, 4):
+                force_pools(cpus)
+                outputs.add(run_cli(*args))
             assert len(outputs) == 1, "nondeterministic output for %r" % (args,)
             code, _, err = next(iter(outputs))
             assert code == 0 and err == ""

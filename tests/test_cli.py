@@ -8,6 +8,7 @@ import ast
 import inspect
 import json
 import math
+import os
 import pickle
 import subprocess
 import sys
@@ -22,7 +23,7 @@ import freycheck.search as search_mod
 import freycheck.tate as tate_mod
 import freycheck.traces as traces_mod
 from freycheck import __version__
-from freycheck.arith import primes_up_to
+from freycheck.arith import MAX_P, primes_up_to
 from freycheck.cli import jsonable
 from freycheck.denes import denes_criterion
 from freycheck.frey import CurveInvariants, build_frey, invariants, normalize
@@ -109,6 +110,17 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "freycheck %s: error: lmax exceeds MAX_ELL = %d\n" % (args[0], MAX_ELL)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [(("--p", "3000017"), "p exceeds"), (("--scan", str(10**12)), "p_max exceeds")],
+        ids=["p", "scan"],
+    )
+    def test_domain_error_above_max_p(self, capsys, monkeypatch, args, message):
+        monkeypatch.setattr(denes_mod, "primes_up_to", lambda n: pytest.fail("sieved to %d" % n))
+        code, out, err = run_cli(capsys, "denes", *args)
+        assert code == 2 and out == ""
+        assert err == "freycheck denes: error: %s MAX_P = %d\n" % (message, MAX_P)
+
     def test_singular_second_model_is_refused_before_the_sieve(self, capsys, no_sieve):
         code, out, err = run_cli(
             capsys,
@@ -167,7 +179,7 @@ class TestExitCodes:
         fake = [
             SolutionRecord(a=3, b=2, c=7, normalized_form=(3, 2, 7), trivial=False)
         ]
-        monkeypatch.setattr(search_mod, "search_star", lambda spec, workers=1: fake)
+        monkeypatch.setattr(search_mod, "search_star", lambda spec: fake)
         code, out, _ = run_cli(
             capsys, "search", "--p", "5", "--alpha", "1", "--height", "5"
         )
@@ -249,8 +261,13 @@ class TestOptions:
         [
             ("traces", "--model", "0,0,0,-1,0", "--workers", "2"),
             ("denes", "--p", "7", "--factor-bound", "10"),
+            # Pools size themselves; no command takes a process count.
+            ("denes", "--scan", "29", "--workers", "2"),
+            ("search", "--p", "5", "--alpha", "1", "--workers", "2"),
+            ("verify", "--p-list", "5", "--alpha-list", "1", "--workers", "2"),
         ],
-        ids=["traces-workers", "denes-factor-bound"],
+        ids=["traces-workers", "denes-factor-bound", "denes-workers", "search-workers",
+             "verify-workers"],
     )
     def test_option_the_command_does_not_read_is_a_usage_error(self, capsys, args):
         code, out, err = run_cli(capsys, *args)
@@ -599,19 +616,19 @@ class TestDeterminism:
             ("search", "--p", "3", "--alpha", "1", "--height", "30"),
             ("denes", "--scan", "80"),
             ("verify", "--p-list", "3,5", "--alpha-list", "1,2", "--height", "12"),
-            # Height 7 has 8 admissible sums, dealt unevenly to 3 workers.
+            # Height 7 has 8 admissible sums, dealt unevenly to 3 processes.
             ("search", "--p", "3", "--alpha", "1", "--height", "7"),
             ("verify", "--p-list", "3,5", "--alpha-list", "1,2", "--height", "7"),
         ],
         ids=["search", "denes", "verify", "search-uneven", "verify-uneven"],
     )
-    def test_worker_count_does_not_change_output(self, capsys, monkeypatch, args):
+    def test_worker_count_does_not_change_output(self, capsys, force_pools, args):
         # These runs are small enough to skip the pool; split them anyway.
-        monkeypatch.setattr(search_mod, "POOL_MIN_LOOKUPS", 0)
-        monkeypatch.setattr(denes_mod, "POOL_MIN_PRIME_SUM", 0)
-        lone = run_cli(capsys, *args, "--workers", "1")
-        for workers in ("2", "3", "4"):
-            assert run_cli(capsys, *args, "--workers", workers) == lone, workers
+        force_pools(1)
+        lone = run_cli(capsys, *args)
+        for cpus in (2, 3, 4):
+            force_pools(cpus)
+            assert run_cli(capsys, *args) == lone, cpus
 
 
 class TestHumanFormat:
@@ -739,17 +756,18 @@ def test_entry_freezes_the_import_time_heap():
     assert proc.stderr == "True True"
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU starts no pool")
 def test_frozen_heap_forks_a_real_pool():
-    # 661,922, the sum of the primes 5..3200, is above POOL_MIN_PRIME_SUM,
-    # so --workers 2 forks a pool after the freeze.
-    assert sum(p for p in primes_up_to(3200) if p >= 5) >= denes_mod.POOL_MIN_PRIME_SUM
+    # 661,922, the sum of the primes 5..3200, is two shares of work, so on
+    # two or more CPUs the scan forks a pool after the freeze.  The second
+    # run sees one CPU and stays in one process.
+    assert sum(p for p in primes_up_to(3200) if p >= 5) >= 2 * denes_mod.PRIME_SUM_PER_PROCESS
+    one_cpu = "import os; os.cpu_count = lambda: 1; import freycheck.cli as cli; cli.entry()"
     outputs = [
         subprocess.run(
-            [sys.executable, "-m", "freycheck", "denes", "--scan", "3200", "--workers", workers],
-            capture_output=True,
-            check=False,
+            [sys.executable, *start, "denes", "--scan", "3200"], capture_output=True, check=False
         )
-        for workers in ("1", "2")
+        for start in (["-m", "freycheck"], ["-c", one_cpu])
     ]
     assert [(proc.returncode, proc.stderr) for proc in outputs] == [(0, b"")] * 2
     assert outputs[0].stdout.count(b"\n") == 450
@@ -761,8 +779,9 @@ def test_frozen_heap_forks_a_real_pool():
     [
         (["denes", "--p", "7", "--scan", "10"], 1, "not allowed with argument"),
         (["conductor", "--model", "0,0,0,-1,%d" % 10**21], 2, "factorization bound exceeded"),
+        (["denes", "--scan", str(10**12)], 2, "p_max exceeds MAX_P"),
     ],
-    ids=["usage", "refusal"],
+    ids=["usage", "refusal", "scan-above-max-p"],
 )
 def test_module_exit_codes(args, code, message):
     proc = subprocess.run(
@@ -770,11 +789,11 @@ def test_module_exit_codes(args, code, message):
     )
     assert proc.returncode == code
     assert proc.stdout == ""
-    assert message in proc.stderr
+    assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_cli_import_loads_no_process_pool():
-    # The pool is imported only by a command run with --workers > 1.
+    # The pool is imported only by a scan or search of two shares of work.
     code = (
         "import sys, freycheck.cli; "
         "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"

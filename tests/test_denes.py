@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import freycheck.denes as denes_mod
-from freycheck.arith import mult_order, primes_up_to
+from freycheck.arith import MAX_P, mult_order, primes_up_to
 from freycheck.cli import jsonable
 from freycheck.denes import (
     DenesReport,
@@ -158,18 +158,17 @@ def _check_poly_mul(a, b, p):
 
 
 class TestKroneckerPacking:
-    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_maximal_residues_at_a_byte_boundary(self, width):
         # All residues p - 1 make the middle coefficients of a*a reach the
         # slot bound len * (p - 1)^2.  ``length`` is the longest whose
-        # bound fits ``width`` bytes, and one more needs the next byte.
-        # Slots wider than 8 bytes are read in 64-bit limbs, so widths 9,
-        # 10, 16 and 17 take two or three limbs.
+        # bound fits ``width`` bytes, and one more needs the next byte,
+        # which the packer has only below 8.
         p = isqrt((256**width - 1) // 40) + 1
         length = (256**width - 1) // (p - 1) ** 2
         assert _slot_width(length, p) == width
         assert _slot_width(length + 1, p) == width + 1
-        for n in (length, length + 1):
+        for n in (length, length + 1) if width < 8 else (length,):
             top = [p - 1] * n
             _check_poly_mul(top, top, p)
             _check_poly_mul(top, [p - 1] * (2 * n + 3), p)
@@ -180,29 +179,28 @@ class TestKroneckerPacking:
             _check_poly_mul(a, b, p)
 
     def test_largest_residues(self):
-        p = 2**64
+        # The largest residues whose products an 8-byte slot holds.
         for length in (1, 2, 3, 31):
+            p = isqrt((2**64 - 1) // length) + 1
+            assert _slot_width(length, p) == 8
             _check_poly_mul([p - 1] * length, [p - 1] * length, p)
 
     def test_bernoulli_slots_pass_eight_bytes_near_3_3_million(self):
         # The kernel multiplies two lists of h = (p - 1)/2 residues.  Its
-        # slots outgrow one 64-bit word just above p = 3.3 million, where
-        # the same packer goes on in limbs.
+        # slots outgrow one 64-bit word just above p = 3.3 million, above
+        # MAX_P, so the packer needs no wider slot.
         def width(p):
             return _slot_width((p - 1) // 2, p)
 
-        assert width(3_300_000) == 8
+        assert width(MAX_P) == width(3_300_000) == 8
         assert width(3_330_000) == 9
-
-    def test_empty_high_limb_bytes(self):
-        # Residues below 2^8 in 9-byte slots: the high limb is all zeros.
-        a = [255] * 40
-        _check_poly_mul(a, a, 2**33)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_matches_schoolbook(self, data):
-        p = data.draw(st.sampled_from([2, 5, 7, 127, 251, 257, 8191, 65521, 2**32 + 15, 2**61 - 1]))
+        # The largest modulus is the last whose 80-term sums fit 8-byte slots.
+        top = isqrt((2**64 - 1) // 80) + 1
+        p = data.draw(st.sampled_from([2, 5, 7, 127, 251, 257, 8191, 65521, MAX_P, top]))
         coeffs = st.lists(st.integers(min_value=0, max_value=p - 1), min_size=1, max_size=80)
         _check_poly_mul(data.draw(coeffs), data.draw(coeffs), p)
 
@@ -276,6 +274,13 @@ class TestWieferich:
 
 
 class TestDenesCriterion:
+    @pytest.mark.parametrize("fn", [denes_criterion, is_regular, bernoulli_mod_p])
+    def test_refuses_p_above_max_p(self, fn):
+        # The kernel's slots fit 8 bytes only up to MAX_P; 3000017 is prime.
+        for p in (MAX_P + 1, 3_000_017):
+            with pytest.raises(ValueError, match="p exceeds MAX_P = 3000000"):
+                fn(p)
+
     def test_p5(self):
         report = denes_criterion(5)
         assert report.criterion_holds
@@ -359,44 +364,21 @@ class TestDenesScan:
     def test_scan_below_range_is_empty(self):
         assert denes_scan(4) == []
 
-    @pytest.fixture
-    def split_small_scans(self, monkeypatch):
-        """Let scans far below ``POOL_MIN_PRIME_SUM`` use a pool, so pool
-        sizing can be tested on them."""
-        monkeypatch.setattr(denes_mod, "POOL_MIN_PRIME_SUM", 0)
-
-    def test_parallel_matches_sequential(self, split_small_scans):
-        assert denes_scan(120, workers=4) == denes_scan(120, workers=1)
-
-    def test_pool_starts_at_the_prime_sum_threshold(self, pool_sizes, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        prime_sum = sum(p for p in primes_up_to(120) if p >= 5)
-        assert prime_sum < denes_mod.POOL_MIN_PRIME_SUM
-        denes_scan(120, workers=2)
-        assert pool_sizes == []
-        monkeypatch.setattr(denes_mod, "POOL_MIN_PRIME_SUM", prime_sum + 1)
-        denes_scan(120, workers=2)
-        assert pool_sizes == []
-        monkeypatch.setattr(denes_mod, "POOL_MIN_PRIME_SUM", prime_sum)
-        denes_scan(120, workers=2)
-        assert pool_sizes == [2]
-
-    def test_pool_bounded_by_primes_and_cores(self, pool_sizes, monkeypatch, split_small_scans):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert denes_scan(120, workers=1000) == denes_scan(120)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert denes_scan(13, workers=1000) == denes_scan(13)  # primes 5, 7, 11, 13
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        denes_scan(13, workers=4)  # one core: runs in process
-        assert pool_sizes == [3, 4]
+    def test_parallel_matches_sequential(self, force_pools):
+        force_pools(1)
+        sequential = denes_scan(120)
+        force_pools(4)
+        assert denes_scan(120) == sequential
 
     @pytest.mark.parametrize("cores", [1, None])
-    def test_no_pool_on_one_core(self, pool_sizes, monkeypatch, cores, split_small_scans):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        assert denes_scan(120, workers=4) == denes_scan(120)
-        assert pool_sizes == []
+    def test_no_pool_on_one_core(self, pool_sizes, force_pools, cores):
+        force_pools(3)
+        expected = denes_scan(120)
+        force_pools(cores)
+        assert denes_scan(120) == expected
+        assert pool_sizes == [3]
 
-    def test_workers_validated(self):
-        for p_max in (4, 29):
-            with pytest.raises(ValueError):
-                denes_scan(p_max, workers=0)
+    def test_refuses_above_max_p_before_the_sieve(self, monkeypatch):
+        monkeypatch.setattr(denes_mod, "primes_up_to", lambda n: pytest.fail("sieved to %d" % n))
+        with pytest.raises(ValueError, match="p_max exceeds MAX_P = 3000000"):
+            denes_scan(MAX_P + 1)

@@ -40,13 +40,6 @@ from oracles import (
 )
 
 
-@pytest.fixture
-def split_small_searches(monkeypatch):
-    """Let searches far below ``POOL_MIN_LOOKUPS`` use a pool, so pool
-    sizing and partitioning can be tested on them."""
-    monkeypatch.setattr(search_mod, "POOL_MIN_LOOKUPS", 0)
-
-
 class TestSearchSpec:
     def test_valid(self):
         spec = SearchSpec(p=5, alpha=2, height=10)
@@ -148,10 +141,13 @@ class TestSearchStar:
         records = search_star(SearchSpec(p=3, alpha=1, height=4))
         assert [rec.content for rec in records] == [1]
 
-    def test_partition_determinism(self, split_small_searches):
-        for workers in (2, 3, 4):
-            spec = SearchSpec(p=3, alpha=1, height=18, require_primitive=False)
-            assert search_star(spec, workers=workers) == search_star(spec, workers=1)
+    def test_partition_determinism(self, force_pools):
+        spec = SearchSpec(p=3, alpha=1, height=18, require_primitive=False)
+        force_pools(1)
+        expected = search_star(spec)
+        for cpus in (2, 3, 4):
+            force_pools(cpus)
+            assert search_star(spec) == expected
 
     def test_sorted_output(self):
         spec = SearchSpec(p=3, alpha=1, height=10, require_primitive=False)
@@ -159,22 +155,12 @@ class TestSearchStar:
         keys = [(rec.normalized_form, rec.content) for rec in records]
         assert keys == sorted(keys)
 
-    def test_pool_bounded_by_chunks_and_cores(
-        self, pool_sizes, monkeypatch, split_small_searches
-    ):
-        spec = SearchSpec(p=3, alpha=1, height=5)
-        assert search_mod._admissible_sums(spec) == [1, 2, 3, 4, 6, 8, 9]
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert search_star(spec, workers=1000) == search_star(spec)  # 7 chunks
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        search_star(spec, workers=1000)
-        assert pool_sizes == [7, 2]
-
-    def test_chunks_follow_the_pool_not_workers(
-        self, pool_sizes, monkeypatch, split_small_searches
-    ):
+    def test_chunks_follow_the_pool_not_workers(self, pool_sizes, monkeypatch, force_pools):
+        # Each lookup is a share here, so the work asks for thousands of
+        # processes; the chunks follow the pool the CPUs allow.
         spec = SearchSpec(p=3, alpha=1, height=50)
-        expected = search_star(spec, workers=1)
+        force_pools(1)
+        expected = search_star(spec)
         calls = []
         chunk = search_mod._search_chunk
 
@@ -183,20 +169,18 @@ class TestSearchStar:
             return chunk(args)
 
         monkeypatch.setattr(search_mod, "_search_chunk", counted)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert search_star(spec, workers=1000) == expected
+        force_pools(2)
+        assert search_star(spec) == expected
         assert len(calls) == 2 and pool_sizes == [2]
 
     @pytest.mark.parametrize("cores", [1, None])
-    def test_no_pool_on_one_core(self, pool_sizes, monkeypatch, cores, split_small_searches):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    def test_no_pool_on_one_core(self, pool_sizes, force_pools, cores):
         spec = SearchSpec(p=3, alpha=1, height=12, require_primitive=False)
-        assert search_star(spec, workers=4) == search_star(spec)
-        assert pool_sizes == []
-
-    def test_workers_validated(self):
-        with pytest.raises(ValueError):
-            search_star(SearchSpec(p=5, alpha=1, height=5), workers=0)
+        force_pools(4)
+        expected = search_star(spec)
+        force_pools(cores)
+        assert search_star(spec) == expected
+        assert pool_sizes == [4]
 
     @pytest.mark.parametrize("p,alpha", [(3, 4), (3, 7), (5, 6)])
     def test_trivial_family_when_alpha_at_least_p(self, p, alpha):
@@ -248,8 +232,9 @@ class TestSearchStar:
 
 class TestPoolThreshold:
     """A pool starts only when the estimated lookups, (number of sums) * H
-    summed over the specs, reach ``POOL_MIN_LOOKUPS``; the chunks are
-    stubbed, so no real search of that size runs."""
+    summed over the specs, reach two ``LOOKUPS_PER_PROCESS``, and has one
+    process per such share; the chunks are stubbed, so no real search of
+    that size runs."""
 
     @pytest.fixture
     def chunks(self, monkeypatch):
@@ -263,21 +248,23 @@ class TestPoolThreshold:
         return sum(len(search_mod._admissible_sums(s)) * s.height for s in specs)
 
     def test_small_sweeps_run_in_process(self, pool_sizes, chunks):
-        verify_theorem_claims([3, 5, 7, 11, 13], [1, 2, 3, 4], 25, workers=2)
+        verify_theorem_claims([3, 5, 7, 11, 13], [1, 2, 3, 4], 25)
         assert pool_sizes == [] and len(chunks) == 18
 
     def test_large_search_starts_a_pool(self, pool_sizes, chunks):
+        # 3,840,000 lookups: two shares, so two of the eight CPUs.
         spec = SearchSpec(p=5, alpha=1, height=40000)
-        assert self._lookups([spec]) >= search_mod.POOL_MIN_LOOKUPS
-        search_star(spec, workers=2)
+        assert self._lookups([spec]) // search_mod.LOOKUPS_PER_PROCESS == 2
+        search_star(spec)
         assert pool_sizes == [2] and len(chunks) == 2
 
     def test_threshold_is_on_the_whole_grid(self, pool_sizes, chunks):
         height = 10000
         specs = [SearchSpec(p=p, alpha=a, height=height) for p in (3, 5) for a in (1, 2)]
         lookups = self._lookups(specs)
-        assert max(self._lookups([s]) for s in specs) < search_mod.POOL_MIN_LOOKUPS <= lookups
-        verify_theorem_claims([3, 5], [1, 2], height, workers=2)
+        share = search_mod.LOOKUPS_PER_PROCESS
+        assert max(self._lookups([s]) for s in specs) < 2 * share and lookups // share == 2
+        verify_theorem_claims([3, 5], [1, 2], height)
         assert pool_sizes == [2] and len(chunks) == 8
 
 
@@ -293,7 +280,7 @@ class TestAgainstRootExtraction:
     ]
 
     @pytest.mark.parametrize("p,alpha,L", STAR_GRID)
-    def test_search_star(self, p, alpha, L, split_small_searches):
+    def test_search_star(self, p, alpha, L, force_pools):
         height = 200 if p == 3 else 120
         raw = search_star_exact_root(p, alpha, height, L=L)
         for require_primitive in (False, True):
@@ -302,10 +289,12 @@ class TestAgainstRootExtraction:
                 require_primitive=require_primitive,
             )
             expected = [t for t in raw if not require_primitive or math.gcd(*t) == 1]
+            force_pools(1)
             records = search_star(spec)
             assert records == _records_from_raw(spec, expected)
             if not require_primitive:
-                assert search_star(spec, workers=2) == records
+                force_pools(2)
+                assert search_star(spec) == records
 
     @pytest.mark.parametrize("distinct_only", (True, False))
     @pytest.mark.parametrize("k", (3, 4))
@@ -449,23 +438,29 @@ class TestVerifyDrivers:
     def test_verify_theorem_claims_empty_plist(self):
         assert verify_theorem_claims([], [1, 2], 10) == []
 
-    def test_one_pool_for_the_whole_grid(self, pool_sizes, monkeypatch, split_small_searches):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    def test_one_pool_for_the_whole_grid(self, pool_sizes, force_pools):
         grid = ([3, 5], [1, 2], 7)
-        assert verify_theorem_claims(*grid, workers=2) == verify_theorem_claims(*grid)
+        force_pools(1)
+        expected = verify_theorem_claims(*grid)
+        force_pools(2)
+        assert verify_theorem_claims(*grid) == expected
         assert pool_sizes == [2]
 
     @pytest.mark.parametrize("cores", [1, None])
-    def test_no_pool_on_one_core(self, pool_sizes, monkeypatch, cores, split_small_searches):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    def test_no_pool_on_one_core(self, pool_sizes, force_pools, cores):
         grid = ([3, 5], [1, 2], 7)
-        assert verify_theorem_claims(*grid, workers=4) == verify_theorem_claims(*grid)
-        assert pool_sizes == []
+        force_pools(4)
+        expected = verify_theorem_claims(*grid)
+        force_pools(cores)
+        assert verify_theorem_claims(*grid) == expected
+        assert pool_sizes == [4]
 
-    def test_repeated_cases_stay_separate(self, split_small_searches):
-        cases = verify_theorem_claims([5, 5], [1, 1], 9, workers=2)
+    def test_repeated_cases_stay_separate(self, force_pools):
+        force_pools(2)
+        cases = verify_theorem_claims([5, 5], [1, 1], 9)
         assert len(cases) == 4
-        assert cases == verify_theorem_claims([5, 5], [1, 1], 9, workers=1)
+        force_pools(1)
+        assert cases == verify_theorem_claims([5, 5], [1, 1], 9)
 
     def test_case_report_shape(self):
         case = verify_theorem_claims([5], [1], 8)[0]

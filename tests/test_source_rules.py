@@ -1,5 +1,6 @@
-"""The package's source keeps the toolkit's two standing rules: it imports
-only the standard library, and it uses no floating-point arithmetic.
+"""The package's source keeps the toolkit's standing rules: it imports
+only the standard library, it uses no floating-point arithmetic, and one
+module, ``arith``, owns every process pool.
 
 Each module under ``src/freycheck`` is parsed, not imported, and every
 node is checked: absolute imports must name a stdlib module; float and
@@ -98,3 +99,18 @@ def test_every_rule_fires():
         "calls complex",
         "uses math.log",
     ]
+
+
+def test_only_arith_imports_a_process_pool():
+    importers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] in ("concurrent", "multiprocessing") for name in names):
+                importers.add(path.name)
+    assert importers == {"arith.py"}
