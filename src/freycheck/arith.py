@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 __all__ = [
     "DEFAULT_FACTOR_BOUND",
     "MAX_ELL",
+    "MAX_HEIGHT",
     "MAX_P",
     "MILLER_RABIN_BOUND",
     "FactorizationError",
@@ -36,14 +37,22 @@ DEFAULT_FACTOR_BOUND = 10**6
 #: Largest ell that traces.count_points counts at and traces.trace_table
 #: tabulates to; it lives here so the CLI's help can name it without
 #: loading traces.  A table's time and memory grow linearly with lmax:
-#: traces --lmax 10**7 took 279 s at 813 MB peak RSS (2-core x86_64,
-#: Python 3.11.7, 8 GB), so 10**8 would need about 8 GB.
+#: traces --lmax 10**7 --format json took 268 s at 304 MB peak RSS
+#: (2-core x86_64, Python 3.11.7, 8 GB).
 MAX_ELL = 10**7
 
 #: Largest p that denes evaluates or scans to, here so the CLI's help can
 #: name it without loading denes.  The Bernoulli kernel's Kronecker slots
 #: fit in 8 bytes up to about p = 3.3 million.
 MAX_P = 3 * 10**6
+
+#: Largest height that search, verify and ap-search accept, here so the
+#: CLI's help can name it without loading search.  Each search process
+#: builds tables of O(height) exact powers: at height 10**6, search --p 13
+#: --alpha 2 took 18.1 s at 437 MB peak RSS and ap-search --n 2 --k 3
+#: 33.6 s at 416 MB (2-core x86_64, Python 3.11.7); search --height 10**8
+#: ran past a 1 GB memory limit.
+MAX_HEIGHT = 10**6
 
 #: Brent's rho takes at most this many steps times isqrt(bound) per
 #: constant c before a piece goes to trial division up to the bound.

@@ -2,7 +2,9 @@
 
 Exit codes: 0 clean run, 1 usage error, 2 domain error (invalid values,
 factorization bound exceeded), 3 a finding that contradicts an
-established result (emitted only after exact re-verification).
+established result (emitted only after exact re-verification), 141
+standard output closed by its reader (128 + SIGPIPE, as a shell reports
+a tool that a closed pipe stopped).
 
 Every report goes to standard output; diagnostics and logs go to
 standard error.  JSON is the contract surface: reports carry a
@@ -18,13 +20,13 @@ from __future__ import annotations
 
 import argparse
 import gc
-import io
+import os
 import re
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from . import __version__, denes, frey, search, tate, traces, weierstrass
-from .arith import DEFAULT_FACTOR_BOUND, MAX_ELL, MAX_P, valuation
+from .arith import DEFAULT_FACTOR_BOUND, MAX_ELL, MAX_HEIGHT, MAX_P, valuation
 
 __all__ = ["entry", "jsonable", "main"]
 
@@ -34,6 +36,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_COUNTEREXAMPLE = 3
+EXIT_CLOSED_PIPE = 141
 
 #: Set by ``entry``: how ``_log_error`` configures logging in the CLI process.
 _LOG_FORMAT: Optional[str] = None
@@ -139,6 +142,12 @@ def build_parser() -> _Parser:
         return cmd
 
     model = dict(type=_model, required=True, metavar="a1,a2,a3,a4,a6")
+    height = dict(
+        type=_positive_int,
+        default=25,
+        help="largest absolute value searched, at most MAX_HEIGHT = %d "
+        "(default: %%(default)s)" % MAX_HEIGHT,
+    )
     lmax_help = "largest ell counted, at most MAX_ELL = %d (default: %%(default)s)" % MAX_ELL
     factor_bound = dict(
         type=_int_at_least(2, "an integer >= 2"),
@@ -172,7 +181,7 @@ def build_parser() -> _Parser:
     search_cmd.add_argument("--p", type=_positive_int, required=True)
     search_cmd.add_argument("--alpha", type=_nonnegative_int, required=True)
     search_cmd.add_argument("--L", type=_positive_int, default=2)
-    search_cmd.add_argument("--height", type=_positive_int, default=25)
+    search_cmd.add_argument("--height", **height)
     search_cmd.add_argument(
         "--allow-imprimitive",
         action="store_true",
@@ -186,7 +195,7 @@ def build_parser() -> _Parser:
     )
     ap_search.add_argument("--n", type=_positive_int, required=True)
     ap_search.add_argument("--k", type=_positive_int, required=True, choices=(3, 4))
-    ap_search.add_argument("--height", type=_positive_int, default=25)
+    ap_search.add_argument("--height", **height)
     ap_search.add_argument(
         "--allow-constant",
         action="store_true",
@@ -200,7 +209,7 @@ def build_parser() -> _Parser:
     )
     verify.add_argument("--p-list", type=_comma_ints(), required=True, metavar="p1,p2,...")
     verify.add_argument("--alpha-list", type=_comma_ints(), required=True, metavar="a1,a2,...")
-    verify.add_argument("--height", type=_positive_int, default=25)
+    verify.add_argument("--height", **height)
 
     traces_cmd = command(
         "traces", _cmd_traces, "trace-of-Frobenius table for a Weierstrass model", fmt="csv"
@@ -249,14 +258,6 @@ def jsonable(value: object) -> object:
     return value
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    import csv
-
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
-    return buffer.getvalue()
-
-
 def _key_value_rows(payload: Dict[str, object], prefix: str = "") -> List[Tuple[str, object]]:
     rows: List[Tuple[str, object]] = []
     for key in sorted(payload):
@@ -275,8 +276,8 @@ def _key_value_rows(payload: Dict[str, object], prefix: str = "") -> List[Tuple[
     return rows
 
 
-def _render(command: str, fmt: str, payload: object, table: Optional[Table]) -> str:
-    """One report as json, csv or human text.
+def _write(out: TextIO, command: str, fmt: str, payload: object, table: Optional[Table]) -> None:
+    """Write one report to ``out`` as json, csv or human text, as it is rendered.
 
     JSON is the payload in the versioned envelope.  CSV is the table, or
     the payload's key/value listing for commands without one; human text
@@ -284,27 +285,31 @@ def _render(command: str, fmt: str, payload: object, table: Optional[Table]) -> 
     bare JSON object per report (JSON Lines) and prints its table as
     human text, and ``traces`` prints its table padded into columns.
     """
-    payload = jsonable(payload)
     if fmt == "json":
         import json
 
+        payload = jsonable(payload)
         if command == "denes":
-            return "".join(json.dumps(report, sort_keys=True) + "\n" for report in payload)
+            out.writelines(json.dumps(report, sort_keys=True) + "\n" for report in payload)
+            return
         doc = dict(schema_version=SCHEMA_VERSION, toolkit_version=__version__, command=command)
-        return json.dumps({**doc, **payload}, sort_keys=True, indent=2) + "\n"
-    if table is not None:
-        header, rows = table
-        if fmt == "csv":
-            return _csv_text(header, rows)
-        if command == "denes":
-            return "".join("  ".join(map(str, row)) + "\n" for row in [header, *rows])
-        if command == "traces":
-            return "".join("%-4s %-6s %s\n" % tuple(row) for row in [header, *rows])
-    rows = _key_value_rows(payload)
+        json.dump({**doc, **payload}, out, sort_keys=True, indent=2)
+        out.write("\n")
+        return
+    if table is None or fmt == "human" and command not in ("denes", "traces"):
+        table = ("key", "value"), _key_value_rows(jsonable(payload))
+    header, rows = table
     if fmt == "csv":
-        return _csv_text(("key", "value"), rows)
-    width = max(len(name) for name, _ in rows)
-    return "".join("%-*s  %s\n" % (width, name, value) for name, value in rows)
+        import csv
+
+        csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    elif command == "denes":
+        out.writelines("  ".join(map(str, row)) + "\n" for row in [header, *rows])
+    elif command == "traces":
+        out.writelines("%-4s %-6s %s\n" % tuple(row) for row in [header, *rows])
+    else:
+        width = max(len(name) for name, _ in rows)
+        out.writelines("%-*s  %s\n" % (width, name, value) for name, value in rows)
 
 
 def _cell(value: object) -> object:
@@ -347,7 +352,7 @@ def _cmd_analyze(args: argparse.Namespace) -> Report:
         )
     params = frey.normalize(args.p, alpha_red, a, b_red, c)
     triple, model = frey.build_frey(params)
-    inv = frey.invariants(triple, args.p, args.factor_bound)
+    inv = frey.invariants(triple, args.factor_bound)
     local = tate.all_local_data(model, args.factor_bound)
     conductor_oracle = tate.global_conductor(local)
     at_2 = next((item for item in local if item.prime == 2), None)
@@ -495,7 +500,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         sys.stderr.write("freycheck %s: error: %s\n" % (args.command, exc))
         return EXIT_DOMAIN
-    sys.stdout.write(_render(args.command, args.format, payload, table))
+    _write(sys.stdout, args.command, args.format, payload, table)
     return code
 
 
@@ -518,4 +523,12 @@ def entry() -> None:
     # Frozen, they are skipped by every collection; collection stays
     # enabled for what ``main`` allocates.
     gc.freeze()
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Send what is still buffered to devnull, so
+        # the flush at shutdown does not fail again, and exit quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_PIPE
+    sys.exit(code)

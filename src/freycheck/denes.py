@@ -61,9 +61,6 @@ PRIME_SUM_PER_PROCESS = 312_500
 #: array("Q") words are in the host's byte order; slots are little-endian.
 _BIG_ENDIAN = sys.byteorder == "big"
 
-#: The array type code whose items are exactly n bytes, n = 1, 2, 4, 8.
-_TYPECODE = {array(code).itemsize: code for code in "BHILQ"}
-
 
 class DenesReport(NamedTuple):
     p: int
@@ -92,15 +89,12 @@ def _pack(coeffs: Sequence[int], width: int) -> int:
     """Values below 2^(8 width) as one int, ``width`` <= 8 little-endian
     bytes each.
 
-    A width that is an array item size is the array's own bytes; any
-    other goes through ``array("Q")`` words and one strided copy per byte.
+    The values fill ``array("Q")`` words, and one strided byte-slice copy
+    per byte moves their low ``width`` bytes into the slots.
     """
-    code = _TYPECODE.get(width)
-    words = array(code or "Q", coeffs)
+    words = array("Q", coeffs)
     if _BIG_ENDIAN:
         words.byteswap()
-    if code:
-        return int.from_bytes(words, "little")
     raw = words.tobytes()
     slots = bytearray(len(coeffs) * width)
     for k in range(width):

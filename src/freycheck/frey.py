@@ -152,14 +152,13 @@ def frey_model(triple: MonomialTriple) -> WeierstrassModel:
 
 
 def invariants(
-    triple: MonomialTriple, p: int, factor_bound: int = DEFAULT_FACTOR_BOUND
+    triple: MonomialTriple, factor_bound: int = DEFAULT_FACTOR_BOUND
 ) -> CurveInvariants:
     """Closed-form conductor and discriminant data for a Frey triple.
 
     ``u`` (minimal discriminant = 2^u * (A*B*C)^2) is 4 while v_2(Delta) =
     4 + 2*ord_2(B) < 12 keeps the model minimal at 2; once 16 | B it is -8.
     """
-    _require_odd_prime(p)
     triple.validate()
     ord2_b = valuation(triple.B, 2)
     t = CONDUCTOR_EXPONENT_AT_2.get(ord2_b, 1)

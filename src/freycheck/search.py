@@ -49,7 +49,7 @@ from bisect import bisect_left
 from itertools import repeat
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
-from .arith import is_prime, ordered_map, pool_size
+from .arith import MAX_HEIGHT, is_prime, ordered_map, pool_size
 from .frey import canonical_triple
 
 __all__ = [
@@ -78,6 +78,14 @@ SIGMA_PRIMES = frozenset({3, 5, 7, 11, 13, 17, 19, 23, 29, 53, 59})
 LOOKUPS_PER_PROCESS = 1_500_000
 
 
+def _check_height(height: int) -> None:
+    """Refuse a height outside 1..MAX_HEIGHT before any table is built."""
+    if height < 1:
+        raise ValueError("height must be >= 1")
+    if height > MAX_HEIGHT:
+        raise ValueError("height exceeds MAX_HEIGHT = %d" % MAX_HEIGHT)
+
+
 class _SearchSpecFields(NamedTuple):
     p: int
     alpha: int
@@ -100,8 +108,7 @@ class SearchSpec(_SearchSpecFields):
             raise ValueError("alpha must be non-negative")
         if not is_prime(L):
             raise ValueError("L must be prime")
-        if height < 1:
-            raise ValueError("height must be >= 1")
+        _check_height(height)
         return super().__new__(cls, p, alpha, height, L, require_primitive)
 
     @classmethod
@@ -302,6 +309,7 @@ def verify_theorem_claims(
 
     The whole grid shares one ordered_map, so at most one pool starts.
     """
+    _check_height(height)
     specs = [
         SearchSpec(p=p, alpha=alpha, height=height)
         for p in p_list for alpha in alpha_list if alpha < p
@@ -326,8 +334,7 @@ def search_ap_powers(
         raise ValueError("exponent n must be >= 2")
     if k not in (3, 4):
         raise ValueError("only 3- and 4-term progressions are supported")
-    if height < 1:
-        raise ValueError("height must be >= 1")
+    _check_height(height)
     results = _square_progressions(height) if n == 2 else _power_progressions(n, height)
     if k == 4:
         # x4^n = 2 x3^n - x2^n extends each three-term progression, one lookup each.

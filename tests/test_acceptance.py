@@ -71,7 +71,7 @@ def test_criterion_2_table_matches_tate_oracle():
         assert len(triples) >= 100
         for A, B, C in triples:
             triple = MonomialTriple(A=A, B=B, C=C)
-            inv = invariants(triple, p=5)
+            inv = invariants(triple)
 
             data = all_local_data(frey_model(triple))
             oracle_n = 1
@@ -101,7 +101,7 @@ def test_criterion_3_odd_disc_valuations_mod_p():
         for p in (5, 7, 11, 13):
             params = normalize(p, 1, -1, 1, -1)
             triple, model = build_frey(params)
-            inv = invariants(triple, p)
+            inv = invariants(triple)
             # The map must be present in the report even when empty.
             assert "odd_disc_valuations" in jsonable(inv)
             for ell, v in inv.odd_disc_valuations.items():

@@ -5,7 +5,9 @@ the record types' contract, and what importing the CLI loads.
 
 import argparse
 import ast
+import hashlib
 import inspect
+import io
 import json
 import math
 import os
@@ -23,7 +25,7 @@ import freycheck.search as search_mod
 import freycheck.tate as tate_mod
 import freycheck.traces as traces_mod
 from freycheck import __version__
-from freycheck.arith import MAX_P, primes_up_to
+from freycheck.arith import MAX_HEIGHT, MAX_P, primes_up_to
 from freycheck.cli import jsonable
 from freycheck.denes import denes_criterion
 from freycheck.frey import CurveInvariants, build_frey, invariants, normalize
@@ -46,6 +48,10 @@ from oracles import count_points_legendre
 #: bytes of any report shows up here first.
 GOLDEN = Path(__file__).parent / "golden"
 FORMATS = ("json", "csv", "human")
+
+#: The benchmark's pinned seed-0 calls: each command line (joined by
+#: spaces), its exit code and the sha256 of its stdout.
+DIGESTS = Path(__file__).parents[1] / "bench" / "digests.json"
 
 
 @pytest.fixture
@@ -120,6 +126,24 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "denes", *args)
         assert code == 2 and out == ""
         assert err == "freycheck denes: error: %s MAX_P = %d\n" % (message, MAX_P)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("search", "--p", "5", "--alpha", "1"),
+            ("verify", "--p-list", "5", "--alpha-list", "1"),
+            ("ap-search", "--n", "2", "--k", "3"),
+        ],
+        ids=["search", "verify", "ap-search"],
+    )
+    def test_domain_error_height_above_max_height(self, capsys, monkeypatch, args):
+        for name in ("_search_specs", "_square_progressions", "_power_progressions"):
+            monkeypatch.setattr(search_mod, name, lambda *a: pytest.fail("searched"))
+        code, out, err = run_cli(capsys, *args, "--height", str(MAX_HEIGHT + 1))
+        assert code == 2 and out == ""
+        assert err == "freycheck %s: error: height exceeds MAX_HEIGHT = %d\n" % (
+            args[0], MAX_HEIGHT
+        )
 
     def test_singular_second_model_is_refused_before_the_sieve(self, capsys, no_sieve):
         code, out, err = run_cli(
@@ -300,7 +324,7 @@ class TestAnalyze:
         }
         assert doc["triple"] == {"A": -1, "B": 2, "C": -1}
         triple, _ = build_frey(normalize(5, 1, -1, 1, -1))
-        assert doc["invariants"] == jsonable(invariants(triple, 5))
+        assert doc["invariants"] == jsonable(invariants(triple))
 
     def test_equals_form_for_negative_lists(self, capsys):
         code_space, out_space, _ = run_cli(
@@ -610,6 +634,30 @@ class TestDeterminism:
         assert (code, err) == (0, "")
         assert out == (GOLDEN / ("%s.%s" % (args[0], fmt))).read_text(encoding="utf-8")
 
+    def test_benchmark_calls_match_their_pinned_digests(self, capsys):
+        pinned = json.loads(DIGESTS.read_text())
+        assert len(pinned) == 46
+        for line, (code, digest) in pinned.items():
+            got, out, _ = run_cli(capsys, *line.split(" "))
+            assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), line
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_report_is_written_as_it_is_rendered(self, capsys, monkeypatch, fmt):
+        class Recorder(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        args = ("traces", "--model", "0,-1,1,-10,-20", "--lmax", "2000", "--format", fmt)
+        expected = run_cli(capsys, *args)
+        recorder = Recorder()
+        monkeypatch.setattr(sys, "stdout", recorder)
+        assert cli.main(list(args)) == expected[0] == 0
+        assert recorder.getvalue() == expected[1]
+        assert recorder.writes > 1
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -671,7 +719,7 @@ def _sample_records():
         denes_criterion(37),
         params,
         triple,
-        invariants(triple, 5),
+        invariants(triple),
         spec,
         records[0],
         case.outcome,
@@ -780,8 +828,9 @@ def test_frozen_heap_forks_a_real_pool():
         (["denes", "--p", "7", "--scan", "10"], 1, "not allowed with argument"),
         (["conductor", "--model", "0,0,0,-1,%d" % 10**21], 2, "factorization bound exceeded"),
         (["denes", "--scan", str(10**12)], 2, "p_max exceeds MAX_P"),
+        (["search", "--p", "5", "--alpha", "1", "--height", str(10**8)], 2, "exceeds MAX_HEIGHT"),
     ],
-    ids=["usage", "refusal", "scan-above-max-p"],
+    ids=["usage", "refusal", "scan-above-max-p", "height-above-max-height"],
 )
 def test_module_exit_codes(args, code, message):
     proc = subprocess.run(
@@ -790,6 +839,21 @@ def test_module_exit_codes(args, code, message):
     assert proc.returncode == code
     assert proc.stdout == ""
     assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_exits_141_quietly():
+    # About 140 KB of CSV, more than a pipe holds: the writer meets the
+    # closed pipe mid-report.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "freycheck", "traces", "--model", "0,-1,1,-10,-20",
+         "--lmax", "100000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(16) == b"ell,a_ell,reduct"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_cli_import_loads_no_process_pool():

@@ -57,13 +57,13 @@ class TestRouteBoundary:
 
     def test_invariants_run_no_tate_step(self, monkeypatch):
         triples = [MonomialTriple(*t) for t in synthetic_frey_triples()]
-        expected = [invariants(triple, 5) for triple in triples]
+        expected = [invariants(triple) for triple in triples]
 
         def refuse(*args, **kwargs):
             raise AssertionError("the table route ran Tate's algorithm")
 
         monkeypatch.setattr(tate, "local_data_with_model", refuse)
-        assert [invariants(triple, 5) for triple in triples] == expected
+        assert [invariants(triple) for triple in triples] == expected
 
 
 class TestNormalize:
@@ -181,7 +181,7 @@ class TestMonomialTriple:
 class TestInvariantsTrivial:
     def test_trivial_solution_values(self):
         triple, _ = build_frey(normalize(5, 1, 1, -1, 1))
-        inv = invariants(triple, 5)
+        inv = invariants(triple)
         assert inv.t == 5
         assert inv.odd_radical == 1
         assert inv.conductor == 32
@@ -196,13 +196,13 @@ class TestInvariantsTrivial:
         # skipped.
         for p in (5, 7, 11, 13):
             triple, _ = build_frey(normalize(p, 1, 1, -1, 1))
-            inv = invariants(triple, p)
+            inv = invariants(triple)
             assert inv.odd_disc_valuations == {}
             assert all(v % p == 0 for v in inv.odd_disc_valuations.values())
 
     def test_roundtrip(self):
         triple, _ = build_frey(normalize(5, 1, 1, -1, 1))
-        inv = invariants(triple, 5)
+        inv = invariants(triple)
         doc = json.loads(json.dumps(jsonable(inv)))
         doc["odd_disc_valuations"] = {int(k): v for k, v in doc["odd_disc_valuations"].items()}
         assert CurveInvariants(**doc) == inv
@@ -216,7 +216,7 @@ class TestTableAgainstOracle:
         seen_t = set()
         for A, B, C in synthetic_frey_triples():
             triple = MonomialTriple(A, B, C)
-            inv = invariants(triple, 5)
+            inv = invariants(triple)
             # Independent closed-form recomputation (naive factorization).
             odd_primes = naive_odd_prime_factors(A * B * C)
             t_expected, conductor_expected = frey_conductor_oracle(A, B, C, odd_primes)
@@ -250,7 +250,7 @@ class TestTableAgainstOracle:
         # triples span ord_2(B) = 1..8, across the table's 3 -> 4 boundary.
         for A, B, C in synthetic_frey_triples():
             triple = MonomialTriple(A, B, C)
-            inv = invariants(triple, 5)
+            inv = invariants(triple)
             data = local_data(frey_model(triple), 2)
             v2 = valuation(B, 2)
             assert inv.u == 4 - 12 * data.scalings
@@ -264,9 +264,9 @@ class TestTableAgainstOracle:
     def test_spot_minimal_valuations(self):
         # ord_2(B) = 5 forces u = -8 (t = 1); ord_2(B) = 4 forces good
         # reduction at 2 (t = 0), so the minimal discriminant is odd.
-        inv5 = invariants(MonomialTriple(-1, 32, -31), 5)
+        inv5 = invariants(MonomialTriple(-1, 32, -31))
         assert inv5.t == 1 and inv5.u == -8 and inv5.conductor == 2 * 31
-        inv4 = invariants(MonomialTriple(-1, 16, -15), 5)
+        inv4 = invariants(MonomialTriple(-1, 16, -15))
         assert inv4.t == 0 and inv4.semistable
         assert local_data(frey_model(MonomialTriple(-1, 16, -15)), 2).reduction == "Good"
 
@@ -323,6 +323,6 @@ class TestCartan:
 class TestTrivialLevel:
     def test_true_only_for_power_of_two_conductor(self):
         triple, _ = build_frey(normalize(7, 1, 1, -1, 1))
-        assert is_trivial_level(invariants(triple, 7))
+        assert is_trivial_level(invariants(triple))
         synthetic = MonomialTriple(-9, 2, 7)
-        assert not is_trivial_level(invariants(synthetic, 5))
+        assert not is_trivial_level(invariants(synthetic))

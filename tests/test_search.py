@@ -13,6 +13,7 @@ import pytest
 
 import freycheck.cli as cli
 import freycheck.search as search_mod
+from freycheck.arith import MAX_HEIGHT
 from freycheck.cli import jsonable
 from freycheck.frey import canonical_triple
 from freycheck.search import (
@@ -60,6 +61,17 @@ class TestSearchSpec:
             SearchSpec(p=5, alpha=1, height=5, L=6)
         with pytest.raises(ValueError, match="height"):
             SearchSpec(p=5, alpha=1, height=0)
+
+    def test_height_up_to_max_height(self):
+        assert SearchSpec(p=5, alpha=1, height=MAX_HEIGHT).height == MAX_HEIGHT
+        refused = "height exceeds MAX_HEIGHT = 1000000"
+        with pytest.raises(ValueError, match=refused):
+            SearchSpec(p=5, alpha=1, height=MAX_HEIGHT + 1)
+        with pytest.raises(ValueError, match=refused):
+            search_ap_powers(2, 3, MAX_HEIGHT + 1)
+        # An empty grid is refused too: the bound does not depend on alpha.
+        with pytest.raises(ValueError, match=refused):
+            verify_theorem_claims([5], [7], MAX_HEIGHT + 1)
 
     def test_replace_validates(self):
         spec = SearchSpec(p=5, alpha=1, height=5)
