@@ -6,8 +6,9 @@ established result (emitted only after exact re-verification), 141
 standard output closed by its reader (128 + SIGPIPE, as a shell reports
 a tool that a closed pipe stopped).
 
-Every report goes to standard output; diagnostics and logs go to
-standard error.  JSON is the contract surface: reports carry a
+Every report goes to standard output; diagnostics go to standard error,
+and so does a finding, as one line ``ERROR freycheck: ...`` written by
+``main`` after the report.  JSON is the contract surface: reports carry a
 ``schema_version`` and the toolkit version and are serialized with
 sorted keys, so identical inputs give byte-identical output.  The one
 exception is ``denes``, which emits one bare JSON object per report
@@ -38,14 +39,12 @@ EXIT_DOMAIN = 2
 EXIT_COUNTEREXAMPLE = 3
 EXIT_CLOSED_PIPE = 141
 
-#: Set by ``entry``: how ``_log_error`` configures logging in the CLI process.
-_LOG_FORMAT: Optional[str] = None
-
 #: A report table: its header and its rows.
 Table = Tuple[Sequence[str], Sequence[Sequence[object]]]
 #: What each handler returns: the JSON payload, the table (None for
-#: key/value reports) and the exit code.
-Report = Tuple[object, Optional[Table], int]
+#: key/value reports) and its finding, the one-line message of a result
+#: that contradicts an established one (None if there is none).
+Report = Tuple[object, Optional[Table], Optional[str]]
 
 # Options taking comma-separated integer lists.  A value such as
 # "-1,1,-1" looks like an option string to argparse, so `--triple
@@ -376,9 +375,8 @@ def _cmd_analyze(args: argparse.Namespace) -> Report:
             "agree": agree,
         },
     }
-    if not agree:
-        _log_error("closed-form table disagrees with the oracle's (conductor, t, u) = %s", oracle)
-    return payload, None, EXIT_OK if agree else EXIT_COUNTEREXAMPLE
+    finding = "closed-form table disagrees with the oracle's (conductor, t, u) = %s" % (oracle,)
+    return payload, None, None if agree else finding
 
 
 def _cmd_denes(args: argparse.Namespace) -> Report:
@@ -386,7 +384,7 @@ def _cmd_denes(args: argparse.Namespace) -> Report:
         reports = [denes.denes_criterion(args.p)]
     else:
         reports = denes.denes_scan(args.scan)
-    return reports, _table(reports, denes.DenesReport._fields), EXIT_OK
+    return reports, _table(reports, denes.DenesReport._fields), None
 
 
 def _cmd_search(args: argparse.Namespace) -> Report:
@@ -395,25 +393,21 @@ def _cmd_search(args: argparse.Namespace) -> Report:
     )
     records = search.search_star(spec)
     case = search.CaseResult(spec, records, search.classify_search_outcome(spec, records))
-    if not case.conforms:
-        _log_error(
-            "%d record(s) contradict the expected verdict %r",
-            len(case.outcome.counterexamples),
-            case.outcome.expected,
-        )
+    finding = "%d record(s) contradict the expected verdict %r" % (
+        len(case.outcome.counterexamples),
+        case.outcome.expected,
+    )
     table = _table(records, ("a", "b", "c", "content", "trivial"))
-    return _case_payload(case), table, EXIT_OK if case.conforms else EXIT_COUNTEREXAMPLE
+    return _case_payload(case), table, None if case.conforms else finding
 
 
 def _cmd_ap_search(args: argparse.Namespace) -> Report:
     distinct_only = not args.allow_constant
     tuples = search.search_ap_powers(args.n, args.k, args.height, distinct_only=distinct_only)
     outcome = search.classify_ap_outcome(args.n, args.k, distinct_only, tuples)
-    if not outcome.conforms:
-        _log_error(
-            "%d progression(s) contradict an established non-existence result",
-            len(outcome.counterexamples),
-        )
+    finding = "%d progression(s) contradict an established non-existence result" % len(
+        outcome.counterexamples
+    )
     payload: Dict[str, object] = {
         "n": args.n,
         "k": args.k,
@@ -425,14 +419,12 @@ def _cmd_ap_search(args: argparse.Namespace) -> Report:
         "conforms": outcome.conforms,
     }
     header = tuple("x%d" % (i + 1) for i in range(args.k))
-    return payload, (header, tuples), EXIT_OK if outcome.conforms else EXIT_COUNTEREXAMPLE
+    return payload, (header, tuples), None if outcome.conforms else finding
 
 
 def _cmd_verify(args: argparse.Namespace) -> Report:
     cases = search.verify_theorem_claims(args.p_list, args.alpha_list, args.height)
     all_conform = all(case.conforms for case in cases)
-    if not all_conform:
-        _log_error("at least one (p, alpha) case contradicts the expected verdict")
     payload: Dict[str, object] = {
         "p_list": args.p_list,
         "alpha_list": args.alpha_list,
@@ -446,7 +438,8 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
          case.outcome.expected, len(case.records), case.conforms)
         for case in cases
     ]
-    return payload, (header, rows), EXIT_OK if all_conform else EXIT_COUNTEREXAMPLE
+    finding = "at least one (p, alpha) case contradicts the expected verdict"
+    return payload, (header, rows), None if all_conform else finding
 
 
 def _cmd_traces(args: argparse.Namespace) -> Report:
@@ -456,7 +449,7 @@ def _cmd_traces(args: argparse.Namespace) -> Report:
         "lmax": args.lmax,
         "records": records,
     }
-    return payload, _table(records, ("ell", "a_ell", "reduction")), EXIT_OK
+    return payload, _table(records, ("ell", "a_ell", "reduction")), None
 
 
 def _cmd_congruence(args: argparse.Namespace) -> Report:
@@ -465,7 +458,7 @@ def _cmd_congruence(args: argparse.Namespace) -> Report:
         "model2": list(args.model2),
         "report": traces.mod_p_congruent(args.model1, args.model2, args.p, args.lmax),
     }
-    return payload, None, EXIT_OK
+    return payload, None, None
 
 
 def _cmd_conductor(args: argparse.Namespace) -> Report:
@@ -483,7 +476,7 @@ def _cmd_conductor(args: argparse.Namespace) -> Report:
         "kodaira_type",
         "reduction",
     )
-    return payload, _table(local, header), EXIT_OK
+    return payload, _table(local, header), None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -496,26 +489,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload, table, code = args.handler(args)
+        payload, table, finding = args.handler(args)
     except ValueError as exc:
         sys.stderr.write("freycheck %s: error: %s\n" % (args.command, exc))
         return EXIT_DOMAIN
     _write(sys.stdout, args.command, args.format, payload, table)
-    return code
-
-
-def _log_error(message: str, *args: object) -> None:
-    """Log on the ``freycheck`` logger; only a run that logs imports ``logging``."""
-    import logging
-
-    if _LOG_FORMAT is not None:
-        logging.basicConfig(stream=sys.stderr, format=_LOG_FORMAT)
-    logging.getLogger("freycheck").error(message, *args)
+    if finding is None:
+        return EXIT_OK
+    sys.stdout.flush()  # so the line follows the report where the two streams meet
+    sys.stderr.write("ERROR freycheck: %s\n" % finding)
+    return EXIT_COUNTEREXAMPLE
 
 
 def entry() -> None:
-    global _LOG_FORMAT
-    _LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
     # The objects made by start-up and imports live until exit, and the
     # interpreter's last collection at shutdown walks them all: 7 to 12 ms
     # of a 120 to 140 ms ``conductor`` call (medians of 41 interleaved

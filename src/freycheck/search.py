@@ -49,8 +49,8 @@ from bisect import bisect_left
 from itertools import repeat
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
+from . import frey
 from .arith import MAX_HEIGHT, is_prime, ordered_map, pool_size
-from .frey import canonical_triple
 
 __all__ = [
     "SIGMA_PRIMES",
@@ -76,6 +76,13 @@ SIGMA_PRIMES = frozenset({3, 5, 7, 11, 13, 17, 19, 23, 29, 53, 59})
 #: two shares, 3,000,000, sit at the crossover.  Pools above two
 #: processes are unmeasured.
 LOOKUPS_PER_PROCESS = 1_500_000
+
+#: Most table lookups an ap-search for n >= 3 may make: its x3 search
+#: looks up every pair x1 < x2 <= H, H(H - 1)/2 of them, so the largest
+#: accepted height is 30,000.  There ap-search --k 3 took 47 s at n = 3
+#: and 81 s at n = 31, whose powers are longer (one CLI run each, 2-core
+#: x86_64, Python 3.11.7).
+MAX_AP_LOOKUPS = 45 * 10**7
 
 
 def _check_height(height: int) -> None:
@@ -200,7 +207,7 @@ def _records_from_raw(
         if a**spec.p + coeff * b**spec.p + c**spec.p != 0:
             raise AssertionError("search emitted a non-solution")
         content = math.gcd(a, b, c)
-        form = canonical_triple(a // content, b // content, c // content)
+        form = frey.canonical_triple(a // content, b // content, c // content)
         key = (form, content)
         if key not in by_key:
             by_key[key] = SolutionRecord(
@@ -335,6 +342,12 @@ def search_ap_powers(
     if k not in (3, 4):
         raise ValueError("only 3- and 4-term progressions are supported")
     _check_height(height)
+    lookups = height * (height - 1) // 2
+    if n > 2 and lookups > MAX_AP_LOOKUPS:
+        raise ValueError(
+            "n >= 3 at height %d makes about %d lookups, above MAX_AP_LOOKUPS = %d"
+            % (height, lookups, MAX_AP_LOOKUPS)
+        )
     results = _square_progressions(height) if n == 2 else _power_progressions(n, height)
     if k == 4:
         # x4^n = 2 x3^n - x2^n extends each three-term progression, one lookup each.

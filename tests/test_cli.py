@@ -70,6 +70,13 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+def finding(err):
+    """The message of the one ``ERROR freycheck:`` line that is all of ``err``."""
+    prefix = "ERROR freycheck: "
+    assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), err
+    return err[len(prefix) : -1]
+
+
 class TestExitCodes:
     def test_usage_error_unknown_subcommand(self, capsys):
         code, out, err = run_cli(capsys, "bogus")
@@ -145,6 +152,15 @@ class TestExitCodes:
             args[0], MAX_HEIGHT
         )
 
+    def test_domain_error_ap_search_above_the_sweep_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(search_mod, "_power_progressions", lambda *a: pytest.fail("swept"))
+        code, out, err = run_cli(capsys, "ap-search", "--n", "3", "--k", "3", "--height", "40000")
+        assert code == 2 and out == ""
+        assert err == (
+            "freycheck ap-search: error: n >= 3 at height 40000 makes about 799980000 "
+            "lookups, above MAX_AP_LOOKUPS = %d\n" % search_mod.MAX_AP_LOOKUPS
+        )
+
     def test_singular_second_model_is_refused_before_the_sieve(self, capsys, no_sieve):
         code, out, err = run_cli(
             capsys,
@@ -204,27 +220,44 @@ class TestExitCodes:
             SolutionRecord(a=3, b=2, c=7, normalized_form=(3, 2, 7), trivial=False)
         ]
         monkeypatch.setattr(search_mod, "search_star", lambda spec: fake)
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "search", "--p", "5", "--alpha", "1", "--height", "5"
         )
         assert code == 3
         doc = json.loads(out)
         assert doc["conforms"] is False
         assert doc["counterexamples"][0]["a"] == 3
+        assert finding(err) == "1 record(s) contradict the expected verdict 'trivial-only'"
 
     def test_counterexample_exit_ap_search(self, capsys, monkeypatch):
         monkeypatch.setattr(
             search_mod, "search_ap_powers", lambda n, k, h, distinct_only: [(1, 2, 3, 4)]
         )
-        code, out, _ = run_cli(capsys, "ap-search", "--n", "2", "--k", "4")
+        code, out, err = run_cli(capsys, "ap-search", "--n", "2", "--k", "4")
         assert code == 3 and json.loads(out)["conforms"] is False
+        assert finding(err) == "1 progression(s) contradict an established non-existence result"
+
+    def test_counterexample_exit_verify(self, capsys, monkeypatch):
+        spec = SearchSpec(p=5, alpha=1, height=5)
+        fake = [SolutionRecord(a=3, b=2, c=7, normalized_form=(3, 2, 7), trivial=False)]
+        case = CaseResult(spec, fake, classify_search_outcome(spec, fake))
+        monkeypatch.setattr(search_mod, "verify_theorem_claims", lambda p, alpha, h: [case])
+        code, out, err = run_cli(
+            capsys, "verify", "--p-list", "5", "--alpha-list", "1", "--height", "5"
+        )
+        doc = json.loads(out)
+        assert code == 3 and doc["all_conform"] is False and doc["cases"][0]["conforms"] is False
+        assert finding(err) == "at least one (p, alpha) case contradicts the expected verdict"
 
     def test_counterexample_exit_analyze_disagreement(self, capsys, monkeypatch):
         monkeypatch.setattr(tate_mod, "all_local_data", lambda model, bound: [])
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "analyze", "--p", "5", "--alpha", "1", "--triple=-1,1,-1"
         )
         assert code == 3 and json.loads(out)["cross_check"]["agree"] is False
+        assert finding(err) == (
+            "closed-form table disagrees with the oracle's (conductor, t, u) = (1, 0, None)"
+        )
 
     def test_counterexample_exit_analyze_u_disagreement(self, capsys, monkeypatch):
         # Tate's conductor and t stay right; only its u moves off the table's.
@@ -237,11 +270,12 @@ class TestExitCodes:
             ]
 
         monkeypatch.setattr(tate_mod, "all_local_data", shifted)
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "analyze", "--p", "5", "--alpha", "1", "--triple=-1,1,-1"
         )
         cross = json.loads(out)["cross_check"]
         assert code == 3 and cross["agree"] is False
+        assert finding(err).startswith("closed-form table disagrees")
         assert cross["conductor_oracle"] == cross["conductor_table"] == 32
         assert cross["t_oracle"] == cross["t_table"] == 5
 
@@ -917,7 +951,7 @@ COMMAND_MODULES = [
     ),
     (["denes", "--p", "7"], "arith denes"),
     (["search", "--p", "5", "--alpha", "1", "--height", "3"], "arith frey search weierstrass"),
-    (["ap-search", "--n", "2", "--k", "3", "--height", "3"], "arith frey search weierstrass"),
+    (["ap-search", "--n", "2", "--k", "3", "--height", "3"], "arith search"),
     (
         ["verify", "--p-list", "5", "--alpha-list", "1", "--height", "3"],
         "arith frey search weierstrass",
@@ -945,18 +979,30 @@ def test_each_command_runs_only_its_own_modules(args, modules):
     assert proc.stdout == "%s\n" % sorted(executed)
 
 
-def test_entry_logs_a_contradiction_in_the_cli_format():
-    # logging is imported only when an error is logged; entry() still
-    # formats it as "LEVEL freycheck: message" on stderr.
-    code = (
-        "import freycheck.cli as cli, freycheck.tate as tate; "
-        "tate.all_local_data = lambda m, b: []; cli.entry()"
+def test_entry_logs_a_contradiction_in_the_cli_format(capsys, monkeypatch):
+    # entry() writes the same bytes as main() in-process: the report, then
+    # one "ERROR freycheck: message" line, and it never imports logging.
+    args = ["analyze", "--p", "7", "--alpha", "1", "--triple=-1,1,-1"]
+    code = textwrap.dedent(
+        """\
+        import sys
+        import freycheck.cli as cli, freycheck.tate as tate
+        tate.all_local_data = lambda m, b: []
+        try:
+            cli.entry()
+        finally:
+            print("logging" in sys.modules)
+        """
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, "analyze", "--p", "7", "--alpha", "1", "--triple=-1,1,-1"],
-        capture_output=True,
+        [sys.executable, "-c", code, *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
         text=True,
         check=False,
     )
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("ERROR freycheck: closed-form table disagrees")
+    monkeypatch.setattr(tate_mod, "all_local_data", lambda model, bound: [])
+    expected = run_cli(capsys, *args)
+    assert expected[0] == proc.returncode == 3
+    assert finding(expected[2]).startswith("closed-form table disagrees")
+    assert proc.stdout == expected[1] + expected[2] + "False\n"

@@ -17,6 +17,7 @@ from freycheck.arith import MAX_HEIGHT
 from freycheck.cli import jsonable
 from freycheck.frey import canonical_triple
 from freycheck.search import (
+    MAX_AP_LOOKUPS,
     SIGMA_PRIMES,
     SearchOutcome,
     SearchSpec,
@@ -530,6 +531,22 @@ class TestApPowers:
             search_ap_powers(2, 5, 10)
         with pytest.raises(ValueError):
             search_ap_powers(2, 3, 0)
+
+    def test_sweep_budget_bounds_n_at_least_3_only(self, monkeypatch):
+        # H(H - 1)/2 lookups: the largest accepted height for n >= 3 and the next.
+        top = (1 + math.isqrt(1 + 8 * MAX_AP_LOOKUPS)) // 2
+        monkeypatch.setattr(search_mod, "_power_progressions", lambda n, h: [])
+        monkeypatch.setattr(search_mod, "_square_progressions", lambda h: [])
+        assert search_ap_powers(3, 3, top) == []
+        assert search_ap_powers(2, 3, top + 1) == []
+        estimate = (top + 1) * top // 2
+        refused = "height %d makes about %d lookups, above MAX_AP_LOOKUPS = %d" % (
+            top + 1, estimate, MAX_AP_LOOKUPS
+        )
+        monkeypatch.setattr(search_mod, "_power_progressions", lambda n, h: pytest.fail("swept"))
+        for n in (3, 4, 7):
+            with pytest.raises(ValueError, match=refused):
+                search_ap_powers(n, 4, top + 1)
 
     def test_classification(self):
         hits = search_ap_powers(2, 3, 20)

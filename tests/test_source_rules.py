@@ -1,6 +1,7 @@
 """The package's source keeps the toolkit's standing rules: it imports
-only the standard library, it uses no floating-point arithmetic, and one
-module, ``arith``, owns every process pool.
+only the standard library, it uses no floating-point arithmetic, one
+module, ``arith``, owns every process pool, and one, ``cli``, owns
+standard error (no module logs).
 
 Each module under ``src/freycheck`` is parsed, not imported, and every
 node is checked: absolute imports must name a stdlib module; float and
@@ -12,7 +13,7 @@ functions may be used.
 import ast
 import sys
 from pathlib import Path
-from typing import List
+from typing import List, Set
 
 import pytest
 
@@ -101,16 +102,50 @@ def test_every_rule_fires():
     ]
 
 
+def imported_modules(tree: ast.AST) -> Set[str]:
+    """The top-level module of every absolute import in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def touches_stderr(tree: ast.AST) -> bool:
+    """Whether ``tree`` reads ``sys.stderr`` (or ``__stderr__``) or imports ``stderr``."""
+    return any(
+        isinstance(node, ast.Attribute) and node.attr in ("stderr", "__stderr__")
+        or isinstance(node, ast.alias) and node.name == "stderr"
+        for node in ast.walk(tree)
+    )
+
+
 def test_only_arith_imports_a_process_pool():
-    importers = set()
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            if any(name.split(".")[0] in ("concurrent", "multiprocessing") for name in names):
-                importers.add(path.name)
+    importers = {
+        path.name
+        for path in SOURCES
+        if imported_modules(ast.parse(path.read_text())) & {"concurrent", "multiprocessing"}
+    }
     assert importers == {"arith.py"}
+
+
+def test_only_cli_touches_stderr_and_no_module_imports_logging():
+    # A diagnostic or a finding reaches stderr through cli.main alone.
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    assert {name for name, tree in trees.items() if touches_stderr(tree)} == {"cli.py"}
+    assert {name for name, tree in trees.items() if "logging" in imported_modules(tree)} == set()
+
+
+@pytest.mark.parametrize(
+    "source, touches",
+    [
+        ("import sys\nsys.stderr.write('x')", True),
+        ("import sys\nprint('x', file=sys.__stderr__)", True),
+        ("from sys import stderr as err", True),
+        ("import sys\nsys.stdout.write('x')", False),
+    ],
+)
+def test_stderr_rule_fires(source, touches):
+    assert touches_stderr(ast.parse(source)) is touches
