@@ -46,15 +46,19 @@ Table = Tuple[Sequence[str], Sequence[Sequence[object]]]
 #: that contradicts an established one (None if there is none).
 Report = Tuple[object, Optional[Table], Optional[str]]
 
-# Options taking comma-separated integer lists.  A value such as
-# "-1,1,-1" looks like an option string to argparse, so `--triple
-# -1,1,-1` is pre-merged into `--triple=-1,1,-1` before parsing.
-_COMMA_OPTIONS = {"--triple", "--model", "--model1", "--model2", "--p-list", "--alpha-list"}
+#: A comma list of integers with a leading minus, such as "-1,1,-1".
 _NEGATIVE_LIST = re.compile(r"-\d+(?:,-?\d+)*")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser using exit code 1 for usage errors instead of 2."""
+    """argparse parser using exit code 1 for usage errors instead of 2,
+    and reading a list such as "-1,1,-1" as a value, not as an option."""
+
+    def _parse_optional(self, arg_string: str):  # type: ignore[override]
+        # None tells argparse that the token is a value.
+        if _NEGATIVE_LIST.fullmatch(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -98,24 +102,6 @@ def _comma_ints(count: Optional[int] = None):
 
 def _model(text: str) -> weierstrass.WeierstrassModel:
     return weierstrass.WeierstrassModel(*_comma_ints(5)(text))
-
-
-def _merge_negative_list_values(argv: Sequence[str]) -> List[str]:
-    merged: List[str] = []
-    index = 0
-    while index < len(argv):
-        token = argv[index]
-        if (
-            token in _COMMA_OPTIONS
-            and index + 1 < len(argv)
-            and _NEGATIVE_LIST.fullmatch(argv[index + 1])
-        ):
-            merged.append(token + "=" + argv[index + 1])
-            index += 2
-        else:
-            merged.append(token)
-            index += 1
-    return merged
 
 
 def build_parser() -> _Parser:
@@ -480,12 +466,9 @@ def _cmd_conductor(args: argparse.Namespace) -> Report:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    tokens = _merge_negative_list_values(list(argv))
     parser = build_parser()
     try:
-        args = parser.parse_args(tokens)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

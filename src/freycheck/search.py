@@ -77,12 +77,12 @@ SIGMA_PRIMES = frozenset({3, 5, 7, 11, 13, 17, 19, 23, 29, 53, 59})
 #: processes are unmeasured.
 LOOKUPS_PER_PROCESS = 1_500_000
 
-#: Most table lookups an ap-search for n >= 3 may make: its x3 search
-#: looks up every pair x1 < x2 <= H, H(H - 1)/2 of them, so the largest
-#: accepted height is 30,000.  There ap-search --k 3 took 47 s at n = 3
-#: and 81 s at n = 31, whose powers are longer (one CLI run each, 2-core
-#: x86_64, Python 3.11.7).
-MAX_AP_LOOKUPS = 45 * 10**7
+#: Most work an ap-search for n >= 3 may do, in the units of
+#: ``_ap_sweep_work``.  The largest accepted ap-search --k 3 took 38 s at
+#: n = 3 (height 26,798, 19 MB peak RSS) and 27 s at n = 200,000
+#: (height 274, 114 MB); n = 200,000 at height 300 is refused (one CLI
+#: run each, 2-core x86_64, Python 3.11.7).
+MAX_AP_WORK = 2 * 10**11
 
 
 def _check_height(height: int) -> None:
@@ -91,6 +91,12 @@ def _check_height(height: int) -> None:
         raise ValueError("height must be >= 1")
     if height > MAX_HEIGHT:
         raise ValueError("height exceeds MAX_HEIGHT = %d" % MAX_HEIGHT)
+
+
+def _check_p(p: int) -> None:
+    """Refuse a p that is not an odd prime."""
+    if p < 3 or p % 2 == 0 or not is_prime(p):
+        raise ValueError("p must be an odd prime")
 
 
 class _SearchSpecFields(NamedTuple):
@@ -109,8 +115,7 @@ class SearchSpec(_SearchSpecFields):
     def __new__(
         cls, p: int, alpha: int, height: int, L: int = 2, require_primitive: bool = True
     ) -> "SearchSpec":
-        if p < 3 or p % 2 == 0 or not is_prime(p):
-            raise ValueError("p must be an odd prime")
+        _check_p(p)
         if alpha < 0:
             raise ValueError("alpha must be non-negative")
         if not is_prime(L):
@@ -314,9 +319,12 @@ def verify_theorem_claims(
 ) -> List[CaseResult]:
     """Search every (p, alpha) with alpha < p over L = 2 and classify results.
 
+    Every p must be an odd prime, also one that no alpha < p searches.
     The whole grid shares one ordered_map, so at most one pool starts.
     """
     _check_height(height)
+    for p in p_list:
+        _check_p(p)
     specs = [
         SearchSpec(p=p, alpha=alpha, height=height)
         for p in p_list for alpha in alpha_list if alpha < p
@@ -342,11 +350,10 @@ def search_ap_powers(
     if k not in (3, 4):
         raise ValueError("only 3- and 4-term progressions are supported")
     _check_height(height)
-    lookups = height * (height - 1) // 2
-    if n > 2 and lookups > MAX_AP_LOOKUPS:
+    if n > 2 and (work := _ap_sweep_work(n, k, height)) > MAX_AP_WORK:
         raise ValueError(
-            "n >= 3 at height %d makes about %d lookups, above MAX_AP_LOOKUPS = %d"
-            % (height, lookups, MAX_AP_LOOKUPS)
+            "n = %d at height %d needs about %d units of work, above MAX_AP_WORK = %d"
+            % (n, height, work, MAX_AP_WORK)
         )
     results = _square_progressions(height) if n == 2 else _power_progressions(n, height)
     if k == 4:
@@ -361,6 +368,20 @@ def search_ap_powers(
     results.sort()
     _check_progressions(n, height, distinct_only, results)
     return results
+
+
+def _ap_sweep_work(n: int, k: int, height: int) -> int:
+    """Estimated cost of ``search_ap_powers`` for n >= 3, in units of about 0.15 ns.
+
+    With b = n * bit_length(H), the most bits of an n-th power of a base
+    <= H, the sweep makes H(H - 1)/2 lookups of b + 512 units each and
+    builds k - 2 tables of H powers of b * isqrt(b) / 5 units each, as
+    squaring by Karatsuba grows about as b^1.5.  Both costs are fit to
+    timings from b = 36 to b = 2.8 million.
+    """
+    bits = n * height.bit_length()
+    lookups = height * (height - 1) // 2 * (bits + 512)
+    return lookups + (k - 2) * height * bits * math.isqrt(bits) // 5
 
 
 def _square_progressions(height: int) -> List[Tuple[int, ...]]:
@@ -395,8 +416,7 @@ def _power_progressions(n: int, height: int) -> List[Tuple[int, ...]]:
     roots = {x**n: x for x in range(1, height + 1)}
     doubled = [2 * x_pow for x_pow in roots]
     results: List[Tuple[int, ...]] = []
-    for x1 in range(1, height + 1):
-        x1_pow = x1**n
+    for x1, x1_pow in enumerate(roots, 1):
         # x3^n = 2 x2^n - x1^n over every x2 > x1, one lookup each.
         candidates = map(operator.sub, doubled[x1:], repeat(x1_pow))
         for x3_pow in roots.keys() & candidates:

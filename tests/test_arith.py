@@ -474,6 +474,23 @@ class TestFactorizeMatchesTrialDivision:
             cases.append((n, rng.choice((1001, 5000, 20000))))
         _assert_matches_trial_division(cases)
 
+    def test_rho_starts_only_from_rho_min_bound(self, monkeypatch):
+        # Below it, trial division runs to the bound with the same answers.
+        rng = random.Random(15)
+        primes = primes_up_to(3 * arith.RHO_MIN_BOUND)
+        cases = [
+            (rng.choice(primes) * rng.choice(primes) * rng.choice(primes), bound)
+            for bound in (1001, 5000, arith.RHO_MIN_BOUND - 1) for _ in range(100)
+        ]
+        calls = []
+        rho = arith._rho_divisor
+        monkeypatch.setattr(arith, "_rho_divisor", lambda n, steps: calls.append(n) or rho(n, steps))
+        _assert_matches_trial_division(cases)
+        assert calls == []
+        n = 1009 * 1013 * 9973
+        assert factorize(n, arith.RHO_MIN_BOUND) == {1009: 1, 1013: 1, 9973: 1}
+        assert calls[0] == n
+
     def test_agrees_with_sympy_on_smooth_numbers(self):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(14)

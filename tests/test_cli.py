@@ -106,6 +106,18 @@ class TestExitCodes:
         )
         assert code == 2 and out == "" and "odd prime" in err
 
+    @pytest.mark.parametrize(
+        "p_list, alpha_list",
+        [("9", "11"), ("-5", "1"), ("1", "1"), ("4", "1"), ("5,9", "1"), ("2", "1")],
+    )
+    def test_domain_error_verify_p_not_an_odd_prime(self, capsys, monkeypatch, p_list, alpha_list):
+        # Every p is checked, also where no alpha < p leaves a case to search.
+        monkeypatch.setattr(search_mod, "_search_specs", lambda *a: pytest.fail("searched"))
+        code, out, err = run_cli(
+            capsys, "verify", "--p-list=" + p_list, "--alpha-list", alpha_list
+        )
+        assert (code, out, err) == (2, "", "freycheck verify: error: p must be an odd prime\n")
+
     def test_domain_error_singular_model(self, capsys):
         code, _, err = run_cli(capsys, "conductor", "--model", "0,0,0,0,0")
         assert code == 2 and "singular" in err
@@ -157,8 +169,8 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "ap-search", "--n", "3", "--k", "3", "--height", "40000")
         assert code == 2 and out == ""
         assert err == (
-            "freycheck ap-search: error: n >= 3 at height 40000 makes about 799980000 "
-            "lookups, above MAX_AP_LOOKUPS = %d\n" % search_mod.MAX_AP_LOOKUPS
+            "freycheck ap-search: error: n = 3 at height 40000 needs about 447991104000 "
+            "units of work, above MAX_AP_WORK = %d\n" % search_mod.MAX_AP_WORK
         )
 
     def test_singular_second_model_is_refused_before_the_sieve(self, capsys, no_sieve):
@@ -332,6 +344,61 @@ class TestOptions:
         assert code == 1 and out == ""
         assert "unrecognized arguments: %s %s" % args[-2:] in err
 
+    @pytest.mark.parametrize(
+        "before, option, value, after, expected",
+        [
+            (["analyze", "--p", "5", "--alpha", "1"], "--triple", "-1,1,-1", [], 0),
+            (["traces"], "--model", "-1,0,0,-1,0", ["--lmax", "30"], 0),
+            (["congruence"], "--model1", "-1,0,0,-1,0",
+             ["--model2", "0,0,0,-1,0", "--p", "5", "--lmax", "30"], 0),
+            (["congruence", "--model1", "0,0,0,-1,0"], "--model2", "-1,0,0,-1,0",
+             ["--p", "5", "--lmax", "30"], 0),
+            (["verify"], "--p-list", "-5,7", ["--alpha-list", "1", "--height", "3"], 2),
+            (["verify", "--p-list", "5"], "--alpha-list", "-1,2", ["--height", "3"], 2),
+        ],
+        ids=["triple", "model", "model1", "model2", "p-list", "alpha-list"],
+    )
+    def test_equals_form_for_negative_lists(self, capsys, before, option, value, after, expected):
+        # A list with a leading minus is read as the option's value, not
+        # as an option: "--opt -1,..." is "--opt=-1,...".
+        spaced = run_cli(capsys, *before, option, value, *after)
+        equals = run_cli(capsys, *before, "%s=%s" % (option, value), *after)
+        assert spaced == equals
+        assert spaced[0] == expected
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("search", "--p", "5", "--alpha", "1", "--allow-imprimitive", "-1,1,-1"),
+            ("ap-search", "--n", "2", "--k", "3", "--allow-constant", "-1,2"),
+        ],
+        ids=["allow-imprimitive", "allow-constant"],
+    )
+    def test_negative_list_after_a_flag_is_unrecognized(self, capsys, args):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1 and out == ""
+        assert err.endswith("error: unrecognized arguments: %s\n" % args[-1])
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("search", "--p", "-1,2", "--alpha", "1"),
+             "freycheck search: error: argument --p: expected an integer, got '-1,2'\n"),
+            (("-1,1,-1",), "freycheck: error: argument command: invalid choice: '-1,1,-1'"),
+        ],
+        ids=["integer-option", "command"],
+    )
+    def test_negative_list_in_the_wrong_place_is_a_usage_error(self, capsys, args, message):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1 and out == "" and message in err
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        args = ["analyze", "--p", "5", "--alpha", "1", "--triple", "-1,1,-1"]
+        expected = run_cli(capsys, *args)
+        monkeypatch.setattr(sys, "argv", ["freycheck", *args])
+        assert cli.main() == expected[0] == 0
+        assert capsys.readouterr() == expected[1:]
+
 
 class TestAnalyze:
     def test_trivial_solution_document(self, capsys):
@@ -359,16 +426,6 @@ class TestAnalyze:
         assert doc["triple"] == {"A": -1, "B": 2, "C": -1}
         triple, _ = build_frey(normalize(5, 1, -1, 1, -1))
         assert doc["invariants"] == jsonable(invariants(triple))
-
-    def test_equals_form_for_negative_lists(self, capsys):
-        code_space, out_space, _ = run_cli(
-            capsys, "analyze", "--p", "5", "--alpha", "1", "--triple", "-1,1,-1"
-        )
-        code_eq, out_eq, _ = run_cli(
-            capsys, "analyze", "--p", "5", "--alpha", "1", "--triple=-1,1,-1"
-        )
-        assert code_space == code_eq == 0
-        assert out_space == out_eq
 
     def test_sign_flip_input(self, capsys):
         _, out, _ = run_cli(

@@ -17,7 +17,7 @@ from freycheck.arith import MAX_HEIGHT
 from freycheck.cli import jsonable
 from freycheck.frey import canonical_triple
 from freycheck.search import (
-    MAX_AP_LOOKUPS,
+    MAX_AP_WORK,
     SIGMA_PRIMES,
     SearchOutcome,
     SearchSpec,
@@ -448,6 +448,12 @@ class TestVerifyDrivers:
         pairs = [(case.spec.p, case.spec.alpha) for case in cases]
         assert pairs == [(3, 1), (3, 2), (5, 1), (5, 2), (5, 3), (5, 4)]
 
+    def test_verify_theorem_claims_checks_every_p(self):
+        # Before any search, also for a p that no alpha < p would search.
+        for p_list in ([9], [-5], [1], [5, 9], [11, 4]):
+            with pytest.raises(ValueError, match="p must be an odd prime"):
+                verify_theorem_claims(p_list, [11], 5)
+
     def test_verify_theorem_claims_empty_plist(self):
         assert verify_theorem_claims([], [1, 2], 10) == []
 
@@ -533,20 +539,32 @@ class TestApPowers:
             search_ap_powers(2, 3, 0)
 
     def test_sweep_budget_bounds_n_at_least_3_only(self, monkeypatch):
-        # H(H - 1)/2 lookups: the largest accepted height for n >= 3 and the next.
-        top = (1 + math.isqrt(1 + 8 * MAX_AP_LOOKUPS)) // 2
+        # The largest accepted height for n = 3 and the next; n = 2 is not budgeted.
+        top = 26798
+        work = search_mod._ap_sweep_work
+        assert work(3, 3, top) <= MAX_AP_WORK < work(3, 3, top + 1)
         monkeypatch.setattr(search_mod, "_power_progressions", lambda n, h: [])
         monkeypatch.setattr(search_mod, "_square_progressions", lambda h: [])
         assert search_ap_powers(3, 3, top) == []
         assert search_ap_powers(2, 3, top + 1) == []
-        estimate = (top + 1) * top // 2
-        refused = "height %d makes about %d lookups, above MAX_AP_LOOKUPS = %d" % (
-            top + 1, estimate, MAX_AP_LOOKUPS
-        )
         monkeypatch.setattr(search_mod, "_power_progressions", lambda n, h: pytest.fail("swept"))
         for n in (3, 4, 7):
+            refused = "n = %d at height %d needs about %d units of work, above MAX_AP_WORK = %d" % (
+                n, top + 1, work(n, 4, top + 1), MAX_AP_WORK
+            )
             with pytest.raises(ValueError, match=refused):
                 search_ap_powers(n, 4, top + 1)
+
+    def test_sweep_budget_grows_with_n(self, monkeypatch):
+        # Longer powers cost more: at n = 200,000 the height 300 (44,850
+        # lookups) is refused, and the table of powers alone counts.
+        monkeypatch.setattr(search_mod, "_power_progressions", lambda n, h: pytest.fail("swept"))
+        with pytest.raises(ValueError, match="n = 200000 at height 300 needs about"):
+            search_ap_powers(200000, 3, 300)
+        work = search_mod._ap_sweep_work
+        assert work(200000, 3, 300) > work(3, 3, 300) * 1000
+        assert work(10**7, 4, 4) > MAX_AP_WORK > work(10**7, 3, 4)
+        assert work(3, 4, 2) > work(3, 3, 2) > 0
 
     def test_classification(self):
         hits = search_ap_powers(2, 3, 20)

@@ -1,7 +1,7 @@
 """The package's source keeps the toolkit's standing rules: it imports
 only the standard library, it uses no floating-point arithmetic, one
-module, ``arith``, owns every process pool, and one, ``cli``, owns
-standard error (no module logs).
+module, ``arith``, owns every process pool, one, ``cli``, owns
+standard error (no module logs), and no module reads ``sys.argv``.
 
 Each module under ``src/freycheck`` is parsed, not imported, and every
 node is checked: absolute imports must name a stdlib module; float and
@@ -122,6 +122,15 @@ def touches_stderr(tree: ast.AST) -> bool:
     )
 
 
+def reads_argv(tree: ast.AST) -> bool:
+    """Whether ``tree`` reads ``sys.argv`` (any ``.argv``) or imports ``argv``."""
+    return any(
+        isinstance(node, ast.Attribute) and node.attr == "argv"
+        or isinstance(node, ast.alias) and node.name == "argv"
+        for node in ast.walk(tree)
+    )
+
+
 def test_only_arith_imports_a_process_pool():
     importers = {
         path.name
@@ -149,3 +158,22 @@ def test_only_cli_touches_stderr_and_no_module_imports_logging():
 )
 def test_stderr_rule_fires(source, touches):
     assert touches_stderr(ast.parse(source)) is touches
+
+
+def test_no_module_reads_sys_argv():
+    # argparse is the only reader of the command line: cli.main passes it
+    # its argv, or None for sys.argv[1:].
+    assert [path.name for path in SOURCES if reads_argv(ast.parse(path.read_text()))] == []
+
+
+@pytest.mark.parametrize(
+    "source, reads",
+    [
+        ("import sys\nargs = sys.argv[1:]", True),
+        ("from sys import argv", True),
+        ("import sys as s\nn = len(s.argv)", True),
+        ("import sys\nsys.stdout.write('argv')", False),
+    ],
+)
+def test_argv_rule_fires(source, reads):
+    assert reads_argv(ast.parse(source)) is reads
