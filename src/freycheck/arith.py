@@ -64,14 +64,17 @@ MAX_HEIGHT = 10**6
 RHO_STEPS_PER_ROOT = 8
 
 #: Below this ``bound`` trial division runs to the bound and rho never
-#: starts.  Mean cost of a call over three families (random products of
-#: primes below 20,000; products of primes just above the bound; two
-#: primes near 10^9 that rho cannot split), trial division alone against
-#: rho: 0.32 against 0.51 ms at bound 5,000, 0.58 against 0.61 ms at
-#: 10,000, 0.57 against 0.52 ms at 14,000 (medians of 5 runs, 2-core
-#: x86_64, Python 3.11.7).  Rho wins on the first two families from about
-#: 2,500 on, and loses on the third at every bound up to 50,000.
-RHO_MIN_BOUND = 10_000
+#: starts.  Measured on what ``analyze`` and ``conductor`` factor: the 76
+#: Frey models of the curve-batch and kernels benchmarks' seeds 0-3, whose
+#: primes reach 1.5 * 10^6, so every call at these bounds is refused.  Mean
+#: ms per conductor call (the discriminant), rho against trial division
+#: alone: 0.26/0.06 at bound 1,001, 0.39/0.25 at 5,000, 0.40/0.36 at
+#: 8,000, 0.39/0.42 at 10,000, 0.44/0.93 at 20,000; per analyze call
+#: (A, B, C, then the discriminant): 0.17/0.08, 0.41/0.34, 0.42/0.46,
+#: 0.42/0.55, 0.53/1.09 (medians of 5 runs, 2-core x86_64, Python 3.11.7).
+#: On 30 models whose primes are all below 1000 both paths take the same
+#: 0.03-0.05 ms at every bound.
+RHO_MIN_BOUND = 8_000
 
 #: From RHO_MIN_BOUND on, trial division runs to this bound before rho starts.
 _TRIAL_TO = 1000

@@ -78,11 +78,14 @@ SIGMA_PRIMES = frozenset({3, 5, 7, 11, 13, 17, 19, 23, 29, 53, 59})
 LOOKUPS_PER_PROCESS = 1_500_000
 
 #: Most work an ap-search for n >= 3 may do, in the units of
-#: ``_ap_sweep_work``.  The largest accepted ap-search --k 3 took 38 s at
-#: n = 3 (height 26,798, 19 MB peak RSS) and 27 s at n = 200,000
-#: (height 274, 114 MB); n = 200,000 at height 300 is refused (one CLI
-#: run each, 2-core x86_64, Python 3.11.7).
-MAX_AP_WORK = 2 * 10**11
+#: ``_ap_sweep_work``, set so that n = 3 still reaches height 30,000, the
+#: top that H(H - 1)/2 <= 4.5 * 10^8 lookups set for every n before the
+#: work was weighted by n.  The largest accepted ap-search --k 3 took 46 s at n = 3
+#: (height 30,000, 19 MB peak RSS), 35 s at n = 31 (21,515), 28 s at
+#: n = 3,000 (3,280, 40 MB), 27 s at n = 200,000 (274, 113 MB) and 23 s at
+#: n = 10^7 (6, 43 MB); n = 200,000 at height 300 is refused (one CLI run
+#: each, 2-core x86_64, Python 3.11.7).
+MAX_AP_WORK = 20025 * 10**7
 
 
 def _check_height(height: int) -> None:
@@ -350,15 +353,15 @@ def search_ap_powers(
     if k not in (3, 4):
         raise ValueError("only 3- and 4-term progressions are supported")
     _check_height(height)
-    if n > 2 and (work := _ap_sweep_work(n, k, height)) > MAX_AP_WORK:
+    if n > 2 and (work := _ap_sweep_work(n, height)) > MAX_AP_WORK:
         raise ValueError(
             "n = %d at height %d needs about %d units of work, above MAX_AP_WORK = %d"
             % (n, height, work, MAX_AP_WORK)
         )
-    results = _square_progressions(height) if n == 2 else _power_progressions(n, height)
+    roots = {x**n: x for x in range(1, height + 1)} if n > 2 or k == 4 else {}
+    results = _square_progressions(height) if n == 2 else _power_progressions(roots)
     if k == 4:
         # x4^n = 2 x3^n - x2^n extends each three-term progression, one lookup each.
-        roots = {x**n: x for x in range(1, height + 1)}
         results = [
             (x1, x2, x3, x4) for x1, x2, x3 in results
             if (x4 := roots.get(2 * x3**n - x2**n)) is not None
@@ -370,18 +373,19 @@ def search_ap_powers(
     return results
 
 
-def _ap_sweep_work(n: int, k: int, height: int) -> int:
-    """Estimated cost of ``search_ap_powers`` for n >= 3, in units of about 0.15 ns.
+def _ap_sweep_work(n: int, height: int) -> int:
+    """Estimated cost of ``search_ap_powers`` for n >= 3, in units of 0.1 to 0.4 ns.
 
     With b = n * bit_length(H), the most bits of an n-th power of a base
-    <= H, the sweep makes H(H - 1)/2 lookups of b + 512 units each and
-    builds k - 2 tables of H powers of b * isqrt(b) / 5 units each, as
-    squaring by Karatsuba grows about as b^1.5.  Both costs are fit to
-    timings from b = 36 to b = 2.8 million.
+    <= H, the sweep makes H(H - 1)/2 lookups of b + 400 units each and
+    builds one table of H powers of b * isqrt(b) / 5 units each, as
+    squaring by Karatsuba grows about as b^1.5.  A unit took 0.12-0.15
+    ns in sweeps and tables from b = 3,600 to 300,000, 0.19-0.23 ns at
+    n = 3 and 0.4 ns in the sweep at b = 1.6 million (2-core x86_64).
     """
     bits = n * height.bit_length()
-    lookups = height * (height - 1) // 2 * (bits + 512)
-    return lookups + (k - 2) * height * bits * math.isqrt(bits) // 5
+    lookups = height * (height - 1) // 2 * (bits + 400)
+    return lookups + height * bits * math.isqrt(bits) // 5
 
 
 def _square_progressions(height: int) -> List[Tuple[int, ...]]:
@@ -411,9 +415,11 @@ def _square_progressions(height: int) -> List[Tuple[int, ...]]:
     return results
 
 
-def _power_progressions(n: int, height: int) -> List[Tuple[int, ...]]:
-    """Non-constant three-term progressions of n-th powers, x3 looked up in a table."""
-    roots = {x**n: x for x in range(1, height + 1)}
+def _power_progressions(roots: Dict[int, int]) -> List[Tuple[int, ...]]:
+    """Non-constant three-term progressions of n-th powers, x3 looked up in a table.
+
+    ``roots`` maps x**n to x for x = 1, ..., H, in that order.
+    """
     doubled = [2 * x_pow for x_pow in roots]
     results: List[Tuple[int, ...]] = []
     for x1, x1_pow in enumerate(roots, 1):

@@ -169,7 +169,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "ap-search", "--n", "3", "--k", "3", "--height", "40000")
         assert code == 2 and out == ""
         assert err == (
-            "freycheck ap-search: error: n = 3 at height 40000 needs about 447991104000 "
+            "freycheck ap-search: error: n = 3 at height 40000 needs about 358393344000 "
             "units of work, above MAX_AP_WORK = %d\n" % search_mod.MAX_AP_WORK
         )
 

@@ -539,18 +539,19 @@ class TestApPowers:
             search_ap_powers(2, 3, 0)
 
     def test_sweep_budget_bounds_n_at_least_3_only(self, monkeypatch):
-        # The largest accepted height for n = 3 and the next; n = 2 is not budgeted.
-        top = 26798
+        # The largest accepted height for n = 3, for k = 3 and 4 alike, and
+        # the next; n = 2 is not budgeted.
+        top = 30000
         work = search_mod._ap_sweep_work
-        assert work(3, 3, top) <= MAX_AP_WORK < work(3, 3, top + 1)
-        monkeypatch.setattr(search_mod, "_power_progressions", lambda n, h: [])
+        assert work(3, top) <= MAX_AP_WORK < work(3, top + 1)
+        monkeypatch.setattr(search_mod, "_power_progressions", lambda roots: [])
         monkeypatch.setattr(search_mod, "_square_progressions", lambda h: [])
-        assert search_ap_powers(3, 3, top) == []
+        assert search_ap_powers(3, 3, top) == search_ap_powers(3, 4, top) == []
         assert search_ap_powers(2, 3, top + 1) == []
-        monkeypatch.setattr(search_mod, "_power_progressions", lambda n, h: pytest.fail("swept"))
+        monkeypatch.setattr(search_mod, "_power_progressions", lambda roots: pytest.fail("swept"))
         for n in (3, 4, 7):
             refused = "n = %d at height %d needs about %d units of work, above MAX_AP_WORK = %d" % (
-                n, top + 1, work(n, 4, top + 1), MAX_AP_WORK
+                n, top + 1, work(n, top + 1), MAX_AP_WORK
             )
             with pytest.raises(ValueError, match=refused):
                 search_ap_powers(n, 4, top + 1)
@@ -558,13 +559,14 @@ class TestApPowers:
     def test_sweep_budget_grows_with_n(self, monkeypatch):
         # Longer powers cost more: at n = 200,000 the height 300 (44,850
         # lookups) is refused, and the table of powers alone counts.
-        monkeypatch.setattr(search_mod, "_power_progressions", lambda n, h: pytest.fail("swept"))
+        monkeypatch.setattr(search_mod, "_power_progressions", lambda roots: pytest.fail("swept"))
         with pytest.raises(ValueError, match="n = 200000 at height 300 needs about"):
             search_ap_powers(200000, 3, 300)
         work = search_mod._ap_sweep_work
-        assert work(200000, 3, 300) > work(3, 3, 300) * 1000
-        assert work(10**7, 4, 4) > MAX_AP_WORK > work(10**7, 3, 4)
-        assert work(3, 4, 2) > work(3, 3, 2) > 0
+        assert work(200000, 300) > work(3, 300) * 1000
+        # One lookup, but a table of two powers of 2 * 10^8 bits.
+        assert work(10**8, 2) > MAX_AP_WORK
+        assert work(3, 2) > 0
 
     def test_classification(self):
         hits = search_ap_powers(2, 3, 20)
