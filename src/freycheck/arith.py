@@ -27,6 +27,7 @@ __all__ = [
     "ordered_map",
     "pool_size",
     "primes_up_to",
+    "require_prime",
     "valuation",
 ]
 
@@ -147,12 +148,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_prime(n: int, name: str, least: int = 2) -> None:
+    """Refuse ``n`` unless it is a prime >= ``least``; ``name`` names it."""
+    if n < least or not is_prime(n):
+        raise ValueError("%s must be a prime >= %d, got %d" % (name, least, n))
+
+
 def valuation(n: int, ell: int) -> int:
     """Largest e such that ell**e divides n.  Requires n != 0 and ell prime."""
     if n == 0:
         raise ValueError("valuation of 0 is undefined")
-    if not is_prime(ell):
-        raise ValueError("valuation requires a prime ell, got %d" % ell)
+    require_prime(ell, "ell")
     n = abs(n)
     if ell == 2:
         return (n & -n).bit_length() - 1
@@ -167,8 +173,7 @@ def valuation(n: int, ell: int) -> int:
 
 def mult_order(g: int, p: int) -> int:
     """Multiplicative order of g modulo the prime p."""
-    if not is_prime(p):
-        raise ValueError("mult_order requires a prime modulus")
+    require_prime(p, "p")
     if g % p == 0:
         raise ValueError("g must be a unit modulo p")
     order = p - 1
@@ -295,9 +300,11 @@ def _trial_divide(
 def _rho_divisor(n: int, steps: int) -> int:
     """A divisor 1 < d < n of the odd n > 1, or 0 if none was found.
 
-    Brent's cycle-finding rho on x -> x^2 + c for c = 1, 3, 5 (Brent,
-    BIT 20, 1980), multiplying the differences ``_RHO_BATCH`` at a time
-    before each gcd, with at most ``steps`` steps per c.
+    Brent's cycle-finding rho on x -> x^2 + c (Brent, BIT 20, 1980),
+    multiplying the differences ``_RHO_BATCH`` at a time before each gcd,
+    with at most ``steps`` steps per c.  It gives up as soon as a c spends
+    them with gcd 1, and moves on from c = 1 to 3, then 5, only when a
+    batch overshot and stepping back one gcd a step still gives n.
     """
     for c in (1, 3, 5):
         y, r, q, g, left = 2, 1, 1, 1, steps
@@ -315,13 +322,15 @@ def _rho_divisor(n: int, steps: int) -> int:
                 g = math.gcd(q, n)
                 k += _RHO_BATCH
             r *= 2
+        if g == 1:
+            return 0
         if g == n:
             # The batch overshot: step again from its start, one gcd a step.
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
                 g = math.gcd(x - ys, n)
-        if 1 < g < n:
+        if g < n:
             return g
     return 0
 

@@ -37,7 +37,7 @@ from array import array
 from math import isqrt
 from typing import Dict, List, NamedTuple, Sequence
 
-from .arith import MAX_P, factorize, is_prime, mult_order, ordered_map, pool_size, primes_up_to
+from .arith import MAX_P, factorize, mult_order, ordered_map, pool_size, primes_up_to, require_prime
 
 __all__ = [
     "DenesReport",
@@ -75,8 +75,7 @@ class DenesReport(NamedTuple):
 def _require_criterion_prime(p: int) -> None:
     if p > MAX_P:
         raise ValueError("p exceeds MAX_P = %d" % MAX_P)
-    if p < 5 or not is_prime(p):
-        raise ValueError("p must be a prime >= 5 (p = 2, 3 are out of scope)")
+    require_prime(p, "p", 5)
 
 
 def _slot_width(terms: int, p: int) -> int:
@@ -246,8 +245,7 @@ def is_regular(p: int) -> "tuple[bool, List[int]]":
 
 def wieferich_test(p: int) -> bool:
     """True when 2^(p-1) = 1 mod p^2 (the rare violating case)."""
-    if p < 3 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
+    require_prime(p, "p", 3)
     return pow(2, p - 1, p * p) == 1
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Dict, NamedTuple, Tuple
 
-from .arith import DEFAULT_FACTOR_BOUND, factorize, is_prime, valuation
+from .arith import DEFAULT_FACTOR_BOUND, factorize, require_prime, valuation
 from .weierstrass import WeierstrassModel
 
 __all__ = [
@@ -77,11 +77,6 @@ class CurveInvariants(NamedTuple):
     odd_disc_valuations: Dict[int, int]
 
 
-def _require_odd_prime(p: int) -> None:
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
-
-
 def sign_normalized(a: int, b: int, c: int) -> Tuple[int, int, int]:
     """Flip the sign of all three entries unless a = -1 mod 4 already (a odd)."""
     if a % 2 == 0:
@@ -108,7 +103,7 @@ def normalize(p: int, alpha: int, a: int, b: int, c: int) -> FreyParams:
 
     Idempotent: normalizing the output again returns the same params.
     """
-    _require_odd_prime(p)
+    require_prime(p, "p", 3)
     if not 1 <= alpha < p:
         raise ValueError("alpha must satisfy 1 <= alpha < p")
     if a == 0 or b == 0 or c == 0:
@@ -130,7 +125,7 @@ def reduce_alpha(alpha: int, b: int, p: int) -> Tuple[int, int]:
     """
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    _require_odd_prime(p)
+    require_prime(p, "p", 3)
     return alpha % p, (1 << (alpha // p)) * b
 
 
@@ -194,5 +189,5 @@ def is_trivial_level(inv: CurveInvariants) -> bool:
 
 def cartan_type(p: int) -> str:
     """Which non-split/split Cartan case p falls in: split iff p = 1 mod 4."""
-    _require_odd_prime(p)
+    require_prime(p, "p", 3)
     return "Split" if p % 4 == 1 else "NonSplit"

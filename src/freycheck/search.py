@@ -50,7 +50,7 @@ from itertools import repeat
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from . import frey
-from .arith import MAX_HEIGHT, is_prime, ordered_map, pool_size
+from .arith import MAX_HEIGHT, ordered_map, pool_size, require_prime
 
 __all__ = [
     "SIGMA_PRIMES",
@@ -96,12 +96,6 @@ def _check_height(height: int) -> None:
         raise ValueError("height exceeds MAX_HEIGHT = %d" % MAX_HEIGHT)
 
 
-def _check_p(p: int) -> None:
-    """Refuse a p that is not an odd prime."""
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
-
-
 class _SearchSpecFields(NamedTuple):
     p: int
     alpha: int
@@ -118,11 +112,10 @@ class SearchSpec(_SearchSpecFields):
     def __new__(
         cls, p: int, alpha: int, height: int, L: int = 2, require_primitive: bool = True
     ) -> "SearchSpec":
-        _check_p(p)
+        require_prime(p, "p", 3)
         if alpha < 0:
             raise ValueError("alpha must be non-negative")
-        if not is_prime(L):
-            raise ValueError("L must be prime")
+        require_prime(L, "L")
         _check_height(height)
         return super().__new__(cls, p, alpha, height, L, require_primitive)
 
@@ -327,7 +320,7 @@ def verify_theorem_claims(
     """
     _check_height(height)
     for p in p_list:
-        _check_p(p)
+        require_prime(p, "p", 3)
     specs = [
         SearchSpec(p=p, alpha=alpha, height=height)
         for p in p_list for alpha in alpha_list if alpha < p

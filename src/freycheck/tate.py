@@ -35,8 +35,8 @@ from typing import List, NamedTuple, Sequence, Tuple
 from .arith import (
     DEFAULT_FACTOR_BOUND,
     factorize,
-    is_prime,
     legendre_symbol,
+    require_prime,
     valuation,
 )
 from .weierstrass import WeierstrassModel
@@ -100,8 +100,7 @@ def local_data_with_model(
     The returned model is ell-integrally equivalent to the input and
     minimal at ell (its discriminant valuation is the minimal one).
     """
-    if ell < 2 or not is_prime(ell):
-        raise ValueError("%d is not prime" % ell)
+    require_prime(ell, "ell")
     model.require_nonsingular()
     p = ell
     p2, p3 = p * p, p**3

@@ -6,7 +6,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .arith import MAX_ELL, is_prime, primes_up_to
+from .arith import MAX_ELL, primes_up_to, require_prime
 from . import tate
 from .weierstrass import WeierstrassModel
 
@@ -81,8 +81,7 @@ def count_points(model: WeierstrassModel, ell: int) -> Optional[int]:
     """
     if ell > MAX_ELL:
         raise ValueError("ell exceeds MAX_ELL = %d" % MAX_ELL)
-    if ell < 3 or not is_prime(ell):
-        raise ValueError("ell must be an odd prime")
+    require_prime(ell, "ell", 3)
     if model.require_nonsingular() % ell == 0:
         data, minimal = tate.local_data_with_model(model, ell)
         if data.reduction != tate.GOOD:
@@ -261,8 +260,7 @@ def mod_p_congruent(
     bad reduction for either curve.  The verdict is finite-range evidence
     only; see the report's disclaimer field.
     """
-    if not is_prime(p):
-        raise ValueError("p must be prime")
+    require_prime(p, "p")
     model2.require_nonsingular()  # before model1's table is counted
     compared: List[int] = []
     first_violation: Optional[Tuple[int, int, int]] = None

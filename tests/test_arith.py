@@ -9,7 +9,7 @@ from hypothesis import assume, given, strategies as st
 
 import freycheck.denes as denes_mod
 import freycheck.search as search_mod
-from freycheck import arith
+from freycheck import arith, tate
 from freycheck.arith import (
     DEFAULT_FACTOR_BOUND,
     MILLER_RABIN_BOUND,
@@ -23,10 +23,14 @@ from freycheck.arith import (
     ordered_map,
     pool_size,
     primes_up_to,
+    require_prime,
     valuation,
 )
-from freycheck.denes import wieferich_test
-from freycheck.frey import MonomialTriple, normalize
+from freycheck.denes import bernoulli_mod_p, is_regular, wieferich_test
+from freycheck.frey import MonomialTriple, cartan_type, normalize, reduce_alpha
+from freycheck.search import SearchSpec, verify_theorem_claims
+from freycheck.traces import count_points, mod_p_congruent
+from freycheck.weierstrass import WeierstrassModel
 from oracles import factorize_trial
 
 nonzero_ints = st.integers(min_value=-(10**6), max_value=10**6).filter(lambda n: n != 0)
@@ -105,6 +109,48 @@ class TestIsPrime:
             assert all(self._strong_probable_prime(psi, b) for b in bases[:k]), psi
             assert psi < MILLER_RABIN_BOUND
             assert not is_prime(psi), psi
+
+
+CURVE = WeierstrassModel(0, 0, 0, -1, 0)
+
+#: (where, what the prime is called, least, a call with n as the prime) for
+#: every place the package refuses a non-prime.
+PRIME_CHECKS = [
+    ("arith.valuation", "ell", 2, lambda n: valuation(12, n)),
+    ("arith.mult_order", "p", 2, lambda n: mult_order(2, n)),
+    ("tate.local_data_with_model", "ell", 2, lambda n: tate.local_data_with_model(CURVE, n)),
+    ("search.SearchSpec.L", "L", 2, lambda n: SearchSpec(p=5, alpha=1, height=5, L=n)),
+    ("traces.mod_p_congruent", "p", 2, lambda n: mod_p_congruent(CURVE, CURVE, n, 10)),
+    ("search.SearchSpec.p", "p", 3, lambda n: SearchSpec(p=n, alpha=1, height=5)),
+    ("search.verify_theorem_claims", "p", 3, lambda n: verify_theorem_claims([n], [1], 5)),
+    ("frey.normalize", "p", 3, lambda n: normalize(n, 1, -1, 1, -1)),
+    ("frey.reduce_alpha", "p", 3, lambda n: reduce_alpha(1, 1, n)),
+    ("frey.cartan_type", "p", 3, cartan_type),
+    ("denes.wieferich_test", "p", 3, wieferich_test),
+    ("traces.count_points", "ell", 3, lambda n: count_points(CURVE, n)),
+    ("denes.bernoulli_mod_p", "p", 5, bernoulli_mod_p),
+    ("denes.is_regular", "p", 5, is_regular),
+]
+
+
+class TestRequirePrime:
+    def test_accepts_primes_from_least(self):
+        assert require_prime(2, "p") is None
+        assert require_prime(5, "p", 5) is None
+        assert require_prime(2**61 - 1, "ell", 3) is None
+
+    def test_above_the_certification_bound_is_is_primes_refusal(self):
+        with pytest.raises(ValueError, match="deterministic only below"):
+            require_prime(MILLER_RABIN_BOUND, "p")
+
+    @pytest.mark.parametrize(
+        "name, least, call", [check[1:] for check in PRIME_CHECKS], ids=[check[0] for check in PRIME_CHECKS]
+    )
+    def test_every_prime_check_refuses_alike(self, name, least, call):
+        for n in (1, 4, 9, *primes_up_to(least - 1)):
+            with pytest.raises(ValueError) as refusal:
+                call(n)
+            assert str(refusal.value) == "%s must be a prime >= %d, got %d" % (name, least, n)
 
 
 class TestValuation:
@@ -473,6 +519,17 @@ class TestFactorizeMatchesTrialDivision:
                 n *= rng.choice(primes) ** rng.randint(1, 2)
             cases.append((n, rng.choice((1001, 5000, 20000))))
         _assert_matches_trial_division(cases)
+
+    def test_rho_gives_up_after_one_budget(self, monkeypatch):
+        # 1000 steps are far below the ~sqrt(10^9) that rho needs to split
+        # two primes near 10^9.  c = 1 spends them in 9 gcds (rounds of
+        # r = 1, 2, ..., 128 steps; the last is two batches) and gives up:
+        # c = 3 and 5 run only after an overshoot.
+        gcds = []
+        gcd = math.gcd
+        monkeypatch.setattr(math, "gcd", lambda a, b: gcds.append(b) or gcd(a, b))
+        assert arith._rho_divisor(1000000007 * 1000000009, 1000) == 0
+        assert len(gcds) == 9
 
     def test_rho_starts_only_from_rho_min_bound(self, monkeypatch):
         # Below it, trial division runs to the bound with the same answers.

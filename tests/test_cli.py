@@ -104,7 +104,7 @@ class TestExitCodes:
         code, out, err = run_cli(
             capsys, "search", "--p", "9", "--alpha", "1", "--height", "5"
         )
-        assert code == 2 and out == "" and "odd prime" in err
+        assert (code, out, err) == (2, "", "freycheck search: error: p must be a prime >= 3, got 9\n")
 
     @pytest.mark.parametrize(
         "p_list, alpha_list",
@@ -112,11 +112,29 @@ class TestExitCodes:
     )
     def test_domain_error_verify_p_not_an_odd_prime(self, capsys, monkeypatch, p_list, alpha_list):
         # Every p is checked, also where no alpha < p leaves a case to search.
+        # The last p of each list is the one refused.
         monkeypatch.setattr(search_mod, "_search_specs", lambda *a: pytest.fail("searched"))
         code, out, err = run_cli(
             capsys, "verify", "--p-list=" + p_list, "--alpha-list", alpha_list
         )
-        assert (code, out, err) == (2, "", "freycheck verify: error: p must be an odd prime\n")
+        refused = "freycheck verify: error: p must be a prime >= 3, got %s\n" % p_list.split(",")[-1]
+        assert (code, out, err) == (2, "", refused)
+
+    @pytest.mark.parametrize(
+        "argv, refusal",
+        [
+            ("analyze --p 9 --alpha 1 --triple -1,1,-1", "p must be a prime >= 3, got 9"),
+            ("search --p 5 --alpha 1 --L 4 --height 5", "L must be a prime >= 2, got 4"),
+            ("verify --p-list 2 --alpha-list 1", "p must be a prime >= 3, got 2"),
+            ("denes --p 3", "p must be a prime >= 5, got 3"),
+            ("congruence --model1 0,0,0,-1,0 --model2 0,0,0,1,0 --p 4", "p must be a prime >= 2, got 4"),
+        ],
+        ids=["analyze", "search", "verify", "denes", "congruence"],
+    )
+    def test_domain_error_not_a_prime(self, capsys, argv, refusal):
+        args = argv.split()
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out, err) == (2, "", "freycheck %s: error: %s\n" % (args[0], refusal))
 
     def test_domain_error_singular_model(self, capsys):
         code, _, err = run_cli(capsys, "conductor", "--model", "0,0,0,0,0")

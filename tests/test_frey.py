@@ -97,7 +97,7 @@ class TestNormalize:
 
     def test_p_must_be_odd_prime(self):
         for p in (2, 9, 15):
-            with pytest.raises(ValueError, match="odd prime"):
+            with pytest.raises(ValueError, match="p must be a prime >= 3, got %d" % p):
                 normalize(p, 1, -1, 1, -1)
 
     def test_trivial_family_collapses(self):

@@ -52,13 +52,13 @@ class TestSearchSpec:
         assert SearchSpec(p=3, alpha=1, height=5).p == 3
 
     def test_rejections(self):
-        with pytest.raises(ValueError, match="odd prime"):
+        with pytest.raises(ValueError, match="p must be a prime >= 3, got 4"):
             SearchSpec(p=4, alpha=1, height=5)
-        with pytest.raises(ValueError, match="odd prime"):
+        with pytest.raises(ValueError, match="p must be a prime >= 3, got 2"):
             SearchSpec(p=2, alpha=1, height=5)
         with pytest.raises(ValueError, match="alpha"):
             SearchSpec(p=5, alpha=-1, height=5)
-        with pytest.raises(ValueError, match="L must be prime"):
+        with pytest.raises(ValueError, match="L must be a prime >= 2, got 6"):
             SearchSpec(p=5, alpha=1, height=5, L=6)
         with pytest.raises(ValueError, match="height"):
             SearchSpec(p=5, alpha=1, height=0)
@@ -77,7 +77,7 @@ class TestSearchSpec:
     def test_replace_validates(self):
         spec = SearchSpec(p=5, alpha=1, height=5)
         assert spec._replace(height=7) == SearchSpec(p=5, alpha=1, height=7)
-        with pytest.raises(ValueError, match="odd prime"):
+        with pytest.raises(ValueError, match="p must be a prime >= 3, got 9"):
             spec._replace(p=9)
         with pytest.raises(ValueError, match="height"):
             spec._replace(height=0)
@@ -451,7 +451,7 @@ class TestVerifyDrivers:
     def test_verify_theorem_claims_checks_every_p(self):
         # Before any search, also for a p that no alpha < p would search.
         for p_list in ([9], [-5], [1], [5, 9], [11, 4]):
-            with pytest.raises(ValueError, match="p must be an odd prime"):
+            with pytest.raises(ValueError, match="p must be a prime >= 3, got %d" % p_list[-1]):
                 verify_theorem_claims(p_list, [11], 5)
 
     def test_verify_theorem_claims_empty_plist(self):

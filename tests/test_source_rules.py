@@ -1,7 +1,8 @@
 """The package's source keeps the toolkit's standing rules: it imports
 only the standard library, it uses no floating-point arithmetic, one
-module, ``arith``, owns every process pool, one, ``cli``, owns
-standard error (no module logs), and no module reads ``sys.argv``.
+module, ``arith``, owns every process pool and every primality test,
+one, ``cli``, owns standard error (no module logs), and no module reads
+``sys.argv``.
 
 Each module under ``src/freycheck`` is parsed, not imported, and every
 node is checked: absolute imports must name a stdlib module; float and
@@ -129,6 +130,34 @@ def reads_argv(tree: ast.AST) -> bool:
         or isinstance(node, ast.alias) and node.name == "argv"
         for node in ast.walk(tree)
     )
+
+
+def names_is_prime(tree: ast.AST) -> bool:
+    """Whether ``tree`` imports, calls or otherwise names ``is_prime``."""
+    return any(
+        isinstance(node, ast.Name) and node.id == "is_prime"
+        or isinstance(node, ast.Attribute) and node.attr == "is_prime"
+        or isinstance(node, ast.alias) and node.name == "is_prime"
+        for node in ast.walk(tree)
+    )
+
+
+def test_only_arith_tests_primality():
+    # Every other module refuses a non-prime through arith.require_prime.
+    assert {path.name for path in SOURCES if names_is_prime(ast.parse(path.read_text()))} == {"arith.py"}
+
+
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        ("from .arith import is_prime as prime", True),
+        ("from . import arith\nok = arith.is_prime(7)", True),
+        ("ok = is_prime(7)", True),
+        ("from .arith import require_prime\nrequire_prime(7, 'is_prime')", False),
+    ],
+)
+def test_is_prime_rule_fires(source, names):
+    assert names_is_prime(ast.parse(source)) is names
 
 
 def test_only_arith_imports_a_process_pool():
