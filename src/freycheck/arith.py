@@ -184,14 +184,9 @@ def mult_order(g: int, p: int) -> int:
 
 
 def legendre_symbol(a: int, ell: int) -> int:
-    """Legendre symbol (a | ell) in {-1, 0, 1} for an odd prime ell.
-
-    Computed by Euler's criterion.  Primality of ell is the caller's
-    responsibility (this sits inside point-counting loops); ell = 2 and
-    even moduli are rejected outright.
-    """
-    if ell == 2 or ell % 2 == 0 or ell < 3:
-        raise ValueError("legendre_symbol requires an odd prime modulus")
+    """Legendre symbol (a | ell) in {-1, 0, 1} for an odd prime ell, by
+    Euler's criterion."""
+    require_prime(ell, "ell", 3)
     a %= ell
     if a == 0:
         return 0

@@ -243,6 +243,19 @@ def jsonable(value: object) -> object:
     return value
 
 
+class _Converted(list):
+    """A list whose iteration yields ``jsonable`` of each item, one at a time.
+
+    ``json.dump`` runs json's pure-Python encoder, which reads a list with
+    ``for``, so a report's records are converted as they are written, not
+    all before.  ``json.dumps`` without indent runs the C encoder, which
+    reads a list's items without ``__iter__``: it gets ``jsonable``'s lists.
+    """
+
+    def __iter__(self):
+        return map(jsonable, super().__iter__())
+
+
 def _key_value_rows(payload: Dict[str, object], prefix: str = "") -> List[Tuple[str, object]]:
     rows: List[Tuple[str, object]] = []
     for key in sorted(payload):
@@ -273,12 +286,17 @@ def _write(out: TextIO, command: str, fmt: str, payload: object, table: Optional
     if fmt == "json":
         import json
 
-        payload = jsonable(payload)
         if command == "denes":
-            out.writelines(json.dumps(report, sort_keys=True) + "\n" for report in payload)
+            out.writelines(
+                json.dumps(jsonable(report), sort_keys=True) + "\n" for report in payload
+            )
             return
         doc = dict(schema_version=SCHEMA_VERSION, toolkit_version=__version__, command=command)
-        json.dump({**doc, **payload}, out, sort_keys=True, indent=2)
+        doc.update(
+            (key, _Converted(value) if isinstance(value, list) else jsonable(value))
+            for key, value in payload.items()
+        )
+        json.dump(doc, out, sort_keys=True, indent=2)
         out.write("\n")
         return
     if table is None or fmt == "human" and command not in ("denes", "traces"):

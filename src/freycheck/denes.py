@@ -26,8 +26,8 @@ Regularity asks only whether some B_2t vanishes.  B_2t is the folded
 sum of that product times 2t g^(2t-1) g^(kt - t(t-1)) / (g^(2t) - 1),
 with g the primitive root and k = 0 or 1, and that factor is a unit mod
 p because 2t < p.  So ``is_regular`` and ``denes_criterion`` read the
-irregular indices from the folded sums that p divides: no logarithm
-table and no multiply per index (Buhler et al., ibid.).
+irregular indices from the folded sums that p divides: no inverse and
+no multiply per index (Buhler et al., ibid.).
 """
 
 from __future__ import annotations
@@ -215,16 +215,15 @@ def bernoulli_mod_p(p: int) -> Dict[int, int]:
 
         B_2t = 2t g^(2t-1) S_2t / (g^(2t) - 1),
 
-    the inverse read from a table of discrete logarithms.  Besides the
-    product, O(p) operations on small ints and O(p) memory.
+    with one modular inverse per t.  Besides the product, O(p) operations on
+    small ints and O(p) memory.
     """
     _require_criterion_prime(p)
     power, k, sums = _voronoi_sums(p)
     n = p - 1
-    log = dict(zip(power, range(n)))  # log[g^e] = e
-    # The power is g^(2t-1) g^(kt - t(t-1)) / (g^(2t) - 1).
+    # s is g^(t(t-1) - kt) S_2t, so the power is g^(2t-1) g^(kt - t(t-1)).
     return {
-        2 * t: 2 * t * s * power[(3 * t - 1 + k * t - t * t - log[power[2 * t] - 1]) % n] % p
+        2 * t: 2 * t * s * power[(3 * t - 1 + k * t - t * t) % n] * pow(power[2 * t] - 1, -1, p) % p
         for t, s in enumerate(sums, 1)
     }
 
@@ -235,7 +234,7 @@ def is_regular(p: int) -> "tuple[bool, List[int]]":
     B_2t = 2t g^(2t-1) g^(kt - t(t-1)) / (g^(2t) - 1) times the folded sum
     of ``_voronoi_sums``, and for 2t < p every factor but the sum is a
     unit mod p.  So B_2t = 0 exactly when p divides the folded sum: no
-    logarithm table and no multiply per t.
+    inverse and no multiply per t.
     """
     _require_criterion_prime(p)
     _, _, sums = _voronoi_sums(p)
@@ -266,9 +265,29 @@ def denes_criterion(p: int) -> DenesReport:
     )
 
 
+def _criterion_work(p: int) -> int:
+    """Estimated cost of ``denes_criterion`` at p, in units of 0.07 to 0.2 ns.
+
+    The Kronecker product multiplies two ints of b = 8 h width bits, h =
+    (p - 1)/2, at b * isqrt(b) units, as Karatsuba grows about as b^1.5;
+    the O(p) work on small ints around it costs 4,000 units per p.  A
+    unit took 0.07-0.08 ns from p = 307 to 30,011, 0.13-0.15 ns from
+    100,003 to 1,000,003 and 0.2 ns at 2,999,999, where the product
+    outgrows the caches (best of 3 in-process runs, one run from
+    1,000,003 on; 2-core x86_64, Python 3.11.7).  Against one prime near
+    MAX_P, the primes below 30,000 are thus weighed up to 3 times lighter
+    than their time.
+    """
+    h = (p - 1) // 2
+    bits = 8 * h * _slot_width(h, p)
+    return bits * isqrt(bits) + 4_000 * p
+
+
 def denes_scan(p_max: int) -> List[DenesReport]:
     """Reports for every prime 5 <= p <= p_max <= MAX_P, ascending.
 
+    A scan whose ``_criterion_work`` adds up to more than that of one
+    prime at ``MAX_P`` is refused before any prime is evaluated.
     Distinct primes are evaluated concurrently, in one process per
     ``PRIME_SUM_PER_PROCESS`` of their sum; the merge order is always
     ascending in p, so results are deterministic.
@@ -276,4 +295,10 @@ def denes_scan(p_max: int) -> List[DenesReport]:
     if p_max > MAX_P:
         raise ValueError("p_max exceeds MAX_P = %d" % MAX_P)
     primes = [p for p in primes_up_to(p_max) if p >= 5]
+    work, budget = sum(map(_criterion_work, primes)), _criterion_work(MAX_P)
+    if work > budget:
+        raise ValueError(
+            "a scan to %d needs about %d units of work, above the %d of p = MAX_P = %d"
+            % (p_max, work, budget, MAX_P)
+        )
     return ordered_map(denes_criterion, primes, pool_size(sum(primes), PRIME_SUM_PER_PROCESS))

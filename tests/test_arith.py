@@ -280,8 +280,14 @@ class TestLegendreSymbol:
             assert legendre_symbol(a, 7) == (1 if a in squares else -1)
 
     def test_ell_2_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^ell must be a prime >= 3, got 2$"):
             legendre_symbol(3, 2)
+
+    @pytest.mark.parametrize("a, ell", [(2, 9), (2, 15), (7, 25), (1, 1), (1, -7)])
+    def test_composite_and_small_moduli_rejected(self, a, ell):
+        # The Jacobi symbols (2 | 9) and (2 | 15) are +1; Euler's criterion gives -1.
+        with pytest.raises(ValueError, match="^ell must be a prime >= 3, got %d$" % ell):
+            legendre_symbol(a, ell)
 
     @given(
         a=st.integers(min_value=-500, max_value=500),

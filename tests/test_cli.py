@@ -77,6 +77,71 @@ def finding(err):
     return err[len(prefix) : -1]
 
 
+#: The integer-list options, each given a list with a leading minus:
+#: (arguments before it, option, value, arguments after it, exit code).
+NEGATIVE_LISTS = {
+    "triple": (["analyze", "--p", "5", "--alpha", "1"], "--triple", "-1,1,-1", [], 0),
+    "model": (["traces"], "--model", "-1,0,0,-1,0", ["--lmax", "30"], 0),
+    "model1": (["congruence"], "--model1", "-1,0,0,-1,0",
+               ["--model2", "0,0,0,-1,0", "--p", "5", "--lmax", "30"], 0),
+    "model2": (["congruence", "--model1", "0,0,0,-1,0"], "--model2", "-1,0,0,-1,0",
+               ["--p", "5", "--lmax", "30"], 0),
+    "p-list": (["verify"], "--p-list", "-5,7", ["--alpha-list", "1", "--height", "3"], 2),
+    "alpha-list": (["verify", "--p-list", "5"], "--alpha-list", "-1,2", ["--height", "3"], 2),
+}
+
+#: Runs each NEGATIVE_LISTS case (a JSON list in argv[1]) through
+#: ``cli.main`` in the spaced and the equals form, and prints the exit
+#: code, stdout and stderr of both as JSON.
+NEGATIVE_LIST_RUNNER = """
+import contextlib, io, json, sys
+from freycheck import cli
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return [code, out.getvalue(), err.getvalue()]
+
+print(json.dumps([
+    [run(before + [option, value] + after), run(before + [option + "=" + value] + after)]
+    for before, option, value, after, _ in json.loads(sys.argv[1])
+]))
+"""
+
+
+def _other_pythons():
+    """{version: path} of every CPython >= 3.10 other than this one that starts.
+
+    Candidates are each ``python3.N`` on PATH and each ``bin/python3`` of
+    pyenv's versions; a pyenv shim of a version not selected fails ``-c``
+    and is dropped.
+    """
+    candidates = [
+        Path(folder) / ("python3.%d" % minor)
+        for folder in os.get_exec_path() for minor in range(10, 20)
+    ]
+    candidates += sorted(Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")).glob(
+        "versions/*/bin/python3"
+    ))
+    probe = "import sys; print(sys.implementation.name, *sys.version_info[:3])"
+    found = {}
+    for python in filter(Path.is_file, candidates):
+        try:
+            child = subprocess.run(
+                [str(python), "-c", probe], capture_output=True, text=True, timeout=30
+            )
+        except (OSError, subprocess.SubprocessError):
+            continue
+        if child.returncode != 0:
+            continue
+        name, *version = child.stdout.split()
+        version = tuple(map(int, version))
+        if name == "cpython" and version >= (3, 10) and version != sys.version_info[:3]:
+            found.setdefault(version, str(python))
+    return found
+
+
 class TestExitCodes:
     def test_usage_error_unknown_subcommand(self, capsys):
         code, out, err = run_cli(capsys, "bogus")
@@ -189,6 +254,15 @@ class TestExitCodes:
         assert err == (
             "freycheck ap-search: error: n = 3 at height 40000 needs about 358393344000 "
             "units of work, above MAX_AP_WORK = %d\n" % search_mod.MAX_AP_WORK
+        )
+
+    def test_domain_error_denes_scan_above_the_work_budget(self, capsys, monkeypatch, pool_sizes):
+        monkeypatch.setattr(denes_mod, "denes_criterion", lambda p: pytest.fail("evaluated"))
+        code, out, err = run_cli(capsys, "denes", "--scan", str(MAX_P))
+        assert code == 2 and out == "" and pool_sizes == []
+        assert err == (
+            "freycheck denes: error: a scan to 3000000 needs about 78837996685063560 units "
+            "of work, above the 952511372992 of p = MAX_P = 3000000\n"
         )
 
     def test_singular_second_model_is_refused_before_the_sieve(self, capsys, no_sieve):
@@ -364,17 +438,8 @@ class TestOptions:
 
     @pytest.mark.parametrize(
         "before, option, value, after, expected",
-        [
-            (["analyze", "--p", "5", "--alpha", "1"], "--triple", "-1,1,-1", [], 0),
-            (["traces"], "--model", "-1,0,0,-1,0", ["--lmax", "30"], 0),
-            (["congruence"], "--model1", "-1,0,0,-1,0",
-             ["--model2", "0,0,0,-1,0", "--p", "5", "--lmax", "30"], 0),
-            (["congruence", "--model1", "0,0,0,-1,0"], "--model2", "-1,0,0,-1,0",
-             ["--p", "5", "--lmax", "30"], 0),
-            (["verify"], "--p-list", "-5,7", ["--alpha-list", "1", "--height", "3"], 2),
-            (["verify", "--p-list", "5"], "--alpha-list", "-1,2", ["--height", "3"], 2),
-        ],
-        ids=["triple", "model", "model1", "model2", "p-list", "alpha-list"],
+        NEGATIVE_LISTS.values(),
+        ids=list(NEGATIVE_LISTS),
     )
     def test_equals_form_for_negative_lists(self, capsys, before, option, value, after, expected):
         # A list with a leading minus is read as the option's value, not
@@ -383,6 +448,25 @@ class TestOptions:
         equals = run_cli(capsys, *before, "%s=%s" % (option, value), *after)
         assert spaced == equals
         assert spaced[0] == expected
+
+    def test_equals_form_for_negative_lists_on_other_pythons(self):
+        # _Parser overrides argparse's private _parse_optional, so each
+        # CPython it may run on checks the cases above, in one process.
+        pythons = _other_pythons()
+        if not pythons:
+            pytest.skip("no other CPython >= 3.10 found")
+        cases = list(NEGATIVE_LISTS.values())
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        for version, python in pythons.items():
+            child = subprocess.run(
+                [python, "-B", "-c", NEGATIVE_LIST_RUNNER, json.dumps(cases)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert child.returncode == 0, (version, child.stderr)
+            runs = json.loads(child.stdout)
+            for name, (spaced, equals), case in zip(NEGATIVE_LISTS, runs, cases):
+                assert spaced == equals, (version, name)
+                assert spaced[0] == case[-1], (version, name)
 
     @pytest.mark.parametrize(
         "args",
@@ -766,6 +850,32 @@ class TestDeterminism:
         assert cli.main(list(args)) == expected[0] == 0
         assert recorder.getvalue() == expected[1]
         assert recorder.writes > 1
+
+    def test_json_converts_each_record_as_it_is_written(self, capsys, monkeypatch):
+        converted = []
+
+        def counting(value, jsonable=cli.jsonable):
+            if isinstance(value, traces_mod.TraceRecord):
+                converted.append(value.ell)
+            return jsonable(value)
+
+        class Recorder(io.StringIO):
+            converted_at_first_record = None
+
+            def write(self, text):
+                if self.converted_at_first_record is None and '"a_ell"' in text:
+                    self.converted_at_first_record = len(converted)
+                return super().write(text)
+
+        args = ("traces", "--model", "0,-1,1,-10,-20", "--lmax", "2000", "--format", "json")
+        expected = run_cli(capsys, *args)
+        recorder = Recorder()
+        monkeypatch.setattr(cli, "jsonable", counting)
+        monkeypatch.setattr(sys, "stdout", recorder)
+        assert cli.main(list(args)) == expected[0] == 0
+        assert recorder.getvalue() == expected[1]
+        assert recorder.converted_at_first_record == 1
+        assert converted == primes_up_to(2000)[1:]
 
     @pytest.mark.parametrize(
         "args",

@@ -23,6 +23,7 @@ from freycheck.arith import MAX_P, mult_order, primes_up_to
 from freycheck.cli import jsonable
 from freycheck.denes import (
     DenesReport,
+    _criterion_work,
     _least_primitive_root,
     _pack,
     _powers,
@@ -377,6 +378,21 @@ class TestDenesScan:
         force_pools(cores)
         assert denes_scan(120) == expected
         assert pool_sizes == [3]
+
+    def test_refuses_a_scan_to_max_p_before_any_prime(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(denes_mod, "denes_criterion", lambda p: pytest.fail("evaluated %d" % p))
+        budget = _criterion_work(MAX_P)
+        with pytest.raises(ValueError, match="above the %d of p = MAX_P" % budget):
+            denes_scan(MAX_P)
+        assert pool_sizes == []
+
+    def test_largest_accepted_scan(self, monkeypatch, pool_sizes):
+        # The work of every prime up to 30,839 stays within that of one
+        # prime at MAX_P; with 30,841 it does not.
+        monkeypatch.setattr(denes_mod, "denes_criterion", abs)
+        assert denes_scan(30_840)[-1] == 30_839
+        with pytest.raises(ValueError, match="^a scan to 30841 needs about 952971433264 units"):
+            denes_scan(30_841)
 
     def test_refuses_above_max_p_before_the_sieve(self, monkeypatch):
         monkeypatch.setattr(denes_mod, "primes_up_to", lambda n: pytest.fail("sieved to %d" % n))

@@ -2,16 +2,18 @@
 only the standard library, it uses no floating-point arithmetic, one
 module, ``arith``, owns every process pool and every primality test,
 one, ``cli``, owns standard error (no module logs), and no module reads
-``sys.argv``.
+``sys.argv``.  A non-prime is refused by ``arith.require_prime`` alone.
 
 Each module under ``src/freycheck`` is parsed, not imported, and every
 node is checked: absolute imports must name a stdlib module; float and
 complex literals, true division (``/``, ``/=``), ``float(...)`` and
 ``complex(...)`` calls are refused; of ``math`` only the exact integer
-functions may be used.
+functions may be used; no ``raise ValueError(...)`` outside a function
+named ``require_prime`` may name a prime in its message.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 from typing import List, Set
@@ -22,12 +24,35 @@ import freycheck
 
 SOURCES = sorted(Path(freycheck.__file__).parent.glob("*.py"))
 EXACT_MATH = {"gcd", "isqrt", "prod", "comb", "lcm", "factorial"}
+PRIME_WORD = re.compile(r"\bprime\b", re.IGNORECASE)
+
+
+def refuses_a_non_prime(exc: ast.AST) -> bool:
+    """Whether ``exc`` is a ``ValueError(...)`` whose message names a prime."""
+    return (
+        isinstance(exc, ast.Call)
+        and isinstance(exc.func, ast.Name)
+        and exc.func.id == "ValueError"
+        and any(
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and PRIME_WORD.search(node.value)
+            for node in ast.walk(exc)
+        )
+    )
 
 
 def violations(source: str) -> List[str]:
     """One line per breach of the rules in ``source``, in line order."""
     tree = ast.parse(source)
     math_names = set()  # what "import math [as m]" binds
+    # The one refusal of a non-prime, arith.require_prime, may raise one.
+    refusal = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "require_prime"
+        for inner in ast.walk(node)
+    }
     found = []
     for node in ast.walk(tree):
         line = getattr(node, "lineno", 0)
@@ -57,6 +82,12 @@ def violations(source: str) -> List[str]:
             and node.func.id in ("float", "complex")
         ):
             found.append((line, "calls %s" % node.func.id))
+        elif (
+            isinstance(node, ast.Raise)
+            and id(node) not in refusal
+            and refuses_a_non_prime(node.exc)
+        ):
+            found.append((line, "refuses a non-prime outside require_prime"))
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
@@ -87,6 +118,12 @@ def test_every_rule_fires():
             "w = float(3)",
             "v = complex(1, 2)",
             "u = m.log(2) + m.gcd(4, 6)",
+            "raise ValueError('p must be an odd prime')",
+            "raise ValueError(f'{n} is not PRIME')",
+            "raise ValueError('triple must be coprime')",
+            "raise ArithmeticError('p must be prime')",
+            "def require_prime(n):",
+            "    raise ValueError('n must be a prime')",
         ]
     )
     assert [line.split(": ", 1)[1] for line in violations(source)] == [
@@ -100,6 +137,8 @@ def test_every_rule_fires():
         "calls float",
         "calls complex",
         "uses math.log",
+        "refuses a non-prime outside require_prime",
+        "refuses a non-prime outside require_prime",
     ]
 
 
