@@ -16,6 +16,7 @@ __all__ = [
     "MAX_ELL",
     "MAX_HEIGHT",
     "MAX_P",
+    "MAX_SCAN",
     "MILLER_RABIN_BOUND",
     "FactorizationError",
     "exact_root",
@@ -42,10 +43,18 @@ DEFAULT_FACTOR_BOUND = 10**6
 #: (2-core x86_64, Python 3.11.7, 8 GB).
 MAX_ELL = 10**7
 
-#: Largest p that denes evaluates or scans to, here so the CLI's help can
-#: name it without loading denes.  The Bernoulli kernel's Kronecker slots
-#: fit in 8 bytes up to about p = 3.3 million.
+#: Largest p that denes evaluates, here so the CLI's help can name it
+#: without loading denes.  The Bernoulli kernel's Kronecker slots fit in
+#: 8 bytes up to about p = 3.3 million.
 MAX_P = 3 * 10**6
+
+#: Largest p_max that denes scans to, here so the CLI's help can name it
+#: without loading denes.  It is the largest p_max whose per-prime
+#: estimates b * isqrt(b) + 4,000 p, with b the bits of the Kronecker
+#: product, sum to at most the estimate for one prime at MAX_P.  That
+#: scan took 55.1 s, against 195.7 s and 348 MB for denes --p 2999999
+#: (2-core x86_64, Python 3.11.7).
+MAX_SCAN = 30_840
 
 #: Largest height that search, verify and ap-search accept, here so the
 #: CLI's help can name it without loading search.  Each search process

@@ -27,7 +27,7 @@ import sys
 from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from . import __version__, denes, frey, search, tate, traces, weierstrass
-from .arith import DEFAULT_FACTOR_BOUND, MAX_ELL, MAX_HEIGHT, MAX_P, valuation
+from .arith import DEFAULT_FACTOR_BOUND, MAX_ELL, MAX_HEIGHT, MAX_P, MAX_SCAN, valuation
 
 __all__ = ["entry", "jsonable", "main"]
 
@@ -127,12 +127,8 @@ def build_parser() -> _Parser:
         return cmd
 
     model = dict(type=_model, required=True, metavar="a1,a2,a3,a4,a6")
-    height = dict(
-        type=_positive_int,
-        default=25,
-        help="largest absolute value searched, at most MAX_HEIGHT = %d "
-        "(default: %%(default)s)" % MAX_HEIGHT,
-    )
+    height_help = "largest absolute value searched, at most MAX_HEIGHT = %d" % MAX_HEIGHT
+    height = dict(type=_positive_int, default=25, help=height_help + " (default: %(default)s)")
     lmax_help = "largest ell counted, at most MAX_ELL = %d (default: %%(default)s)" % MAX_ELL
     factor_bound = dict(
         type=_int_at_least(2, "an integer >= 2"),
@@ -156,9 +152,8 @@ def build_parser() -> _Parser:
     )
     group = denes_cmd.add_mutually_exclusive_group(required=True)
     group.add_argument("--p", type=_positive_int, help="a prime 5 <= p <= MAX_P = %d" % MAX_P)
-    group.add_argument(
-        "--scan", type=_positive_int, metavar="MAX", help="every prime 5 <= p <= MAX <= MAX_P"
-    )
+    scan_help = "every prime 5 <= p <= MAX <= MAX_SCAN = %d" % MAX_SCAN
+    group.add_argument("--scan", type=_positive_int, metavar="MAX", help=scan_help)
 
     search_cmd = command(
         "search", _cmd_search, "exhaustive bounded-height search for a^p + L^alpha*b^p + c^p = 0"
@@ -180,7 +175,11 @@ def build_parser() -> _Parser:
     )
     ap_search.add_argument("--n", type=_positive_int, required=True)
     ap_search.add_argument("--k", type=_positive_int, required=True, choices=(3, 4))
-    ap_search.add_argument("--height", **height)
+    # A literal, so that the parser does not load search; a test ties it to MAX_AP_WORK.
+    ap_budget = ", and for n >= 3 also at most what MAX_AP_WORK allows (30000 at n = 3)"
+    ap_search.add_argument(
+        "--height", **dict(height, help=height_help + ap_budget + " (default: %(default)s)")
+    )
     ap_search.add_argument(
         "--allow-constant",
         action="store_true",

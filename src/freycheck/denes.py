@@ -37,7 +37,16 @@ from array import array
 from math import isqrt
 from typing import Dict, List, NamedTuple, Sequence
 
-from .arith import MAX_P, factorize, mult_order, ordered_map, pool_size, primes_up_to, require_prime
+from .arith import (
+    MAX_P,
+    MAX_SCAN,
+    factorize,
+    mult_order,
+    ordered_map,
+    pool_size,
+    primes_up_to,
+    require_prime,
+)
 
 __all__ = [
     "DenesReport",
@@ -265,40 +274,14 @@ def denes_criterion(p: int) -> DenesReport:
     )
 
 
-def _criterion_work(p: int) -> int:
-    """Estimated cost of ``denes_criterion`` at p, in units of 0.07 to 0.2 ns.
-
-    The Kronecker product multiplies two ints of b = 8 h width bits, h =
-    (p - 1)/2, at b * isqrt(b) units, as Karatsuba grows about as b^1.5;
-    the O(p) work on small ints around it costs 4,000 units per p.  A
-    unit took 0.07-0.08 ns from p = 307 to 30,011, 0.13-0.15 ns from
-    100,003 to 1,000,003 and 0.2 ns at 2,999,999, where the product
-    outgrows the caches (best of 3 in-process runs, one run from
-    1,000,003 on; 2-core x86_64, Python 3.11.7).  Against one prime near
-    MAX_P, the primes below 30,000 are thus weighed up to 3 times lighter
-    than their time.
-    """
-    h = (p - 1) // 2
-    bits = 8 * h * _slot_width(h, p)
-    return bits * isqrt(bits) + 4_000 * p
-
-
 def denes_scan(p_max: int) -> List[DenesReport]:
-    """Reports for every prime 5 <= p <= p_max <= MAX_P, ascending.
+    """Reports for every prime 5 <= p <= p_max <= MAX_SCAN, ascending.
 
-    A scan whose ``_criterion_work`` adds up to more than that of one
-    prime at ``MAX_P`` is refused before any prime is evaluated.
     Distinct primes are evaluated concurrently, in one process per
     ``PRIME_SUM_PER_PROCESS`` of their sum; the merge order is always
     ascending in p, so results are deterministic.
     """
-    if p_max > MAX_P:
-        raise ValueError("p_max exceeds MAX_P = %d" % MAX_P)
+    if p_max > MAX_SCAN:
+        raise ValueError("p_max exceeds MAX_SCAN = %d" % MAX_SCAN)
     primes = [p for p in primes_up_to(p_max) if p >= 5]
-    work, budget = sum(map(_criterion_work, primes)), _criterion_work(MAX_P)
-    if work > budget:
-        raise ValueError(
-            "a scan to %d needs about %d units of work, above the %d of p = MAX_P = %d"
-            % (p_max, work, budget, MAX_P)
-        )
     return ordered_map(denes_criterion, primes, pool_size(sum(primes), PRIME_SUM_PER_PROCESS))

@@ -9,8 +9,10 @@ extraction or one table lookup per row instead of the searches by
 admissible sum and by Pythagorean triple, explicit square-root
 counting or one Euler criterion per x instead of a quadratic-character
 table or Shanks-Mestre, the CM formulas of two curves, the closed-form
-valuation table instead of the step-by-step reduction algorithm, and
-trial division instead of Pollard-Brent rho.  The test suite treats
+valuation table instead of the step-by-step reduction algorithm, other
+models of the same curve and a 2-isogenous curve, on which that
+algorithm must agree with itself at 2 and 3, and trial division instead
+of Pollard-Brent rho.  The test suite treats
 agreement between the two routes as the acceptance evidence, so nothing
 in this module may import from the package's computation paths beyond
 plain data containers.  The one exception is ``factorize_trial``: it
@@ -559,6 +561,53 @@ def local_data_table_large_prime(
     raise AssertionError(
         "unreachable (v_disc, v_c4) = (%r, %r) for ell >= 5" % (v_disc, v_c4)
     )
+
+
+# ---------------------------------------------------------------------------
+# Other models of the same curve, and a 2-isogenous curve: Tate's
+# algorithm must give the same local data at 2 and 3 on each of them.
+
+
+def change_of_variables(
+    coefficients: Sequence[int], u: Fraction, r: int = 0, s: int = 0, t: int = 0
+) -> Tuple[int, int, int, int, int]:
+    """The model after x = u^2 x' + r, y = u^3 y' + u^2 s x' + t.
+
+    The standard formulas (Silverman, *The Arithmetic of Elliptic
+    Curves*, III.1, Table 3.1) give u^i a_i' from the a_i, r, s and t.
+    With u = 1/k the model is scaled up by k, so it is not minimal at the
+    primes dividing k.  The new coefficients must be integers.
+    """
+    a1, a2, a3, a4, a6 = coefficients
+    scaled = (
+        (a1 + 2 * s, 1),
+        (a2 - s * a1 + 3 * r - s * s, 2),
+        (a3 + r * a1 + 2 * t, 3),
+        (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t, 4),
+        (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1, 6),
+    )
+    new = [Fraction(value) / Fraction(u) ** weight for value, weight in scaled]
+    if any(c.denominator != 1 for c in new):
+        raise ValueError("not an integral model")
+    return tuple(int(c) for c in new)
+
+
+def short_model(coefficients: Sequence[int]) -> Tuple[int, int, int, int, int]:
+    """y^2 = x^3 - 27 c4 x - 54 c6, the model with u = 1/6 and no a1, a2, a3."""
+    a1, a2, a3, a4, a6 = coefficients
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    c4 = b2 * b2 - 24 * b4
+    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
+    return 0, 0, 0, -27 * c4, -54 * c6
+
+
+def two_isogenous(a2: int, a4: int) -> Tuple[int, int, int, int, int]:
+    """The curve 2-isogenous to y^2 = x^3 + a2 x^2 + a4 x through (0, 0).
+
+    It is y^2 = x^3 - 2 a2 x^2 + (a2^2 - 4 a4) x (Velu, C. R. Acad. Sci.
+    Paris 273, 1971).  Isogenous curves have the same conductor.
+    """
+    return 0, -2 * a2, 0, a2 * a2 - 4 * a4, 0
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import textwrap
@@ -19,13 +20,14 @@ from pathlib import Path
 
 import pytest
 
+import freycheck.arith as arith
 import freycheck.cli as cli
 import freycheck.denes as denes_mod
 import freycheck.search as search_mod
 import freycheck.tate as tate_mod
 import freycheck.traces as traces_mod
 from freycheck import __version__
-from freycheck.arith import MAX_HEIGHT, MAX_P, primes_up_to
+from freycheck.arith import MAX_HEIGHT, MAX_P, MAX_SCAN, primes_up_to
 from freycheck.cli import jsonable
 from freycheck.denes import denes_criterion
 from freycheck.frey import CurveInvariants, build_frey, invariants, normalize
@@ -220,14 +222,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "args, message",
-        [(("--p", "3000017"), "p exceeds"), (("--scan", str(10**12)), "p_max exceeds")],
+        [
+            (("--p", "3000017"), "p exceeds MAX_P = %d" % MAX_P),
+            (("--scan", str(10**12)), "p_max exceeds MAX_SCAN = %d" % MAX_SCAN),
+        ],
         ids=["p", "scan"],
     )
     def test_domain_error_above_max_p(self, capsys, monkeypatch, args, message):
         monkeypatch.setattr(denes_mod, "primes_up_to", lambda n: pytest.fail("sieved to %d" % n))
         code, out, err = run_cli(capsys, "denes", *args)
         assert code == 2 and out == ""
-        assert err == "freycheck denes: error: %s MAX_P = %d\n" % (message, MAX_P)
+        assert err == "freycheck denes: error: %s\n" % message
 
     @pytest.mark.parametrize(
         "args",
@@ -257,13 +262,10 @@ class TestExitCodes:
         )
 
     def test_domain_error_denes_scan_above_the_work_budget(self, capsys, monkeypatch, pool_sizes):
-        monkeypatch.setattr(denes_mod, "denes_criterion", lambda p: pytest.fail("evaluated"))
+        monkeypatch.setattr(denes_mod, "primes_up_to", lambda n: pytest.fail("sieved to %d" % n))
         code, out, err = run_cli(capsys, "denes", "--scan", str(MAX_P))
         assert code == 2 and out == "" and pool_sizes == []
-        assert err == (
-            "freycheck denes: error: a scan to 3000000 needs about 78837996685063560 units "
-            "of work, above the 952511372992 of p = MAX_P = 3000000\n"
-        )
+        assert err == "freycheck denes: error: p_max exceeds MAX_SCAN = 30840\n"
 
     def test_singular_second_model_is_refused_before_the_sieve(self, capsys, no_sieve):
         code, out, err = run_cli(
@@ -417,6 +419,17 @@ class TestOptions:
         defaults = {name: cmd.get_default("format") for name, cmd in _subcommands().items()}
         assert defaults.pop("traces") == "csv"
         assert set(defaults.values()) == {"json"}
+
+    def test_help_prints_each_limit_at_its_value(self, capsys):
+        # argparse wraps help lines, so whitespace is collapsed before matching.
+        printed = {}
+        for name in sorted(_subcommands()):
+            code, out, _ = run_cli(capsys, name, "--help")
+            assert code == 0
+            for limit, value in re.findall(r"\b(MAX_[A-Z_]+) = (\d+)", " ".join(out.split())):
+                printed.setdefault(limit, set()).add(int(value))
+        limits = ("MAX_ELL", "MAX_HEIGHT", "MAX_P", "MAX_SCAN")
+        assert printed == {limit: {getattr(arith, limit)} for limit in limits}
 
     @pytest.mark.parametrize(
         "args",
@@ -669,6 +682,12 @@ class TestApSearchCommand:
     def test_k_choice_validated(self, capsys):
         code, _, err = run_cli(capsys, "ap-search", "--n", "2", "--k", "5")
         assert code == 1 and "choose from" in err
+
+    def test_height_help_names_the_budget_at_n_3(self, capsys):
+        _, out, _ = run_cli(capsys, "ap-search", "--help")
+        assert "MAX_AP_WORK allows (30000 at n = 3)" in " ".join(out.split())
+        work = search_mod._ap_sweep_work
+        assert work(3, 30_000) <= search_mod.MAX_AP_WORK < work(3, 30_001)
 
 
 class TestVerifyCommand:
@@ -1046,7 +1065,7 @@ def test_frozen_heap_forks_a_real_pool():
     [
         (["denes", "--p", "7", "--scan", "10"], 1, "not allowed with argument"),
         (["conductor", "--model", "0,0,0,-1,%d" % 10**21], 2, "factorization bound exceeded"),
-        (["denes", "--scan", str(10**12)], 2, "p_max exceeds MAX_P"),
+        (["denes", "--scan", str(10**12)], 2, "p_max exceeds MAX_SCAN"),
         (["search", "--p", "5", "--alpha", "1", "--height", str(10**8)], 2, "exceeds MAX_HEIGHT"),
     ],
     ids=["usage", "refusal", "scan-above-max-p", "height-above-max-height"],

@@ -19,11 +19,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import freycheck.denes as denes_mod
-from freycheck.arith import MAX_P, mult_order, primes_up_to
+from freycheck.arith import MAX_P, MAX_SCAN, mult_order, primes_up_to
 from freycheck.cli import jsonable
 from freycheck.denes import (
     DenesReport,
-    _criterion_work,
     _least_primitive_root,
     _pack,
     _powers,
@@ -380,21 +379,23 @@ class TestDenesScan:
         assert pool_sizes == [3]
 
     def test_refuses_a_scan_to_max_p_before_any_prime(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(denes_mod, "primes_up_to", lambda n: pytest.fail("sieved to %d" % n))
         monkeypatch.setattr(denes_mod, "denes_criterion", lambda p: pytest.fail("evaluated %d" % p))
-        budget = _criterion_work(MAX_P)
-        with pytest.raises(ValueError, match="above the %d of p = MAX_P" % budget):
+        with pytest.raises(ValueError, match="^p_max exceeds MAX_SCAN = 30840$"):
             denes_scan(MAX_P)
         assert pool_sizes == []
 
     def test_largest_accepted_scan(self, monkeypatch, pool_sizes):
-        # The work of every prime up to 30,839 stays within that of one
-        # prime at MAX_P; with 30,841 it does not.
+        # The scan to 30,840 ends at the prime 30,839; the next prime,
+        # 30,841, is refused.
         monkeypatch.setattr(denes_mod, "denes_criterion", abs)
+        assert MAX_SCAN == 30_840
         assert denes_scan(30_840)[-1] == 30_839
-        with pytest.raises(ValueError, match="^a scan to 30841 needs about 952971433264 units"):
+        with pytest.raises(ValueError, match="^p_max exceeds MAX_SCAN = 30840$"):
             denes_scan(30_841)
 
     def test_refuses_above_max_p_before_the_sieve(self, monkeypatch):
         monkeypatch.setattr(denes_mod, "primes_up_to", lambda n: pytest.fail("sieved to %d" % n))
-        with pytest.raises(ValueError, match="p_max exceeds MAX_P = 3000000"):
-            denes_scan(MAX_P + 1)
+        for p_max in (MAX_SCAN + 1, MAX_P + 1, 10**12):
+            with pytest.raises(ValueError, match="^p_max exceeds MAX_SCAN = 30840$"):
+                denes_scan(p_max)

@@ -3,6 +3,9 @@ independent (v(c4), v(discriminant)) table for residue characteristic >= 5.
 """
 
 import json
+import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +25,7 @@ from freycheck.tate import (
 )
 from freycheck.weierstrass import WeierstrassModel
 
-from oracles import local_data_table_large_prime
+from oracles import change_of_variables, local_data_table_large_prime, short_model, two_isogenous
 
 # Hand-checked anchors spanning every branch of the algorithm:
 # (coefficients, prime, kodaira type, conductor exponent,
@@ -49,6 +52,8 @@ ANCHORS = [
     ([0, 0, 0, 0, 625], 5, "IV*", 2, 8, ADDITIVE),
     ([0, 0, 0, 125, 0], 5, "III*", 2, 9, ADDITIVE),
     ([0, 0, 0, 0, 3125], 5, "II*", 2, 10, ADDITIVE),
+    # Cremona's 14a1, a_2 = -1: the only nonsplit node at 2.
+    ([1, 0, 1, 4, -6], 2, "I6", 1, 6, MULT_NONSPLIT),
 ]
 
 CONDUCTOR_ANCHORS = [
@@ -247,6 +252,76 @@ class TestLargePrimeTable:
             data.conductor_exponent,
             data.min_disc_valuation,
         ) == expected
+
+
+def _reduction_data(data):
+    return data.conductor_exponent, data.min_disc_valuation, data.kodaira_type, data.reduction
+
+
+def _models_at_2_and_3(seed, count):
+    """``count`` nonsingular models whose a_i are m * ell^k, ell = 2 or 3.
+
+    Exponents up to i + 1 make every Kodaira type occur at both primes.
+    """
+    rng = random.Random(seed)
+    models = []
+    while len(models) < count:
+        ell = rng.choice((2, 3))
+        coeffs = tuple(
+            rng.choice((0, 1, -1, 2, -3, 5)) * ell ** rng.randrange(weight + 2)
+            for weight in (1, 2, 3, 4, 6)
+        )
+        if WeierstrassModel(*coeffs).discriminant() != 0:
+            models.append(coeffs)
+    return models
+
+
+class TestSecondRouteAt2And3:
+    """At 2 and 3 no closed-form table gives the local data, so Tate's
+    algorithm is checked against itself on other models of the same
+    curve, built by the standard formulas of ``oracles``, and against a
+    2-isogenous curve, which has the same conductor."""
+
+    def test_other_models_of_the_same_curve(self):
+        rng = random.Random(1)
+
+        def shift():
+            return [rng.randrange(-6, 7) for _ in "rst"]
+
+        seen = {2: set(), 3: set()}
+        for coeffs in _models_at_2_and_3(0, 900):
+            integral = [change_of_variables(coeffs, 1, *shift()) for _ in range(2)]
+            scaled = {k: change_of_variables(coeffs, Fraction(1, k), *shift()) for k in (2, 3, 6)}
+            for ell in (2, 3):
+                data = local_data(WeierstrassModel(*coeffs), ell)
+                assert data.conductor_exponent <= (8 if ell == 2 else 5), (coeffs, data)
+                seen[ell].add(re.sub(r"^I[1-9]\d*", "In", data.kodaira_type))
+                for other in integral + list(scaled.values()) + [short_model(coeffs)]:
+                    moved = local_data(WeierstrassModel(*other), ell)
+                    assert _reduction_data(moved) == _reduction_data(data), (coeffs, other, ell)
+                for k, other in scaled.items():
+                    if k % ell == 0:
+                        assert local_data(WeierstrassModel(*other), ell).scalings > data.scalings
+        families = {"I0", "In", "II", "III", "IV", "I0*", "In*", "IV*", "III*", "II*"}
+        assert seen == {2: families, 3: families}
+
+    def test_two_isogenous_curves_share_the_conductor(self):
+        def exponents(coeffs):
+            return {
+                data.prime: data.conductor_exponent
+                for data in all_local_data(WeierstrassModel(*coeffs))
+                if data.conductor_exponent
+            }
+
+        rng = random.Random(2)
+        pairs = 0
+        while pairs < 400:
+            a2 = rng.choice((0, 1, -1, 3, -5)) * rng.choice((1, 2, 3, 4, 8, 9, 16, 27))
+            a4 = rng.choice((1, -1, 2, -3, 5, 7)) * rng.choice((1, 2, 3, 4, 8, 9, 16, 32, 81))
+            if WeierstrassModel(0, a2, 0, a4, 0).discriminant() == 0:
+                continue
+            pairs += 1
+            assert exponents((0, a2, 0, a4, 0)) == exponents(two_isogenous(a2, a4)), (a2, a4)
 
 
 class TestSemistableFreyModels:
