@@ -1,7 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 clean run, 1 usage error, 2 domain error (invalid values,
-factorization bound exceeded), 3 a finding that contradicts an
+Exit codes: 0 clean run, 1 a command line that cannot be read (an
+unknown or missing option, text that is not an integer, a list of the
+wrong length), 2 a value outside its domain (refused by the library
+function that owns its rule; the parser reads integers only) or a
+factorization bound exceeded, 3 a finding that contradicts an
 established result (emitted only after exact re-verification), 141
 standard output closed by its reader (128 + SIGPIPE, as a shell reports
 a tool that a closed pipe stopped).
@@ -66,23 +69,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _int_at_least(minimum: int, kind: str) -> Callable[[str], int]:
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError("expected %s, got %r" % (kind, text))
-        return value
-
-    return parse
-
-
-_positive_int = _int_at_least(1, "a positive integer")
-_nonnegative_int = _int_at_least(0, "a non-negative integer")
-
-
 def _comma_ints(count: Optional[int] = None):
     def parse(text: str) -> List[int]:
         try:
@@ -128,10 +114,10 @@ def build_parser() -> _Parser:
 
     model = dict(type=_model, required=True, metavar="a1,a2,a3,a4,a6")
     height_help = "largest absolute value searched, at most MAX_HEIGHT = %d" % MAX_HEIGHT
-    height = dict(type=_positive_int, default=25, help=height_help + " (default: %(default)s)")
+    height = dict(type=int, default=25, help=height_help + " (default: %(default)s)")
     lmax_help = "largest ell counted, at most MAX_ELL = %d (default: %%(default)s)" % MAX_ELL
     factor_bound = dict(
-        type=_int_at_least(2, "an integer >= 2"),
+        type=int,
         default=DEFAULT_FACTOR_BOUND,
         help="a conductor factorization is accepted only if its part above "
         "this bound is one certified prime (default: %(default)s)",
@@ -142,8 +128,8 @@ def build_parser() -> _Parser:
         _cmd_analyze,
         "normalize a solution, build its Frey curve, cross-check invariants",
     )
-    analyze.add_argument("--p", type=_positive_int, required=True)
-    analyze.add_argument("--alpha", type=_nonnegative_int, required=True)
+    analyze.add_argument("--p", type=int, required=True)
+    analyze.add_argument("--alpha", type=int, required=True)
     analyze.add_argument("--triple", type=_comma_ints(3), required=True, metavar="a,b,c")
     analyze.add_argument("--factor-bound", **factor_bound)
 
@@ -151,16 +137,16 @@ def build_parser() -> _Parser:
         "denes", _cmd_denes, "evaluate the regularity/order-of-2/Wieferich criterion"
     )
     group = denes_cmd.add_mutually_exclusive_group(required=True)
-    group.add_argument("--p", type=_positive_int, help="a prime 5 <= p <= MAX_P = %d" % MAX_P)
+    group.add_argument("--p", type=int, help="a prime 5 <= p <= MAX_P = %d" % MAX_P)
     scan_help = "every prime 5 <= p <= MAX <= MAX_SCAN = %d" % MAX_SCAN
-    group.add_argument("--scan", type=_positive_int, metavar="MAX", help=scan_help)
+    group.add_argument("--scan", type=int, metavar="MAX", help=scan_help)
 
     search_cmd = command(
         "search", _cmd_search, "exhaustive bounded-height search for a^p + L^alpha*b^p + c^p = 0"
     )
-    search_cmd.add_argument("--p", type=_positive_int, required=True)
-    search_cmd.add_argument("--alpha", type=_nonnegative_int, required=True)
-    search_cmd.add_argument("--L", type=_positive_int, default=2)
+    search_cmd.add_argument("--p", type=int, required=True)
+    search_cmd.add_argument("--alpha", type=int, required=True)
+    search_cmd.add_argument("--L", type=int, default=2)
     search_cmd.add_argument("--height", **height)
     search_cmd.add_argument(
         "--allow-imprimitive",
@@ -173,8 +159,8 @@ def build_parser() -> _Parser:
         _cmd_ap_search,
         "arithmetic progressions of perfect n-th powers with positive bases",
     )
-    ap_search.add_argument("--n", type=_positive_int, required=True)
-    ap_search.add_argument("--k", type=_positive_int, required=True, choices=(3, 4))
+    ap_search.add_argument("--n", type=int, required=True)
+    ap_search.add_argument("--k", type=int, required=True, help="3 or 4")
     # A literal, so that the parser does not load search; a test ties it to MAX_AP_WORK.
     ap_budget = ", and for n >= 3 also at most what MAX_AP_WORK allows (30000 at n = 3)"
     ap_search.add_argument(
@@ -199,15 +185,15 @@ def build_parser() -> _Parser:
         "traces", _cmd_traces, "trace-of-Frobenius table for a Weierstrass model", fmt="csv"
     )
     traces_cmd.add_argument("--model", **model)
-    traces_cmd.add_argument("--lmax", type=_positive_int, default=100, help=lmax_help)
+    traces_cmd.add_argument("--lmax", type=int, default=100, help=lmax_help)
 
     congruence = command(
         "congruence", _cmd_congruence, "compare traces of two curves mod p over good primes"
     )
     congruence.add_argument("--model1", **model)
     congruence.add_argument("--model2", **model)
-    congruence.add_argument("--p", type=_positive_int, required=True)
-    congruence.add_argument("--lmax", type=_positive_int, default=100, help=lmax_help)
+    congruence.add_argument("--p", type=int, required=True)
+    congruence.add_argument("--lmax", type=int, default=100, help=lmax_help)
 
     conductor = command(
         "conductor",
@@ -347,11 +333,6 @@ def _case_payload(case: search.CaseResult) -> Dict[str, object]:
 def _cmd_analyze(args: argparse.Namespace) -> Report:
     a, b, c = args.triple
     alpha_red, b_red = frey.reduce_alpha(args.alpha, b, args.p)
-    if alpha_red == 0:
-        raise ValueError(
-            "not a solution (Fermat case: alpha reduces to 0 mod p, and "
-            "a^p + b^p + c^p = 0 has no solutions in non-zero integers)"
-        )
     params = frey.normalize(args.p, alpha_red, a, b_red, c)
     triple, model = frey.build_frey(params)
     inv = frey.invariants(triple, args.factor_bound)

@@ -281,6 +281,8 @@ def denes_scan(p_max: int) -> List[DenesReport]:
     ``PRIME_SUM_PER_PROCESS`` of their sum; the merge order is always
     ascending in p, so results are deterministic.
     """
+    if p_max < 5:
+        raise ValueError("p_max must be >= 5, got %d" % p_max)
     if p_max > MAX_SCAN:
         raise ValueError("p_max exceeds MAX_SCAN = %d" % MAX_SCAN)
     primes = [p for p in primes_up_to(p_max) if p >= 5]

@@ -104,6 +104,11 @@ def normalize(p: int, alpha: int, a: int, b: int, c: int) -> FreyParams:
     Idempotent: normalizing the output again returns the same params.
     """
     require_prime(p, "p", 3)
+    if alpha == 0:
+        raise ValueError(
+            "not a solution (Fermat case: alpha reduces to 0 mod p, and "
+            "a^p + b^p + c^p = 0 has no solutions in non-zero integers)"
+        )
     if not 1 <= alpha < p:
         raise ValueError("alpha must satisfy 1 <= alpha < p")
     if a == 0 or b == 0 or c == 0:

@@ -85,7 +85,9 @@ def _exact_div(n: int, d: int) -> int:
 def _tangents_rational(a1: int, a2: int, p: int) -> bool:
     """Whether T^2 + a1*T - a2 (the node's tangent quadratic) splits over F_p."""
     if p == 2:
-        return a2 % 2 == 0 or (1 + a1 - a2) % 2 == 0
+        # A node at 2 has c4 = a1^4 odd (mod 2), so a1 is odd and
+        # T^2 + T - a2 splits over F_2 exactly when a2 is even.
+        return a2 % 2 == 0
     disc = (a1 * a1 + 4 * a2) % p
     if disc == 0:
         raise AssertionError("degenerate tangent quadratic at a node")

@@ -92,6 +92,40 @@ NEGATIVE_LISTS = {
     "alpha-list": (["verify", "--p-list", "5"], "--alpha-list", "-1,2", ["--height", "3"], 2),
 }
 
+#: Every integer option of every subcommand, given values below its
+#: least (0, a negative value and the value just below the least):
+#: (the other arguments, option, values, the library's refusal, in which
+#: "{}" stands for the value).  search's --alpha may be 0, and analyze's
+#: --alpha 0 is the Fermat case.
+FERMAT = (
+    "not a solution (Fermat case: alpha reduces to 0 mod p, and "
+    "a^p + b^p + c^p = 0 has no solutions in non-zero integers)"
+)
+OUT_OF_RANGE = [
+    ("analyze --alpha 1 --triple=-1,1,-1", "--p", (0, -5, 2), "p must be a prime >= 3, got {}"),
+    ("analyze --p 5 --triple=-1,1,-1", "--alpha", (0,), FERMAT),
+    ("analyze --p 5 --triple=-1,1,-1", "--alpha", (-5, -1), "alpha must be non-negative"),
+    ("analyze --p 5 --alpha 1 --triple=-1,1,-1", "--factor-bound", (0, -5, 1),
+     "factor bound must be >= 2"),
+    ("denes", "--p", (0, -5, 4), "p must be a prime >= 5, got {}"),
+    ("denes", "--scan", (0, -5, 4), "p_max must be >= 5, got {}"),
+    ("search --alpha 1 --height 5", "--p", (0, -5, 2), "p must be a prime >= 3, got {}"),
+    ("search --p 5 --height 5", "--alpha", (-5, -1), "alpha must be non-negative"),
+    ("search --p 5 --alpha 1 --height 5", "--L", (0, -5, 1), "L must be a prime >= 2, got {}"),
+    ("search --p 5 --alpha 1", "--height", (0, -5), "height must be >= 1"),
+    ("ap-search --k 3 --height 5", "--n", (0, -5, 1), "exponent n must be >= 2"),
+    ("ap-search --n 2 --height 5", "--k", (0, -5, 2, 5),
+     "only 3- and 4-term progressions are supported"),
+    ("ap-search --n 2 --k 3", "--height", (0, -5), "height must be >= 1"),
+    ("verify --p-list 5 --alpha-list 1", "--height", (0, -5), "height must be >= 1"),
+    ("traces --model 0,0,0,-1,0", "--lmax", (0, -5, 2), "lmax must be >= 3"),
+    ("congruence --model1 0,0,0,-1,0 --model2 0,0,0,1,0 --lmax 30", "--p", (0, -5, 1),
+     "p must be a prime >= 2, got {}"),
+    ("congruence --model1 0,0,0,-1,0 --model2 0,0,0,1,0 --p 5", "--lmax", (0, -5, 2),
+     "lmax must be >= 3"),
+    ("conductor --model 0,0,0,-1,0", "--factor-bound", (0, -5, 1), "factor bound must be >= 2"),
+]
+
 #: Runs each NEGATIVE_LISTS case (a JSON list in argv[1]) through
 #: ``cli.main`` in the spaced and the equals form, and prints the exit
 #: code, stdout and stderr of both as JSON.
@@ -155,7 +189,7 @@ class TestExitCodes:
 
     def test_usage_error_bad_integer(self, capsys):
         code, _, err = run_cli(capsys, "search", "--p", "five", "--alpha", "1")
-        assert code == 1 and "integer" in err
+        assert code == 1 and "invalid int value: 'five'" in err
 
     def test_usage_error_no_subcommand(self, capsys):
         code, _, _ = run_cli(capsys)
@@ -202,6 +236,33 @@ class TestExitCodes:
         args = argv.split()
         code, out, err = run_cli(capsys, *args)
         assert (code, out, err) == (2, "", "freycheck %s: error: %s\n" % (args[0], refusal))
+
+    @pytest.mark.parametrize(
+        "argv, option, value, refusal",
+        [
+            pytest.param(
+                argv, option, value, refusal.format(value),
+                id="%s%s=%d" % (argv.split()[0], option, value),
+            )
+            for argv, option, values, refusal in OUT_OF_RANGE
+            for value in values
+        ],
+    )
+    def test_domain_error_integer_below_its_least(self, capsys, argv, option, value, refusal):
+        # The parser reads integers only; the library function that owns
+        # the rule refuses the value.
+        args = argv.split()
+        code, out, err = run_cli(capsys, *args, option, str(value))
+        assert (code, out, err) == (2, "", "freycheck %s: error: %s\n" % (args[0], refusal))
+
+    def test_out_of_range_cases_cover_every_integer_option(self):
+        options = {
+            (name, action.option_strings[0])
+            for name, command in _subcommands().items()
+            for action in command._actions
+            if action.type is int
+        }
+        assert options == {(argv.split()[0], option) for argv, option, *_ in OUT_OF_RANGE}
 
     def test_domain_error_singular_model(self, capsys):
         code, _, err = run_cli(capsys, "conductor", "--model", "0,0,0,0,0")
@@ -310,11 +371,11 @@ class TestExitCodes:
             "(cofactor too large to certify)\n"
         )
 
-    def test_usage_error_factor_bound_below_2(self, capsys):
+    def test_domain_error_factor_bound_below_2(self, capsys):
         code, out, err = run_cli(
             capsys, "conductor", "--model", "0,0,0,-1,0", "--factor-bound", "1"
         )
-        assert code == 1 and out == "" and "an integer >= 2" in err
+        assert (code, out, err) == (2, "", "freycheck conductor: error: factor bound must be >= 2\n")
 
     def test_environment_does_not_set_the_factor_bound(self, capsys, monkeypatch):
         monkeypatch.setenv("FREYCHECK_FACTOR_BOUND", "not-a-number")
@@ -498,7 +559,7 @@ class TestOptions:
         "args, message",
         [
             (("search", "--p", "-1,2", "--alpha", "1"),
-             "freycheck search: error: argument --p: expected an integer, got '-1,2'\n"),
+             "freycheck search: error: argument --p: invalid int value: '-1,2'\n"),
             (("-1,1,-1",), "freycheck: error: argument command: invalid choice: '-1,1,-1'"),
         ],
         ids=["integer-option", "command"],
@@ -680,8 +741,9 @@ class TestApSearchCommand:
         assert doc["claim"] == "established" and doc["expected"] == "empty"
 
     def test_k_choice_validated(self, capsys):
-        code, _, err = run_cli(capsys, "ap-search", "--n", "2", "--k", "5")
-        assert code == 1 and "choose from" in err
+        code, out, err = run_cli(capsys, "ap-search", "--n", "2", "--k", "5")
+        assert (code, out) == (2, "")
+        assert err == "freycheck ap-search: error: only 3- and 4-term progressions are supported\n"
 
     def test_height_help_names_the_budget_at_n_3(self, capsys):
         _, out, _ = run_cli(capsys, "ap-search", "--help")

@@ -361,8 +361,12 @@ class TestDenesScan:
         assert verdicts[37] is False
         assert all(v for p, v in verdicts.items() if p not in (31, 37))
 
-    def test_scan_below_range_is_empty(self):
-        assert denes_scan(4) == []
+    def test_scan_below_5_is_refused(self, monkeypatch):
+        # Refused before the sieve, so that no bound reads as an empty scan.
+        monkeypatch.setattr(denes_mod, "primes_up_to", lambda n: pytest.fail("sieved to %d" % n))
+        for p_max in (-MAX_SCAN, -1, 0, 1, 2, 3, 4):
+            with pytest.raises(ValueError, match="^p_max must be >= 5, got %d$" % p_max):
+                denes_scan(p_max)
 
     def test_parallel_matches_sequential(self, force_pools):
         force_pools(1)

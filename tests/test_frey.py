@@ -95,6 +95,15 @@ class TestNormalize:
             with pytest.raises(ValueError, match="alpha"):
                 normalize(5, alpha, -1, 1, -1)
 
+    def test_alpha_0_is_the_fermat_case(self):
+        fermat = (
+            "not a solution (Fermat case: alpha reduces to 0 mod p, and "
+            "a^p + b^p + c^p = 0 has no solutions in non-zero integers)"
+        )
+        with pytest.raises(ValueError) as refused:
+            normalize(5, 0, -1, 1, -1)
+        assert str(refused.value) == fermat
+
     def test_p_must_be_odd_prime(self):
         for p in (2, 9, 15):
             with pytest.raises(ValueError, match="p must be a prime >= 3, got %d" % p):

@@ -2,7 +2,9 @@
 only the standard library, it uses no floating-point arithmetic, one
 module, ``arith``, owns every process pool and every primality test,
 one, ``cli``, owns standard error (no module logs), and no module reads
-``sys.argv``.  A non-prime is refused by ``arith.require_prime`` alone.
+``sys.argv``.  A non-prime is refused by ``arith.require_prime`` alone,
+and ``cli``'s parser reads integers only: a value's range is refused by
+the library function that owns its rule.
 
 Each module under ``src/freycheck`` is parsed, not imported, and every
 node is checked: absolute imports must name a stdlib module; float and
@@ -245,3 +247,82 @@ def test_no_module_reads_sys_argv():
 )
 def test_argv_rule_fires(source, reads):
     assert reads_argv(ast.parse(source)) is reads
+
+
+def parser_breaches(tree: ast.AST) -> List[str]:
+    """Where ``tree`` lets the parser refuse a value by its range.
+
+    ``argparse.ArgumentTypeError`` may be raised only inside
+    ``_comma_ints`` (a list of the wrong length cannot be read), every
+    ``type=`` is ``int``, ``_comma_ints(...)`` or ``_model``, and no option
+    with a ``type=`` lists ``choices=``.
+    """
+    shape_check = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_comma_ints"
+        for inner in ast.walk(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Raise)
+            and id(node) not in shape_check
+            and any(
+                isinstance(name, ast.Name) and name.id == "ArgumentTypeError"
+                or isinstance(name, ast.Attribute) and name.attr == "ArgumentTypeError"
+                for name in ast.walk(node)
+            )
+        ):
+            found.append("line %d: raises ArgumentTypeError" % node.lineno)
+        elif isinstance(node, ast.keyword) and node.arg == "type":
+            value = node.value
+            if not (
+                isinstance(value, ast.Name) and value.id in ("int", "_model")
+                or isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id == "_comma_ints"
+            ):
+                found.append("line %d: type=%s" % (node.lineno, ast.unparse(value)))
+        elif isinstance(node, ast.Call) and {"type", "choices"} <= {k.arg for k in node.keywords}:
+            found.append("line %d: choices of a typed option" % node.lineno)
+    return found
+
+
+def test_cli_parses_integers_only():
+    cli_source = next(path for path in SOURCES if path.name == "cli.py").read_text()
+    assert parser_breaches(ast.parse(cli_source)) == []
+
+
+@pytest.mark.parametrize(
+    "source, breaches",
+    [
+        (
+            "def _positive(text):\n"
+            "    if int(text) < 1:\n"
+            "        raise argparse.ArgumentTypeError('expected a positive integer')\n"
+            "    return int(text)",
+            ["line 3: raises ArgumentTypeError"],
+        ),
+        ("from argparse import ArgumentTypeError\nraise ArgumentTypeError('x')",
+         ["line 2: raises ArgumentTypeError"]),
+        ("parser.add_argument('--p', type=_positive)", ["line 1: type=_positive"]),
+        ("bound = dict(type=lambda text: max(2, int(text)))",
+         ["line 1: type=lambda text: max(2, int(text))"]),
+        ("parser.add_argument('--k', type=int, choices=(3, 4))",
+         ["line 1: choices of a typed option"]),
+        ("parser.add_argument('--format', choices=('json', 'csv'))", []),
+        (
+            "def _comma_ints(count=None):\n"
+            "    def parse(text):\n"
+            "        raise argparse.ArgumentTypeError('expected %d integers' % count)\n"
+            "    return parse\n"
+            "model = dict(type=_model)\n"
+            "parser.add_argument('--p-list', type=_comma_ints())",
+            [],
+        ),
+    ],
+    ids=["raise", "raise-imported", "type", "type-lambda", "choices", "string-choices", "allowed"],
+)
+def test_parser_rule_fires(source, breaches):
+    assert parser_breaches(ast.parse(source)) == breaches

@@ -324,6 +324,36 @@ class TestSecondRouteAt2And3:
             assert exponents((0, a2, 0, a4, 0)) == exponents(two_isogenous(a2, a4)), (a2, a4)
 
 
+def _points_mod(coeffs, ell):
+    """Points of the model's reduction mod ell over F_ell, singular ones and
+    the point at infinity included, by trying every (x, y)."""
+    a1, a2, a3, a4, a6 = coeffs
+    return 1 + sum(
+        (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % ell == 0
+        for x in range(ell)
+        for y in range(ell)
+    )
+
+
+def test_split_and_nonsplit_by_counting_points():
+    # A nodal cubic over F_ell has ell - 1 nonsingular points when the
+    # node's tangents are rational (split) and ell + 1 when they are not,
+    # plus the node: ell points against ell + 2.
+    rng = random.Random(3)
+    seen = set()
+    for _ in range(1500):
+        model = WeierstrassModel(*(rng.randrange(-20, 21) for _ in range(5)))
+        if model.discriminant() == 0:
+            continue
+        for ell in (2, 3, 5, 7):
+            data, minimal = local_data_with_model(model, ell)
+            if data.reduction in (MULT_SPLIT, MULT_NONSPLIT):
+                split = data.reduction == MULT_SPLIT
+                assert _points_mod(minimal, ell) == (ell if split else ell + 2), (model, ell)
+                seen.add((ell, data.reduction))
+    assert seen == {(ell, kind) for ell in (2, 3, 5, 7) for kind in (MULT_SPLIT, MULT_NONSPLIT)}
+
+
 class TestSemistableFreyModels:
     def test_conductor_exponent_at_most_1_when_16_divides_B(self):
         # Frey-shaped triples with ord_2(B) >= 4 are semistable everywhere.
