@@ -26,7 +26,7 @@ _EXPORTS = {
     "denes": ("DenesReport", "bernoulli_mod_p", "denes_criterion", "denes_scan", "is_regular"),
     "frey": (
         "CurveInvariants", "FreyParams", "MonomialTriple", "build_frey", "canonical_triple",
-        "cartan_type", "invariants", "is_trivial_level", "normalize", "reduce_alpha",
+        "cartan_type", "invariants", "is_trivial_level", "normalize",
     ),
     "search": (
         "SIGMA_PRIMES", "SearchSpec", "SolutionRecord", "classify_search_outcome",

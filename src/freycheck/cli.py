@@ -331,9 +331,7 @@ def _case_payload(case: search.CaseResult) -> Dict[str, object]:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> Report:
-    a, b, c = args.triple
-    alpha_red, b_red = frey.reduce_alpha(args.alpha, b, args.p)
-    params = frey.normalize(args.p, alpha_red, a, b_red, c)
+    params = frey.normalize(args.p, args.alpha, *args.triple)
     triple, model = frey.build_frey(params)
     inv = frey.invariants(triple, args.factor_bound)
     local = tate.all_local_data(model, args.factor_bound)

@@ -1,7 +1,8 @@
 """Frey curves y^2 = x*(x - A)*(x + B) for a^p + 2^alpha*b^p + c^p = 0.
 
-A candidate solution (a, b, c) with 1 <= alpha < p is normalized so that
-a = -1 mod 4, then mapped to the monomial triple
+A candidate solution (a, b, c) with any alpha >= 0 is reduced to alpha mod
+p, 2^(alpha div p) moving into b, normalized so that a = -1 mod 4, then
+mapped to the monomial triple
 
     A = a^p,   B = 2^alpha * b^p,   C = c^p,   A + B + C = 0,
 
@@ -25,6 +26,7 @@ __all__ = [
     "CurveInvariants",
     "FreyParams",
     "MonomialTriple",
+    "alpha_fits",
     "build_frey",
     "canonical_triple",
     "cartan_type",
@@ -32,7 +34,6 @@ __all__ = [
     "invariants",
     "is_trivial_level",
     "normalize",
-    "reduce_alpha",
     "sign_normalized",
 ]
 
@@ -98,40 +99,44 @@ def canonical_triple(a: int, b: int, c: int) -> Tuple[int, int, int]:
     return min(orbit)
 
 
+def alpha_fits(p: int, alpha: int, bound: int, L: int = 2) -> bool:
+    """False if a^p + L^alpha*b^p + c^p = 0, b != 0 has no solution with |a|, |c| <= bound:
+    L^alpha*|b|^p = |a^p + c^p| <= 2*bound^p < 2^(p*bit_length(bound) + 1)."""
+    return alpha * (L.bit_length() - 1) <= p * bound.bit_length()
+
+
 def normalize(p: int, alpha: int, a: int, b: int, c: int) -> FreyParams:
-    """Validate a candidate solution and fix signs so that a = -1 mod 4.
+    """Validate a candidate solution for any alpha >= 0, move 2^(alpha div p)
+    into b and fix signs so that a = -1 mod 4.
 
     Idempotent: normalizing the output again returns the same params.
     """
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
     require_prime(p, "p", 3)
-    if alpha == 0:
+    if alpha % p == 0:
         raise ValueError(
             "not a solution (Fermat case: alpha reduces to 0 mod p, and "
             "a^p + b^p + c^p = 0 has no solutions in non-zero integers)"
         )
-    if not 1 <= alpha < p:
-        raise ValueError("alpha must satisfy 1 <= alpha < p")
     if a == 0 or b == 0 or c == 0:
         raise ValueError("entries must be non-zero")
-    if a**p + 2**alpha * b**p + c**p != 0:
+    # Cheap refusals first, by the size rule and then modulo the prime
+    # 2^61 - 1; only the exact equation accepts.
+    q = (1 << 61) - 1
+    if (
+        not alpha_fits(p, alpha, max(abs(a), abs(c)))
+        or (pow(a, p, q) + pow(2, alpha, q) * pow(b, p, q) + pow(c, p, q)) % q
+        or a**p + 2**alpha * b**p + c**p
+    ):
         raise ValueError("not a solution")
+    alpha, b = alpha % p, b << alpha // p
     if math.gcd(a, b, c) != 1:
         raise ValueError("not primitive")
     if a % 2 == 0 or c % 2 == 0:
         raise ValueError("parity violation")
     a, b, c = sign_normalized(a, b, c)
     return FreyParams(p=p, alpha=alpha, a=a, b=b, c=c, normalized=True)
-
-
-def reduce_alpha(alpha: int, b: int, p: int) -> Tuple[int, int]:
-    """(alpha mod p, 2^(alpha div p) * b): absorb whole p-th powers of 2 into b.
-
-    A reduced alpha of 0 means the equation is the Fermat equation for p.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-    require_prime(p, "p", 3)
-    return alpha % p, (1 << (alpha // p)) * b
 
 
 def build_frey(params: FreyParams) -> Tuple[MonomialTriple, WeierstrassModel]:

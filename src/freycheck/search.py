@@ -117,6 +117,11 @@ class SearchSpec(_SearchSpecFields):
             raise ValueError("alpha must be non-negative")
         require_prime(L, "L")
         _check_height(height)
+        if (work := _table_work(p, height)) > MAX_AP_WORK:
+            raise ValueError(
+                "p = %d at height %d needs about %d units of work for its table "
+                "of p-th powers, above MAX_AP_WORK = %d" % (p, height, work, MAX_AP_WORK)
+            )
         return super().__new__(cls, p, alpha, height, L, require_primitive)
 
     @classmethod
@@ -140,6 +145,8 @@ class SolutionRecord(NamedTuple):
 
 def _admissible_sums(spec: SearchSpec) -> List[int]:
     """Every s = L^i p^j u^p with 1 <= s <= 2H, ascending (see the module docstring)."""
+    if not frey.alpha_fits(spec.p, spec.alpha, spec.height, spec.L):
+        return []
     bound = 2 * spec.height
     sums = set()
     u = 1
@@ -201,11 +208,10 @@ def _is_trivial(spec: SearchSpec, form: Tuple[int, int, int]) -> bool:
 def _records_from_raw(
     spec: SearchSpec, raw: Sequence[Tuple[int, int, int]]
 ) -> List[SolutionRecord]:
-    coeff = spec.L**spec.alpha
     by_key: Dict[Tuple[Tuple[int, int, int], int], SolutionRecord] = {}
     for a, b, c in raw:
         # Exact re-verification of every candidate before it is emitted.
-        if a**spec.p + coeff * b**spec.p + c**spec.p != 0:
+        if a**spec.p + spec.L**spec.alpha * b**spec.p + c**spec.p != 0:
             raise AssertionError("search emitted a non-solution")
         content = math.gcd(a, b, c)
         form = frey.canonical_triple(a // content, b // content, c // content)
@@ -377,8 +383,16 @@ def _ap_sweep_work(n: int, height: int) -> int:
     n = 3 and 0.4 ns in the sweep at b = 1.6 million (2-core x86_64).
     """
     bits = n * height.bit_length()
-    lookups = height * (height - 1) // 2 * (bits + 400)
-    return lookups + height * bits * math.isqrt(bits) // 5
+    return height * (height - 1) // 2 * (bits + 400) + _table_work(n, height)
+
+
+def _table_work(n: int, height: int) -> int:
+    """The table term of ``_ap_sweep_work``: H n-th powers of bases <= H.
+
+    ``SearchSpec`` bounds its table of p-th powers by it, under ``MAX_AP_WORK``.
+    """
+    bits = n * height.bit_length()
+    return height * bits * math.isqrt(bits) // 5
 
 
 def _square_progressions(height: int) -> List[Tuple[int, ...]]:

@@ -2,6 +2,9 @@
 
 import concurrent.futures
 import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -53,3 +56,25 @@ def force_pools(monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
 
     return force
+
+
+@pytest.fixture
+def bounded_cli():
+    """A function that runs ``python -m freycheck`` on its arguments in a
+    child process and returns the finished process, text in and out.
+
+    The child gets about 1 GB of address space and 60 s, so a command that
+    regresses into building a huge number fails fast with a MemoryError or
+    a timeout instead of taking the machine's memory or stalling the suite.
+    """
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "freycheck", *args],
+            capture_output=True, text=True, timeout=60, preexec_fn=limit_memory, check=False,
+        )
+
+    return run

@@ -10,9 +10,10 @@ admissible sum and by Pythagorean triple, explicit square-root
 counting or one Euler criterion per x instead of a quadratic-character
 table or Shanks-Mestre, the CM formulas of two curves, the closed-form
 valuation table instead of the step-by-step reduction algorithm, other
-models of the same curve and a 2-isogenous curve, on which that
-algorithm must agree with itself at 2 and 3, and trial division instead
-of Pollard-Brent rho.  The test suite treats
+models of the same curve, a quadratic twist and a 2-isogenous curve, on
+which that algorithm must agree with itself at 2 and 3, alpha reduced
+mod p in a step of its own before normalization, and trial division
+instead of Pollard-Brent rho.  The test suite treats
 agreement between the two routes as the acceptance evidence, so nothing
 in this module may import from the package's computation paths beyond
 plain data containers.  The one exception is ``factorize_trial``: it
@@ -564,8 +565,9 @@ def local_data_table_large_prime(
 
 
 # ---------------------------------------------------------------------------
-# Other models of the same curve, and a 2-isogenous curve: Tate's
-# algorithm must give the same local data at 2 and 3 on each of them.
+# Other models of the same curve, quadratic twists and a 2-isogenous
+# curve: Tate's algorithm must give the local data at 2 and 3 that each
+# of them predicts.
 
 
 def change_of_variables(
@@ -592,13 +594,15 @@ def change_of_variables(
     return tuple(int(c) for c in new)
 
 
-def short_model(coefficients: Sequence[int]) -> Tuple[int, int, int, int, int]:
-    """y^2 = x^3 - 27 c4 x - 54 c6, the model with u = 1/6 and no a1, a2, a3."""
+def short_model(coefficients: Sequence[int], d: int = 1) -> Tuple[int, int, int, int, int]:
+    """y^2 = x^3 - 27 d^2 c4 x - 54 d^3 c6: with d = 1 the model with
+    u = 1/6 and no a1, a2, a3, otherwise the quadratic twist by d, which
+    becomes the same curve over Q(sqrt d)."""
     a1, a2, a3, a4, a6 = coefficients
     b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
     c4 = b2 * b2 - 24 * b4
     c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
-    return 0, 0, 0, -27 * c4, -54 * c6
+    return 0, 0, 0, -27 * d * d * c4, -54 * d**3 * c6
 
 
 def two_isogenous(a2: int, a4: int) -> Tuple[int, int, int, int, int]:
@@ -612,6 +616,18 @@ def two_isogenous(a2: int, a4: int) -> Tuple[int, int, int, int, int]:
 
 # ---------------------------------------------------------------------------
 # Closed-form Frey expectations
+
+
+def reduce_alpha(alpha: int, b: int, p: int) -> Tuple[int, int]:
+    """(alpha mod p, 2^(alpha div p) * b): absorb whole p-th powers of 2 into b.
+
+    Once a step of its own before ``frey.normalize``, which now reduces
+    alpha itself; p is left for ``normalize`` to check.  A reduced alpha
+    of 0 means the equation is the Fermat equation for p.
+    """
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
+    return alpha % p, (1 << (alpha // p)) * b
 
 
 def frey_conductor_oracle(

@@ -27,7 +27,7 @@ from freycheck.arith import (
     valuation,
 )
 from freycheck.denes import bernoulli_mod_p, is_regular, wieferich_test
-from freycheck.frey import MonomialTriple, cartan_type, normalize, reduce_alpha
+from freycheck.frey import MonomialTriple, cartan_type, normalize
 from freycheck.search import SearchSpec, verify_theorem_claims
 from freycheck.traces import count_points, mod_p_congruent
 from freycheck.weierstrass import WeierstrassModel
@@ -124,7 +124,6 @@ PRIME_CHECKS = [
     ("search.SearchSpec.p", "p", 3, lambda n: SearchSpec(p=n, alpha=1, height=5)),
     ("search.verify_theorem_claims", "p", 3, lambda n: verify_theorem_claims([n], [1], 5)),
     ("frey.normalize", "p", 3, lambda n: normalize(n, 1, -1, 1, -1)),
-    ("frey.reduce_alpha", "p", 3, lambda n: reduce_alpha(1, 1, n)),
     ("frey.cartan_type", "p", 3, cartan_type),
     ("denes.wieferich_test", "p", 3, wieferich_test),
     ("traces.count_points", "ell", 3, lambda n: count_points(CURVE, n)),

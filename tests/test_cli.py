@@ -1141,6 +1141,30 @@ def test_module_exit_codes(args, code, message):
     assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (["analyze", "--p", "5", "--alpha", str(10**12 + 1), "--triple=-1,1,-1"], 2,
+         "freycheck analyze: error: not a solution\n"),
+        (["analyze", "--p", str(10**9 + 7), "--alpha", "1", "--triple=3,5,7"], 2,
+         "freycheck analyze: error: not a solution\n"),
+        (["search", "--p", "5", "--alpha", str(10**9 + 1), "--height", "50"], 0, ""),
+        (["search", "--p", str(10**9 + 7), "--alpha", "1", "--height", "3"], 2, "MAX_AP_WORK"),
+    ],
+    ids=["analyze-huge-alpha", "analyze-huge-p", "search-huge-alpha", "search-huge-p"],
+)
+def test_huge_alpha_or_p_ends_quickly(bounded_cli, args, code, message):
+    # Each of these once built a power of hundreds of millions of bits or more.
+    proc = bounded_cli(*args)
+    assert (proc.returncode, "Traceback" in proc.stderr) == (code, False), proc.stderr
+    assert message in proc.stderr
+    if code:
+        assert proc.stdout == ""
+    else:
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["records"] == []
+
+
 def test_closed_stdout_exits_141_quietly():
     # About 140 KB of CSV, more than a pipe holds: the writer meets the
     # closed pipe mid-report.

@@ -21,6 +21,7 @@ from freycheck.frey import (
     CurveInvariants,
     FreyParams,
     MonomialTriple,
+    alpha_fits,
     build_frey,
     canonical_triple,
     cartan_type,
@@ -28,12 +29,16 @@ from freycheck.frey import (
     invariants,
     is_trivial_level,
     normalize,
-    reduce_alpha,
     sign_normalized,
 )
 from freycheck.tate import all_local_data, local_data
 
-from oracles import frey_conductor_oracle, naive_odd_prime_factors, synthetic_frey_triples
+from oracles import (
+    frey_conductor_oracle,
+    naive_odd_prime_factors,
+    reduce_alpha,
+    synthetic_frey_triples,
+)
 
 
 class TestRouteBoundary:
@@ -91,9 +96,12 @@ class TestNormalize:
             normalize(5, 1, 0, 1, -1)
 
     def test_alpha_range(self):
-        for alpha in (0, 5, 7, -1):
+        for alpha in (0, 5, -1):
             with pytest.raises(ValueError, match="alpha"):
                 normalize(5, alpha, -1, 1, -1)
+        # alpha = 7 reduces to 2 with b = 2, and 2^7 is too large for |a| = |c| = 1.
+        with pytest.raises(ValueError, match="^not a solution$"):
+            normalize(5, 7, -1, 1, -1)
 
     def test_alpha_0_is_the_fermat_case(self):
         fermat = (
@@ -124,25 +132,53 @@ class TestNormalize:
             assert triple.B % 2 == 0
 
 
-class TestReduceAlpha:
-    def test_examples(self):
-        assert reduce_alpha(7, 1, 5) == (2, 2)
-        assert reduce_alpha(3, 3, 5) == (3, 3)
-        assert reduce_alpha(10, 1, 5) == (0, 4)
+class TestAlphaReduction:
+    """``normalize`` reads any alpha >= 0 as reduce-then-normalize did."""
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            reduce_alpha(-1, 1, 5)
+    @staticmethod
+    def outcome(call):
+        """The params ``call`` returns, or the message of its ValueError."""
+        try:
+            return call()
+        except ValueError as refusal:
+            return str(refusal)
 
+    @settings(max_examples=400, deadline=None)
     @given(
-        alpha=st.integers(min_value=0, max_value=60),
-        b=st.integers(min_value=-9, max_value=9).filter(lambda n: n != 0),
-        p=st.sampled_from([3, 5, 7, 11]),
+        p=st.sampled_from([1, 2, 3, 5, 7, 9, 11]),
+        alpha=st.integers(min_value=-1, max_value=60),
+        triple=st.one_of(
+            # a = c = -2^k b: a solution at alpha = k*p + 1, primitive only for k = 0, b = 1 or -1.
+            st.builds(
+                lambda k, b: (-(2**k) * b, b, -(2**k) * b),
+                st.integers(min_value=0, max_value=12),
+                st.sampled_from([1, -1, 3]),
+            ),
+            st.tuples(*[st.integers(min_value=-9, max_value=9)] * 3),
+        ),
     )
-    def test_preserves_the_monomial(self, alpha, b, p):
-        alpha2, b2 = reduce_alpha(alpha, b, p)
-        assert 0 <= alpha2 < p
-        assert 2**alpha * b**p == 2**alpha2 * b2**p
+    def test_matches_reduce_then_normalize(self, p, alpha, triple):
+        a, b, c = triple
+
+        def reference():
+            alpha_red, b_red = reduce_alpha(alpha, b, p)
+            return normalize(p, alpha_red, a, b_red, c)
+
+        assert self.outcome(lambda: normalize(p, alpha, a, b, c)) == self.outcome(reference)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_size_rule_keeps_the_largest_trivial_alpha(self, p):
+        # a = c = -2^k, b = 1 solves alpha = k*p + 1 with |a|, |c| = 2^k,
+        # whose bit length is k + 1: inside the rule, and one alpha past
+        # (k + 1) * p is outside it.  "not primitive" is refused after the
+        # exact equation held.
+        assert normalize(p, 1, -1, 1, -1).b == 1
+        for k in range(6):
+            assert alpha_fits(p, k * p + 1, 2**k)
+            assert not alpha_fits(p, (k + 1) * p + 1, 2**k)
+            if k:
+                with pytest.raises(ValueError, match="^not primitive$"):
+                    normalize(p, k * p + 1, -(2**k), 1, -(2**k))
 
 
 class TestBuildFrey:

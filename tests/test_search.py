@@ -15,7 +15,7 @@ import freycheck.cli as cli
 import freycheck.search as search_mod
 from freycheck.arith import MAX_HEIGHT
 from freycheck.cli import jsonable
-from freycheck.frey import canonical_triple
+from freycheck.frey import alpha_fits, canonical_triple
 from freycheck.search import (
     MAX_AP_WORK,
     SIGMA_PRIMES,
@@ -81,6 +81,28 @@ class TestSearchSpec:
             spec._replace(p=9)
         with pytest.raises(ValueError, match="height"):
             spec._replace(height=0)
+
+    @pytest.mark.parametrize(
+        "height, top, refused",
+        [(3, 24_059_249, 24_059_257), (25, 2_341_411, 2_341_421), (MAX_HEIGHT, 499, 503)],
+    )
+    def test_table_of_powers_within_max_ap_work(self, height, top, refused):
+        # top is the largest prime whose table of p-th powers the budget
+        # allows and refused is the next prime, which search and verify
+        # refuse before any table is built.
+        work = search_mod._table_work
+        assert work(top, height) <= MAX_AP_WORK < work(refused, height)
+        assert SearchSpec(p=top, alpha=1, height=height).p == top
+        message = (
+            "p = %d at height %d needs about %d units of work for its table of p-th powers, "
+            "above MAX_AP_WORK = %d" % (refused, height, work(refused, height), MAX_AP_WORK)
+        )
+        with pytest.raises(ValueError) as refusal:
+            SearchSpec(p=refused, alpha=1, height=height)
+        assert str(refusal.value) == message
+        with pytest.raises(ValueError) as refusal:
+            verify_theorem_claims([3, refused], [1], height)
+        assert str(refusal.value) == message
 
     def test_reduced_alpha_marks_fermat_case(self):
         assert SearchSpec(p=5, alpha=10, height=5).reduced_alpha == 0
@@ -285,16 +307,23 @@ class TestAgainstRootExtraction:
     """The searches against the root-extraction loops of an earlier
     version, at heights the cubic brute force cannot reach."""
 
+    HEIGHT = {3: 200, 5: 120, 7: 120, 13: 120}
+    #: Past alpha = p * bit_length(H) ``frey.alpha_fits`` admits no
+    #: solution and the search builds no table; the largest alpha with a
+    #: solution in the box is p*k + 1 with 2^k <= H (a = c = -2^k, b = 1).
+    EDGE = {p: p * height.bit_length() for p, height in HEIGHT.items()}
     STAR_GRID = [
         (p, alpha, L)
-        for p in (3, 5, 7, 13)
-        for alpha in sorted({0, 1, 2, p - 1} | ({7} if p == 13 else set()))
+        for p, edge in EDGE.items()
+        for alpha in sorted(
+            {0, 1, 2, p - 1, edge - p + 1, edge, edge + 1} | ({7} if p == 13 else set())
+        )
         for L in (2, 3)
     ]
 
     @pytest.mark.parametrize("p,alpha,L", STAR_GRID)
     def test_search_star(self, p, alpha, L, force_pools):
-        height = 200 if p == 3 else 120
+        height = self.HEIGHT[p]
         raw = search_star_exact_root(p, alpha, height, L=L)
         for require_primitive in (False, True):
             spec = SearchSpec(
@@ -321,6 +350,11 @@ class TestAgainstRootExtraction:
     def test_hits_exist_on_the_grid(self):
         """The comparisons above are not between empty lists only."""
         assert (1, -1, 2) in search_star_exact_root(3, 2, 10, L=3)
+        for p, edge in self.EDGE.items():
+            k = self.HEIGHT[p].bit_length() - 1
+            assert (2**k, -1, 2**k) in search_star_exact_root(p, edge - p + 1, self.HEIGHT[p])
+            assert alpha_fits(p, edge, self.HEIGHT[p], 3)
+            assert not alpha_fits(p, edge + 1, self.HEIGHT[p], 3)
         assert (7, 13, 17) in ap_powers_exact_root(2, 3, 20)
         assert (1, 1, 1, 1) in ap_powers_exact_root(3, 4, 1, distinct_only=False)
 

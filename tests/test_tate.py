@@ -279,8 +279,9 @@ def _models_at_2_and_3(seed, count):
 class TestSecondRouteAt2And3:
     """At 2 and 3 no closed-form table gives the local data, so Tate's
     algorithm is checked against itself on other models of the same
-    curve, built by the standard formulas of ``oracles``, and against a
-    2-isogenous curve, which has the same conductor."""
+    curve, built by the standard formulas of ``oracles``, on unramified
+    quadratic twists, and against a 2-isogenous curve, which has the same
+    conductor."""
 
     def test_other_models_of_the_same_curve(self):
         rng = random.Random(1)
@@ -304,6 +305,27 @@ class TestSecondRouteAt2And3:
                         assert local_data(WeierstrassModel(*other), ell).scalings > data.scalings
         families = {"I0", "In", "II", "III", "IV", "I0*", "In*", "IV*", "III*", "II*"}
         assert seen == {2: families, 3: families}
+
+    def test_unramified_quadratic_twists(self):
+        # 2 is inert in Q(sqrt 5) and Q(sqrt -3), and 3 in Q(i) and
+        # Q(sqrt 2): at ell the twist by d becomes the same curve over the
+        # unramified quadratic extension, so f, the minimal v(Delta) and the
+        # Kodaira type stay, good and additive reduction stay, and the
+        # twist swaps split and nonsplit nodes, whose tangents are conjugate
+        # over F_ell^2.
+        swapped = {
+            GOOD: GOOD, ADDITIVE: ADDITIVE, MULT_SPLIT: MULT_NONSPLIT, MULT_NONSPLIT: MULT_SPLIT
+        }
+        seen = set()
+        for coeffs in _models_at_2_and_3(0, 900):
+            for ell, twists in ((2, (5, -3)), (3, (-1, 2))):
+                data = local_data(WeierstrassModel(*coeffs), ell)
+                expected = _reduction_data(data._replace(reduction=swapped[data.reduction]))
+                for d in twists:
+                    twist = local_data(WeierstrassModel(*short_model(coeffs, d)), ell)
+                    assert _reduction_data(twist) == expected, (coeffs, d, ell)
+                seen.add((ell, data.reduction))
+        assert seen == {(ell, kind) for ell in (2, 3) for kind in swapped}
 
     def test_two_isogenous_curves_share_the_conductor(self):
         def exponents(coeffs):
