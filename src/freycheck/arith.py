@@ -59,7 +59,7 @@ MAX_SCAN = 30_840
 #: Largest height that search, verify and ap-search accept, here so the
 #: CLI's help can name it without loading search.  Each search process
 #: builds tables of O(height) exact powers: at height 10**6, search --p 13
-#: --alpha 2 took 18.1 s at 437 MB peak RSS and ap-search --n 2 --k 3
+#: --alpha 2 took 7.2 s at 222 MB peak RSS and ap-search --n 2 --k 3
 #: 33.6 s at 416 MB (2-core x86_64, Python 3.11.7); search --height 10**8
 #: ran past a 1 GB memory limit.
 MAX_HEIGHT = 10**6
@@ -73,20 +73,7 @@ MAX_HEIGHT = 10**6
 #: at 8 and 0.134 s at 16, against 0.117 s by trial division alone.
 RHO_STEPS_PER_ROOT = 8
 
-#: Below this ``bound`` trial division runs to the bound and rho never
-#: starts.  Measured on what ``analyze`` and ``conductor`` factor: the 76
-#: Frey models of the curve-batch and kernels benchmarks' seeds 0-3, whose
-#: primes reach 1.5 * 10^6, so every call at these bounds is refused.  Mean
-#: ms per conductor call (the discriminant), rho against trial division
-#: alone: 0.26/0.06 at bound 1,001, 0.39/0.25 at 5,000, 0.40/0.36 at
-#: 8,000, 0.39/0.42 at 10,000, 0.44/0.93 at 20,000; per analyze call
-#: (A, B, C, then the discriminant): 0.17/0.08, 0.41/0.34, 0.42/0.46,
-#: 0.42/0.55, 0.53/1.09 (medians of 5 runs, 2-core x86_64, Python 3.11.7).
-#: On 30 models whose primes are all below 1000 both paths take the same
-#: 0.03-0.05 ms at every bound.
-RHO_MIN_BOUND = 8_000
-
-#: From RHO_MIN_BOUND on, trial division runs to this bound before rho starts.
+#: Trial division runs to this bound, or to a smaller ``bound``, before rho starts.
 _TRIAL_TO = 1000
 
 #: Rho steps between two gcds.
@@ -221,10 +208,10 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Dict[int, int]:
     the prime powers above it: the factorization is accepted when R is 1,
     below the square of the least odd number above ``bound``, or a prime
     that ``is_prime`` certifies; otherwise a FactorizationError says why.
-    This is exactly the answer of trial division up to ``bound``.  From
-    ``RHO_MIN_BOUND`` on it is reached by trial division to 1000 and
-    Brent's rho, and trial division past 1000 runs only on a piece rho
-    cannot split.  The result is never silently wrong.
+    This is exactly the answer of trial division up to ``bound``.  It is
+    reached by trial division to min(bound, 1000) and Brent's rho, and
+    trial division past 1000 runs only on a piece rho cannot split.  The
+    result is never silently wrong.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -236,7 +223,7 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Dict[int, int]:
     if e2 > 0:
         factors[2] = e2
         n >>= e2
-    n, f = _trial_divide(n, 3, bound if bound < RHO_MIN_BOUND else _TRIAL_TO, factors, 1)
+    n, f = _trial_divide(n, 3, min(bound, _TRIAL_TO), factors, 1)
     if f * f > n:
         if n > 1:
             factors[n] = 1

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from math import isqrt
 from typing import Dict, List, NamedTuple, Sequence
 
 from .arith import (
@@ -138,22 +137,12 @@ def _least_primitive_root(p: int) -> int:
 def _powers(g: int, p: int) -> List[int]:
     """[g^0, g^1, ..., g^(p-2)] mod p for a primitive root g.
 
-    The first half is built in blocks of s = isqrt(p - 1): s - 1 serial
-    steps give the first block, and each later block is the first times
-    g^(js), one list comprehension.  Since g^((p-1)/2) = -1, the second
-    half is p minus the first.
+    The first half is one serial product, x = x * g mod p per entry.
+    Since g^((p-1)/2) = -1, the second half is p minus the first.
     """
-    h = (p - 1) // 2
-    step = isqrt(p - 1)
-    block = [1] * step
-    for e in range(1, step):
-        block[e] = block[e - 1] * g % p
-    shift = stride = block[-1] * g % p  # g^step
-    power = block[:]
-    for start in range(step, h, step):
-        power += [shift * x % p for x in block[: h - start]]
-        shift = shift * stride % p
-    return power + [p - x for x in power]
+    x = 1
+    power = [1] + [x := x * g % p for _ in range((p - 3) // 2)]
+    return power + [p - y for y in power]
 
 
 def _voronoi_sums(p: int) -> "tuple[List[int], int, Sequence[int]]":

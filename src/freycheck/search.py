@@ -20,14 +20,16 @@ s and Phi, and ord_q(s) = p ord_q(b) is a multiple of p.  Hence
 s = L^i p^j u^p with 1 <= s <= 2H: only O(H^(1/p) log^2 H) sums are
 admissible.
 
-For each admissible s, a runs over ceil(s/2)..H and c = s - a.  The
-values a^p + c^p come from one list of exact p-th powers and meet the
-table {-L^alpha b^p : 0 < |b| <= H} in one set intersection, run in C
-by the dict-keys view.  On that range a^p + (s - a)^p is strictly
-increasing in a, so a hit's a is recovered by bisection.  No root is
-extracted and no float is used; memory stays O(H).  Imprimitive
-records, when requested, are the multiples d * (a, b, c) of the
-primitive hits that stay inside the box, tagged with their content.
+For each admissible s, a runs over ceil(s/2)..H and c = s - a.  As
+a >= |c|, a^p + c^p > 0, so it can meet only -L^alpha b^p with b < 0.
+The values a^p + c^p, read as a^p - |c|^p when c < 0, come from one
+list of the exact p-th powers 0^p, ..., H^p and meet the table
+{-L^alpha b^p : -H <= b < 0} in one set intersection, run in C by the
+dict-keys view.  On that range a^p + (s - a)^p is strictly increasing
+in a, so a hit's a is recovered by bisection.  No root is extracted and
+no float is used; memory stays O(H).  Imprimitive records, when
+requested, are the multiples d * (a, b, c) of the primitive hits that
+stay inside the box, tagged with their content.
 
 Three-term progressions of squares x1^2, x2^2, x3^2 are exactly the
 Pythagorean triples u^2 + v^2 = x2^2 with 0 < u < v, where
@@ -46,7 +48,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from . import frey
@@ -171,22 +173,26 @@ def _search_chunk(args: Tuple[SearchSpec, Sequence[int]]) -> List[Tuple[int, int
     dividing both s and Phi would divide a, c and b; hence ord_q(s) is a
     multiple of p (module docstring).  Scanning a over ceil(s/2)..H,
     c = s - a, for each admissible s therefore finds all of them.
-    ``powers[x + H]`` is x^p; a key of ``targets`` is -L^alpha b^p, so a
-    hit has 0 < |b| <= H, and a >= |c| keeps |c| <= H.  Imprimitive hits
-    are dropped here and, when the spec allows them, come back as the
-    multiples d * (a, b, c) of the primitive ones that fit in the box.
+    ``powers[x]`` is x^p for 0 <= x <= H.  A key of ``targets`` is
+    -L^alpha b^p = L^alpha |b|^p with -H <= b < 0: a >= |c| makes
+    a^p + c^p > 0, so no b > 0 can hit, and keeps |c| <= H.  Imprimitive
+    hits are dropped here and, when the spec allows them, come back as
+    the multiples d * (a, b, c) of the primitive ones that fit in the box.
     """
     spec, sums = args
     p, height = spec.p, spec.height
     coeff = spec.L**spec.alpha
-    powers = [x**p for x in range(-height, height + 1)]
-    targets = {coeff * x_pow: -x for x, x_pow in enumerate(powers, -height) if x}
-    descending = powers[:height:-1]  # a^p for a = H, H - 1, ..., 1
+    powers = [x**p for x in range(height + 1)]
+    targets = {coeff * x_pow: -x for x, x_pow in enumerate(powers) if x}
     raw: List[Tuple[int, int, int]] = []
     for s in sums:
         a_lo = (s + 1) // 2
-        count = height - a_lo + 1  # a = H - k and c = s - H + k for k < count
-        hits = targets.keys() & map(operator.add, descending[:count], powers[s : s + count])
+        hits = targets.keys() & chain(
+            # c = s - a > 0: a rises from a_lo to min(s - 1, H) as c falls.
+            map(operator.add, powers[a_lo:s], powers[s - a_lo : 0 : -1]),
+            # c <= 0: a = s, ..., H and a^p + c^p = a^p - (a - s)^p.
+            map(operator.sub, powers[s:], powers),
+        )
         for value in hits:
             a = a_lo + bisect_left(
                 range(a_lo, height + 1), value, key=lambda x: x**p + (s - x) ** p

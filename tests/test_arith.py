@@ -536,21 +536,21 @@ class TestFactorizeMatchesTrialDivision:
         assert arith._rho_divisor(1000000007 * 1000000009, 1000) == 0
         assert len(gcds) == 9
 
-    def test_rho_starts_only_from_rho_min_bound(self, monkeypatch):
-        # Below it, trial division runs to the bound with the same answers.
+    def test_matches_trial_division_at_small_bounds(self, monkeypatch):
+        # Trial division stops at min(bound, 1000) and rho runs at every
+        # bound above 1000, with trial division's answers.
         rng = random.Random(15)
-        primes = primes_up_to(3 * arith.RHO_MIN_BOUND)
+        primes = primes_up_to(24000)
         cases = [
             (rng.choice(primes) * rng.choice(primes) * rng.choice(primes), bound)
-            for bound in (1001, 5000, arith.RHO_MIN_BOUND - 1) for _ in range(100)
+            for bound in (2, 3, 999, 1000, 1001, 5000, 7999) for _ in range(100)
         ]
+        _assert_matches_trial_division(cases)
         calls = []
         rho = arith._rho_divisor
         monkeypatch.setattr(arith, "_rho_divisor", lambda n, steps: calls.append(n) or rho(n, steps))
-        _assert_matches_trial_division(cases)
-        assert calls == []
         n = 1009 * 1013 * 9973
-        assert factorize(n, arith.RHO_MIN_BOUND) == {1009: 1, 1013: 1, 9973: 1}
+        assert factorize(n, 5000) == {1009: 1, 1013: 1, 9973: 1}
         assert calls[0] == n
 
     def test_agrees_with_sympy_on_smooth_numbers(self):

@@ -210,8 +210,8 @@ def _primitive_roots(p, count):
 
 
 class TestPowers:
-    # Blocks are isqrt(p - 1) long: p - 1 = 4, 16, 36, 100, 400 and 65536
-    # are squares, and their neighbours end on a cut block.
+    # The first half, (p - 1)/2 powers, is odd in length at 7, 19, 31, 103
+    # and 65539 and even at the rest.
     @pytest.mark.parametrize(
         "p",
         [5, 7, 13, 17, 19, 31, 37, 41, 97, 101, 103, 397, 401, 409, 65521, 65537, 65539],

@@ -8,6 +8,7 @@ threshold, and the power-progression searches.
 import json
 import math
 import os
+import tracemalloc
 
 import pytest
 
@@ -420,6 +421,20 @@ class TestScale:
     def test_three_squares_height_2000(self, capsys):
         doc = self._run(capsys, "ap-search", "--n", "2", "--k", "3", "--height", "2000")
         assert [tuple(t) for t in doc["progressions"]] == ap_powers_table(2, 3, 2000)
+
+    def test_one_chunk_holds_at_most_two_and_a_half_tables(self):
+        # One table is H powers of about p * bit_length(H) bits.  The powers
+        # 0^p..H^p and their H targets make two; the sums are read one by one.
+        spec = SearchSpec(1009, 1, 300)
+        sums = search_mod._admissible_sums(spec)
+        table = 300 * ((300**1009).bit_length() // 8)
+        tracemalloc.start()
+        try:
+            _search_chunk((spec, sums))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * table, peak / table
 
 
 class TestClassification:

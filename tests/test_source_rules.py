@@ -4,7 +4,8 @@ module, ``arith``, owns every process pool and every primality test,
 one, ``cli``, owns standard error (no module logs), and no module reads
 ``sys.argv``.  A non-prime is refused by ``arith.require_prime`` alone,
 and ``cli``'s parser reads integers only: a value's range is refused by
-the library function that owns its rule.
+the library function that owns its rule.  Every name a module imports
+is used in that module.
 
 Each module under ``src/freycheck`` is parsed, not imported, and every
 node is checked: absolute imports must name a stdlib module; float and
@@ -326,3 +327,48 @@ def test_cli_parses_integers_only():
 )
 def test_parser_rule_fires(source, breaches):
     assert parser_breaches(ast.parse(source)) == breaches
+
+
+def unused_imports(tree: ast.AST) -> List[str]:
+    """The names that ``tree``'s imports bind and nothing in ``tree`` reads.
+
+    A read is a name in the code or in a string annotation; ``from
+    __future__`` imports bind nothing.
+    """
+    bound = []  # (line, name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, alias.asname or alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+    notes = [
+        ast.parse(note.value, mode="eval")
+        for node in ast.walk(tree)
+        for note in (getattr(node, "annotation", None), getattr(node, "returns", None))
+        if isinstance(note, ast.Constant) and isinstance(note.value, str)
+    ]
+    read = {node.id for part in [tree, *notes] for node in ast.walk(part) if isinstance(node, ast.Name)}
+    return ["line %d: %s" % item for item in sorted(bound) if item[1] not in read]
+
+
+def test_every_imported_name_is_used():
+    assert {path.name: unused_imports(ast.parse(path.read_text())) for path in SOURCES} == {
+        path.name: [] for path in SOURCES
+    }
+
+
+@pytest.mark.parametrize(
+    "source, unused",
+    [
+        ("from math import isqrt\nfrom typing import List\ndef f() -> List[int]:\n    return []",
+         ["line 1: isqrt"]),
+        ("import importlib.util\nimport os.path as osp\nspec = importlib.util.find_spec('x')",
+         ["line 2: osp"]),
+        ("from __future__ import annotations\nimport math\nx = math.gcd(4, 6)", []),
+        ("from typing import Sequence\ndef f(xs: 'Sequence[int]') -> None:\n    pass", []),
+        ("import sys as s, json\nprint(json.dumps(s.path))", []),
+    ],
+    ids=["from", "dotted-as", "future", "string-annotation", "as"],
+)
+def test_unused_import_rule_fires(source, unused):
+    assert unused_imports(ast.parse(source)) == unused
