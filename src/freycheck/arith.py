@@ -365,8 +365,9 @@ R = TypeVar("R")
 
 def pool_size(work: int, share: int) -> int:
     """Processes worth starting for ``work``: one per ``share`` of it, at
-    most one per CPU, and at least one."""
-    return max(1, min(os.cpu_count() or 1, work // share))
+    most one per CPU this process may run on, and at least one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, work // share))
 
 
 def ordered_map(fn: Callable[[T], R], tasks: Sequence[T], size: int) -> List[R]:

@@ -133,8 +133,6 @@ def normalize(p: int, alpha: int, a: int, b: int, c: int) -> FreyParams:
     alpha, b = alpha % p, b << alpha // p
     if math.gcd(a, b, c) != 1:
         raise ValueError("not primitive")
-    if a % 2 == 0 or c % 2 == 0:
-        raise ValueError("parity violation")
     a, b, c = sign_normalized(a, b, c)
     return FreyParams(p=p, alpha=alpha, a=a, b=b, c=c, normalized=True)
 

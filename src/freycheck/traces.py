@@ -71,13 +71,12 @@ def count_points(model: WeierstrassModel, ell: int) -> Optional[int]:
       (Mestre; Cohen, A Course in Computational Algebraic Number Theory,
       7.4.3).  See _shanks_mestre; it costs O(ell^(1/4)) group operations
       in exact affine arithmetic per point tried, and one or two points
-      almost always suffice.  Should the points run out before one group
-      order is left, the character sum is returned instead, so no order
-      is ever guessed.
+      almost always suffice.
 
-    The switch, 230, is the first ell where Mestre's theorem rules the
-    fallback out; timed per prime, the two regimes already cost the same
-    near ell = 150 (the measurements are beside SHANKS_MESTRE_MIN_ELL).
+    The switch, 230, is the first ell where Mestre's theorem guarantees
+    that the points settle the order; timed per prime, the two regimes
+    already cost the same near ell = 150 (the measurements are beside
+    SHANKS_MESTRE_MIN_ELL).
     """
     if ell > MAX_ELL:
         raise ValueError("ell exceeds MAX_ELL = %d" % MAX_ELL)
@@ -87,12 +86,10 @@ def count_points(model: WeierstrassModel, ell: int) -> Optional[int]:
         if data.reduction != tate.GOOD:
             return None
         model = minimal
-    if ell >= SHANKS_MESTRE_MIN_ELL:
-        c4, c6 = model.c_invariants()
-        order = _shanks_mestre(-27 * c4 % ell, -54 * c6 % ell, ell)
-        if order is not None:
-            return ell + 1 - order
-    return _character_sum(model, ell)
+    if ell < SHANKS_MESTRE_MIN_ELL:
+        return _character_sum(model, ell)
+    c4, c6 = model.c_invariants()
+    return ell + 1 - _shanks_mestre(-27 * c4 % ell, -54 * c6 % ell, ell)
 
 
 def _character_sum(model: WeierstrassModel, ell: int) -> int:
@@ -191,7 +188,7 @@ def _zeros(Q: _Point, R: _Point, K: int, a: int, p: int) -> List[int]:
     return found
 
 
-def _shanks_mestre(A: int, B: int, ell: int) -> Optional[int]:
+def _shanks_mestre(A: int, B: int, ell: int) -> int:
     """#E(F_ell) for E: y^2 = x^3 + A*x + B over F_ell, ell >= 5 prime.
 
     The order N lies in [ell + 1 - w, ell + 1 + w], w = isqrt(4*ell),
@@ -201,9 +198,10 @@ def _shanks_mestre(A: int, B: int, ell: int) -> Optional[int]:
     no square root is taken.  The candidates for N stay a progression
     n, n + M, ..., M the lcm of the orders of the points seen on E and on
     the twist; each point narrows it by baby-step giant-step over the
-    candidates left.  x runs through 0, 1, 2, ... in order.  Returns
-    None if the x values run out with more than one candidate left;
-    Mestre's theorem rules that out for ell > 229.
+    candidates left.  x runs through 0, 1, 2, ... in order.  For ell > 229
+    the points leave one candidate before the x values run out (Mestre's
+    theorem, as completed by Cremona and Sutherland, J. Theor. Nombres
+    Bordeaux 22, 2010); should they ever not, ArithmeticError is raised.
     """
     w = isqrt(4 * ell)
     n, M, hi = ell + 1 - w, 1, ell + 1 + w  # candidates n, n + M, ... <= hi
@@ -226,9 +224,7 @@ def _shanks_mestre(A: int, B: int, ell: int) -> Optional[int]:
         if len(ks) == 1:
             return n + ks[0] * M
         n, M = n + ks[0] * M, M * (ks[1] - ks[0])
-        if n + M > hi:
-            return n
-    return None
+    raise ArithmeticError("the points leave more than one group order at %d" % ell)
 
 
 def trace_table(model: WeierstrassModel, lmax: int) -> List[TraceRecord]:

@@ -42,20 +42,36 @@ def pool_sizes(monkeypatch):
 
 
 @pytest.fixture
-def force_pools(monkeypatch):
+def cpus(monkeypatch):
+    """A function that sets the CPUs ``arith.pool_size`` may use.
+
+    ``cpus(n)`` gives this process an affinity mask of ``n`` CPUs on a
+    machine of ``n``, and ``cpus(n, count)`` on a machine whose
+    ``os.cpu_count()`` is ``count``.  ``n = None`` stands for a platform
+    without affinity masks, where ``cpus(None)`` leaves the count unknown.
+    """
+
+    def set_cpus(n, count=None):
+        if n is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: n if count is None else count)
+
+    return set_cpus
+
+
+@pytest.fixture
+def force_pools(monkeypatch, cpus):
     """A function that sets the pool size of every later scan and search.
 
     Each process's share of work becomes 1, so ``arith.pool_size`` gives
-    every scan or search ``os.cpu_count()`` processes, which the function
-    sets to its argument; 1 runs everything in this process.
+    every scan or search one process per usable CPU, and the function
+    sets that number to its argument; 1 runs everything in this process.
     """
     monkeypatch.setattr(denes_mod, "PRIME_SUM_PER_PROCESS", 1)
     monkeypatch.setattr(search_mod, "LOOKUPS_PER_PROCESS", 1)
-
-    def force(cpus):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-
-    return force
+    return cpus
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
 """Integer and modular arithmetic primitives."""
 
 import math
-import os
 import random
 
 import pytest
@@ -327,38 +326,44 @@ def _search(p, height):
     return lambda: search_mod.search_star(search_mod.SearchSpec(p=p, alpha=1, height=height))
 
 
-#: (CPUs, job, the sizes of the pools it starts).  The scans' and
-#: searches' kernels are stubbed, so only their work estimates and the
-#: pools run.
+#: (CPUs in the affinity mask, os.cpu_count(), job, the sizes of the
+#: pools it starts); a mask of None stands for a platform without
+#: masks.  The scans' and searches' kernels are stubbed, so only their
+#: work estimates and the pools run.
 POOLS = {
     # Below two shares no pool starts, whatever the CPU count; on 2 CPUs
     # one starts at prime sum 625,000 and at 3,000,000 lookups.
-    "prime-sum-624999": (64, _work(624_999, denes_mod.PRIME_SUM_PER_PROCESS), []),
-    "prime-sum-625000": (2, _work(625_000, denes_mod.PRIME_SUM_PER_PROCESS), [2]),
-    "scan-prime-sum-624206": (64, _scan(3079), []),
-    "scan-prime-sum-627289": (2, _scan(3083), [2]),
-    "search-lookups-2999950": (64, _search(13, 59_999), []),  # 50 sums
-    "search-lookups-3000000": (2, _search(13, 60_000), [2]),
+    "prime-sum-624999": (64, 64, _work(624_999, denes_mod.PRIME_SUM_PER_PROCESS), []),
+    "prime-sum-625000": (2, 2, _work(625_000, denes_mod.PRIME_SUM_PER_PROCESS), [2]),
+    "scan-prime-sum-624206": (64, 64, _scan(3079), []),
+    "scan-prime-sum-627289": (2, 2, _scan(3083), [2]),
+    "search-lookups-2999950": (64, 64, _search(13, 59_999), []),  # 50 sums
+    "search-lookups-3000000": (2, 2, _search(13, 60_000), [2]),
     # One process per share (prime sum 5,736,391), at most one per CPU
     # and per task.
-    "one-per-share": (64, _scan(10_000), [18]),
-    "bounded-by-cores": (3, _scan(10_000), [3]),
-    "bounded-by-tasks": (8, _work(10**12, 1, tasks=7), [7]),
-    "one-core": (1, _scan(10_000), []),
-    "unknown-cores": (None, _scan(10_000), []),
+    "one-per-share": (64, 64, _scan(10_000), [18]),
+    "bounded-by-cores": (3, 3, _scan(10_000), [3]),
+    "bounded-by-tasks": (8, 8, _work(10**12, 1, tasks=7), [7]),
+    "one-core": (1, 1, _scan(10_000), []),
+    # The mask, not the machine's count, bounds the pool (taskset, a
+    # cpuset container); without masks the machine's count does.
+    "mask-below-cpu-count": (3, 64, _scan(10_000), [3]),
+    "one-cpu-mask": (1, 64, _scan(10_000), []),
+    "no-mask": (None, 3, _scan(10_000), [3]),
+    "unknown-cores": (None, None, _scan(10_000), []),
 }
 
 
 class TestOrderedMap:
-    def test_keeps_task_order(self, pool_sizes, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    def test_keeps_task_order(self, pool_sizes, cpus):
+        cpus(8)
         assert ordered_map(abs, [-3, 1, -2], 1000) == [3, 1, 2]
         assert ordered_map(abs, [], 4) == []
         assert pool_sizes == [3]  # no pool for the empty task list
 
-    @pytest.mark.parametrize("cpus, job, started", POOLS.values(), ids=list(POOLS))
-    def test_pool_size(self, pool_sizes, monkeypatch, cpus, job, started):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    @pytest.mark.parametrize("mask, count, job, started", POOLS.values(), ids=list(POOLS))
+    def test_pool_size(self, pool_sizes, monkeypatch, cpus, mask, count, job, started):
+        cpus(mask, count)
         monkeypatch.setattr(denes_mod, "denes_criterion", abs)
         monkeypatch.setattr(search_mod, "_search_chunk", lambda args: [])
         job()

@@ -27,7 +27,7 @@ import freycheck.search as search_mod
 import freycheck.tate as tate_mod
 import freycheck.traces as traces_mod
 from freycheck import __version__
-from freycheck.arith import MAX_HEIGHT, MAX_P, MAX_SCAN, primes_up_to
+from freycheck.arith import MAX_HEIGHT, MAX_P, MAX_SCAN, pool_size, primes_up_to
 from freycheck.cli import jsonable
 from freycheck.denes import denes_criterion
 from freycheck.frey import CurveInvariants, build_frey, invariants, normalize
@@ -194,6 +194,16 @@ class TestExitCodes:
     def test_usage_error_no_subcommand(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 1
+
+    def test_usage_error_triple_not_integers(self, capsys):
+        code, out, err = run_cli(
+            capsys, "analyze", "--p", "5", "--alpha", "1", "--triple", "1,x,3"
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == (
+            "freycheck analyze: error: argument --triple: "
+            "expected comma-separated integers, got '1,x,3'"
+        )
 
     def test_usage_error_wrong_triple_length(self, capsys):
         code, _, err = run_cli(
@@ -1104,13 +1114,16 @@ def test_entry_freezes_the_import_time_heap():
     assert proc.stderr == "True True"
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU starts no pool")
+@pytest.mark.skipif(pool_size(2, 1) < 2, reason="one CPU starts no pool")
 def test_frozen_heap_forks_a_real_pool():
     # 661,922, the sum of the primes 5..3200, is two shares of work, so on
     # two or more CPUs the scan forks a pool after the freeze.  The second
-    # run sees one CPU and stays in one process.
+    # run may use one CPU and stays in one process.
     assert sum(p for p in primes_up_to(3200) if p >= 5) >= 2 * denes_mod.PRIME_SUM_PER_PROCESS
-    one_cpu = "import os; os.cpu_count = lambda: 1; import freycheck.cli as cli; cli.entry()"
+    one_cpu = (
+        "import os; os.sched_getaffinity = lambda pid: {0}; "
+        "import freycheck.cli as cli; cli.entry()"
+    )
     outputs = [
         subprocess.run(
             [sys.executable, *start, "denes", "--scan", "3200"], capture_output=True, check=False

@@ -37,6 +37,7 @@ from oracles import (
     frey_conductor_oracle,
     naive_odd_prime_factors,
     reduce_alpha,
+    search_star_table,
     synthetic_frey_triples,
 )
 
@@ -90,6 +91,23 @@ class TestNormalize:
         # (-2)^5 + 2 * 2^5 + (-2)^5 = 0 but gcd = 2.
         with pytest.raises(ValueError, match="not primitive"):
             normalize(5, 1, -2, 2, -2)
+
+    def test_even_a_or_c_is_not_primitive(self):
+        # With alpha reduced to 1..p-1, an even a forces c even, so 2^p
+        # divides 2^alpha*b^p and b is even too (and with a and c
+        # swapped): the gcd refusal always comes first.
+        even = [
+            (p, alpha, a, b, c)
+            for p in (3, 5, 7)
+            for alpha in range(3 * p + 2)
+            for a, b, c in search_star_table(p, alpha, 40, require_primitive=False)
+            if a % 2 == 0 or c % 2 == 0
+        ]
+        assert len(even) == 165
+        for solution in even:
+            with pytest.raises(ValueError) as refused:
+                normalize(*solution)
+            assert str(refused.value) == "not primitive", solution
 
     def test_rejects_zero_entries(self):
         with pytest.raises(ValueError, match="non-zero"):

@@ -7,7 +7,6 @@ threshold, and the power-progression searches.
 
 import json
 import math
-import os
 import tracemalloc
 
 import pytest
@@ -273,9 +272,9 @@ class TestPoolThreshold:
     that size runs."""
 
     @pytest.fixture
-    def chunks(self, monkeypatch):
+    def chunks(self, monkeypatch, cpus):
         calls = []
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        cpus(8)
         monkeypatch.setattr(search_mod, "_search_chunk", lambda args: calls.append(args) or [])
         return calls
 
@@ -398,6 +397,13 @@ class TestAgainstTableLookup:
             assert search_ap_powers(2, k, height, distinct_only) == ap_powers_table(
                 2, k, height, distinct_only
             ), height
+
+    def test_power_sweep_finds_the_square_progressions(self):
+        # For n >= 3 the sweep never hits, so a table of squares checks
+        # how it reads x2 and x3 from a hit.
+        swept = search_mod._power_progressions({x * x: x for x in range(1, 401)})
+        assert len(swept) == 213
+        assert sorted(swept) == sorted(search_mod._square_progressions(400))
 
 
 class TestScale:

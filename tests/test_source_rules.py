@@ -1,11 +1,11 @@
 """The package's source keeps the toolkit's standing rules: it imports
 only the standard library, it uses no floating-point arithmetic, one
-module, ``arith``, owns every process pool and every primality test,
-one, ``cli``, owns standard error (no module logs), and no module reads
-``sys.argv``.  A non-prime is refused by ``arith.require_prime`` alone,
-and ``cli``'s parser reads integers only: a value's range is refused by
-the library function that owns its rule.  Every name a module imports
-is used in that module.
+module, ``arith``, owns every process pool, the CPU count that sizes
+them and every primality test, one, ``cli``, owns standard error (no
+module logs), and no module reads ``sys.argv``.  A non-prime is refused
+by ``arith.require_prime`` alone, and ``cli``'s parser reads integers
+only: a value's range is refused by the library function that owns its
+rule.  Every name a module imports is used in that module.
 
 Each module under ``src/freycheck`` is parsed, not imported, and every
 node is checked: absolute imports must name a stdlib module; float and
@@ -174,19 +174,24 @@ def reads_argv(tree: ast.AST) -> bool:
     )
 
 
-def names_is_prime(tree: ast.AST) -> bool:
-    """Whether ``tree`` imports, calls or otherwise names ``is_prime``."""
+def names_any(tree: ast.AST, names: Set[str]) -> bool:
+    """Whether ``tree`` imports, calls or otherwise names one of ``names``."""
     return any(
-        isinstance(node, ast.Name) and node.id == "is_prime"
-        or isinstance(node, ast.Attribute) and node.attr == "is_prime"
-        or isinstance(node, ast.alias) and node.name == "is_prime"
+        isinstance(node, ast.Name) and node.id in names
+        or isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.alias) and node.name in names
         for node in ast.walk(tree)
     )
 
 
+def naming(names: Set[str]) -> Set[str]:
+    """The modules under ``src/freycheck`` whose source names one of ``names``."""
+    return {path.name for path in SOURCES if names_any(ast.parse(path.read_text()), names)}
+
+
 def test_only_arith_tests_primality():
     # Every other module refuses a non-prime through arith.require_prime.
-    assert {path.name for path in SOURCES if names_is_prime(ast.parse(path.read_text()))} == {"arith.py"}
+    assert naming({"is_prime"}) == {"arith.py"}
 
 
 @pytest.mark.parametrize(
@@ -199,7 +204,7 @@ def test_only_arith_tests_primality():
     ],
 )
 def test_is_prime_rule_fires(source, names):
-    assert names_is_prime(ast.parse(source)) is names
+    assert names_any(ast.parse(source), {"is_prime"}) is names
 
 
 def test_only_arith_imports_a_process_pool():
@@ -209,6 +214,29 @@ def test_only_arith_imports_a_process_pool():
         if imported_modules(ast.parse(path.read_text())) & {"concurrent", "multiprocessing"}
     }
     assert importers == {"arith.py"}
+
+
+CPU_COUNTS = {"cpu_count", "sched_getaffinity"}
+
+
+def test_only_arith_counts_cpus():
+    # arith.pool_size alone decides how many CPUs a pool may use.
+    assert naming(CPU_COUNTS) == {"arith.py"}
+
+
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        ("import os\nn = os.cpu_count()", True),
+        ("import os\nn = len(os.sched_getaffinity(0))", True),
+        ("from os import sched_getaffinity as mask", True),
+        ("import multiprocessing as mp\nn = mp.cpu_count()", True),
+        ("from .arith import pool_size\nn = pool_size(10, 1)", False),
+    ],
+    ids=["cpu-count", "affinity", "import-as", "multiprocessing", "pool-size"],
+)
+def test_cpu_count_rule_fires(source, names):
+    assert names_any(ast.parse(source), CPU_COUNTS) is names
 
 
 def test_only_cli_touches_stderr_and_no_module_imports_logging():

@@ -5,6 +5,7 @@ the conductor-32 curve, and the mod-p comparator.
 """
 
 import json
+import random
 from itertools import count
 
 import pytest
@@ -163,9 +164,9 @@ class TestShanksMestre:
             count_points(CURVE11, ell)
         assert summed == [223, 227, 229]
 
-    def test_points_exhausted_returns_the_character_sum(self, monkeypatch):
+    def test_points_exhausted_raises(self, monkeypatch):
         # An order routine that never narrows the candidates makes every
-        # x run out; count_points must then fall back to the exact sum.
+        # x run out; count_points must then fail loudly, never guess.
         calls = []
 
         def no_progress(Q, R, K, a, p):
@@ -174,8 +175,29 @@ class TestShanksMestre:
 
         monkeypatch.setattr(traces, "_zeros", no_progress)
         ell = 1009
-        assert count_points(CURVE11, ell) == count_points_legendre(tuple(CURVE11), ell)
+        with pytest.raises(ArithmeticError, match="more than one group order at 1009"):
+            count_points(CURVE11, ell)
         assert ell - 3 <= len(calls) < ell  # one per x with f(x) != 0
+
+    def test_points_settle_the_order_on_random_curves(self):
+        # Mestre's theorem: above 229 the points always leave one order.
+        # Five random nonsingular short models at every prime 233..40,000;
+        # the order found lies in the Hasse interval and kills the first
+        # point, (d*x, d^2) on E or on its twist as d = f(x) is a square.
+        rng = random.Random(32)
+        primes = primes_up_to(40_000)[50:]
+        assert primes[0] == 233 and 5 * len(primes) >= 20_000
+        for ell in primes:
+            for _ in range(5):
+                A = B = 0
+                while (4 * A**3 + 27 * B**2) % ell == 0:
+                    A, B = rng.randrange(ell), rng.randrange(ell)
+                N = traces._shanks_mestre(A, B, ell)
+                assert (N - ell - 1) ** 2 <= 4 * ell, (A, B, ell)
+                d, x = next((d, x) for x in range(ell) if (d := (x**3 + A * x + B) % ell))
+                order = N if pow(d, (ell - 1) // 2, ell) == 1 else 2 * ell + 2 - N
+                P = (d * x % ell, d * d % ell)
+                assert traces._mul(order, P, A * d * d % ell, ell) is None, (A, B, ell)
 
 
 @pytest.fixture
