@@ -21,7 +21,6 @@ __all__ = [
     "FactorizationError",
     "exact_root",
     "factorize",
-    "iroot",
     "is_prime",
     "legendre_symbol",
     "mult_order",
@@ -326,37 +325,29 @@ def _rho_divisor(n: int, steps: int) -> int:
     return 0
 
 
-def iroot(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 0, k >= 1, by pure-integer binary search."""
+def exact_root(n: int, k: int) -> Optional[int]:
+    """The integer r with r**k == n, or None if no such integer exists.
+
+    Odd k supports negative n; even k returns None for negative n; a
+    root index k < 1 is refused.  An integer binary search finds the root.
+    """
     if k < 1:
         raise ValueError("root index must be >= 1")
     if n < 0:
-        raise ValueError("iroot requires n >= 0")
+        if k % 2 == 0:
+            return None
+        r = exact_root(-n, k)
+        return None if r is None else -r
     if n < 2 or k == 1:
         return n
-    hi = 1 << (-(-n.bit_length() // k))  # hi**k > n by construction
-    lo = 1
+    lo, hi = 1, 1 << (-(-n.bit_length() // k))  # lo**k <= n < hi**k
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if mid**k <= n:
             lo = mid
         else:
             hi = mid
-    return lo
-
-
-def exact_root(n: int, k: int) -> Optional[int]:
-    """The integer r with r**k == n, or None if no such integer exists.
-
-    Odd k supports negative n; even k returns None for negative n.
-    """
-    if n < 0:
-        if k % 2 == 0:
-            return None
-        r = exact_root(-n, k)
-        return None if r is None else -r
-    r = iroot(n, k)
-    return r if r**k == n else None
+    return lo if lo**k == n else None
 
 
 T = TypeVar("T")

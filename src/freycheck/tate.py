@@ -1,10 +1,11 @@
 """Local reduction data of integral Weierstrass models via Tate's algorithm.
 
-The algorithm is executed honestly at every prime, including 2 and 3
-(root counting over the residue field, no valuation shortcuts), so this
-module can serve as an independent oracle for closed-form conductor
-tables computed elsewhere in the package.  The two routes are kept
-strictly separate: nothing here consults the table side.
+The algorithm runs at every prime, including 2 and 3, with no valuation
+shortcuts, so this module can serve as an independent oracle for the
+closed-form conductor tables elsewhere in the package; nothing here
+consults the table side.  Each root it needs over F_p has one closed form
+for all odd p, save a cusp at 3 (x = -b6) and the triple root -dq of P at
+3 and 2, where cubing is the identity; at 2 the rest are read off parities.
 
 Layout of the main loop (one pass per candidate model; a non-minimal
 model is rescaled by p and the loop restarts):
@@ -113,8 +114,8 @@ def local_data_with_model(
         if delta % p != 0:
             return LocalData(p, 0, 0, "I0", GOOD, scalings), E
         n = valuation(delta, p)
-        b2, b4, b6, b8 = E.b_invariants()
-        c4, c6 = E.c_invariants()
+        b2, b4, b6, _ = E.b_invariants()
+        c4 = E.c_invariants()[0]
         a1, a2, a3, a4, a6 = E
 
         # Translate the singular point of the reduction to (0, 0).
@@ -125,14 +126,11 @@ def local_data_with_model(
             else:
                 r = a3 % 2
                 t = (r + a4) % 2
-        elif p == 3:
-            r = (-b6) % 3 if b2 % 3 == 0 else (-b2 * b4) % 3
-            t = (a1 * r + a3) % 3
         else:
-            if c4 % p == 0:
-                r = (-b2 * pow(12, -1, p)) % p
-            else:
-                r = (-(c6 + b2 * c4) * pow(12 * c4 % p, -1, p)) % p
+            if c4 % p:  # a node at x = (18*b6 - b2*b4)/c4
+                r = (18 * b6 - b2 * b4) * pow(c4, -1, p) % p
+            else:  # a cusp at x = -b2/12, or at 3, where 12 is not a unit, x = -b6
+                r = -b2 * pow(12, -1, p) % p if p > 3 else -b6 % p
             t = (-(a1 * r + a3) * pow(2, -1, p)) % p
         E = E.translated(r=r, t=t)
         a1, a2, a3, a4, a6 = E
@@ -143,10 +141,9 @@ def local_data_with_model(
 
         if a6 % p2 != 0:
             return LocalData(p, n, n, "II", ADDITIVE, scalings), E
-        b8 = E.b_invariants()[3]
+        _, _, b6, b8 = E.b_invariants()
         if b8 % p3 != 0:
             return LocalData(p, n - 1, n, "III", ADDITIVE, scalings), E
-        b6 = E.b_invariants()[2]
         if b6 % p3 != 0:
             return LocalData(p, n - 2, n, "IV", ADDITIVE, scalings), E
 
@@ -208,13 +205,9 @@ def local_data_with_model(
                 px *= p
             return LocalData(p, n - 4 - m, n, "I%d*" % m, ADDITIVE, scalings), E
 
-        # Triple root of P: translate it to T = 0.
-        if p == 2:
-            r0 = bq % 2
-        elif p == 3:
-            r0 = (-dq) % 3
-        else:
-            r0 = (-bq * pow(3, -1, p)) % p
+        # Triple root of P: translate it to T = 0.  It is -bq/3, or, where
+        # 3 is not a unit, -dq, since cubing is the identity on F_2 and F_3.
+        r0 = (-bq * pow(3, -1, p) if p > 3 else -dq) % p
         E = E.translated(r=p * r0)
         a1, a2, a3, a4, a6 = E
 

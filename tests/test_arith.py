@@ -15,7 +15,6 @@ from freycheck.arith import (
     FactorizationError,
     exact_root,
     factorize,
-    iroot,
     is_prime,
     legendre_symbol,
     mult_order,
@@ -572,23 +571,22 @@ class TestFactorizeMatchesTrialDivision:
 
 
 class TestRoots:
-    def test_iroot_examples(self):
-        assert iroot(0, 3) == 0
-        assert iroot(1, 7) == 1
-        assert iroot(63, 2) == 7
-        assert iroot(64, 2) == 8
-        assert iroot(2**60 - 1, 5) == 2**12 - 1
-
-    def test_iroot_rejects_negative(self):
-        with pytest.raises(ValueError):
-            iroot(-8, 3)
-
     def test_exact_root_examples(self):
         assert exact_root(32, 5) == 2
         assert exact_root(-32, 5) == -2
         assert exact_root(-4, 2) is None
         assert exact_root(31, 5) is None
         assert exact_root(0, 3) == 0
+        assert exact_root(1, 7) == 1
+        assert exact_root(64, 2) == 8
+        assert exact_root(63, 2) is None
+        assert exact_root(2**60, 5) == 2**12
+        assert exact_root(2**60 - 1, 5) is None
+
+    @pytest.mark.parametrize("n,k", [(8, 0), (-8, 0), (1, -1), (0, -3)])
+    def test_exact_root_rejects_index_below_1(self, n, k):
+        with pytest.raises(ValueError, match="root index must be >= 1"):
+            exact_root(n, k)
 
     @given(
         base=st.integers(min_value=-300, max_value=300),
@@ -602,7 +600,9 @@ class TestRoots:
         assert root is not None
         assert root**k == n
 
-    @given(n=st.integers(min_value=0, max_value=10**18), k=st.integers(min_value=1, max_value=10))
-    def test_iroot_is_floor(self, n, k):
-        r = iroot(n, k)
-        assert r**k <= n < (r + 1) ** k
+    @given(r=st.integers(min_value=1, max_value=10**6), k=st.integers(min_value=2, max_value=10), data=st.data())
+    def test_no_root_strictly_between_powers(self, r, k, data):
+        d = data.draw(st.integers(min_value=1, max_value=(r + 1) ** k - r**k - 1))
+        assert exact_root(r**k + d, k) is None
+        if k % 2:
+            assert exact_root(-(r**k + d), k) is None

@@ -234,6 +234,12 @@ class TestMonomialTriple:
         with pytest.raises(ValueError, match="-1 mod 4"):
             MonomialTriple(1, 2, -3).validate()
 
+    @pytest.mark.parametrize("triple", [(-1, 0, 1), (0, 2, -2), (3, -3, 0)])
+    def test_entries_must_be_non_zero(self, triple):
+        # (-1, 0, 1) passes every other rule.
+        with pytest.raises(ValueError, match="triple entries must be non-zero"):
+            MonomialTriple(*triple).validate()
+
     def test_sum_and_gcd(self):
         with pytest.raises(ValueError, match="sum to zero"):
             MonomialTriple(-1, 2, 1).validate()
