@@ -71,7 +71,9 @@ def count_points(model: WeierstrassModel, ell: int) -> Optional[int]:
       (Mestre; Cohen, A Course in Computational Algebraic Number Theory,
       7.4.3).  See _shanks_mestre; it costs O(ell^(1/4)) group operations
       in exact affine arithmetic per point tried, and one or two points
-      almost always suffice.
+      almost always suffice.  Only orders divisible by the given model's
+      rational 2-torsion seed (see _two_torsion_seed) are tried: 4 for
+      y^2 = x(x - a)(x + b), so for every Frey model.
 
     The switch, 230, is the first ell where Mestre's theorem guarantees
     that the points settle the order; timed per prime, the two regimes
@@ -81,15 +83,44 @@ def count_points(model: WeierstrassModel, ell: int) -> Optional[int]:
     if ell > MAX_ELL:
         raise ValueError("ell exceeds MAX_ELL = %d" % MAX_ELL)
     require_prime(ell, "ell", 3)
-    if model.require_nonsingular() % ell == 0:
-        data, minimal = tate.local_data_with_model(model, ell)
-        if data.reduction != tate.GOOD:
-            return None
-        model = minimal
+    counted = _good_model(model, model.require_nonsingular(), ell)
+    if counted is None:
+        return None
     if ell < SHANKS_MESTRE_MIN_ELL:
-        return _character_sum(model, ell)
-    c4, c6 = model.c_invariants()
-    return ell + 1 - _shanks_mestre(-27 * c4 % ell, -54 * c6 % ell, ell)
+        return _character_sum(counted, ell)
+    c4, c6 = counted.c_invariants()
+    return ell + 1 - _shanks_mestre(-27 * c4 % ell, -54 * c6 % ell, ell, _two_torsion_seed(model))
+
+
+def _good_model(model: WeierstrassModel, disc: int, ell: int) -> Optional[WeierstrassModel]:
+    """A model of the curve with good reduction at ell, or None where the
+    curve is bad there; disc is the model's discriminant.
+
+    The model itself unless ell divides disc; then Tate's algorithm
+    decides, and a good ell gets the ell-minimal model.
+    """
+    if disc % ell:
+        return model
+    data, minimal = tate.local_data_with_model(model, ell)
+    return minimal if data.reduction == tate.GOOD else None
+
+
+def _two_torsion_seed(model: WeierstrassModel) -> int:
+    """A divisor of #E(F_ell) at every odd ell of good reduction, read
+    from the rational 2-torsion of y^2 = x(x^2 + a2*x + a4).
+
+    4 when a1 = a3 = a6 = 0 and a2^2 - 4*a4 is a square (three rational
+    2-torsion points), 2 when only a1 = a3 = a6 = 0 holds ((0, 0) is
+    one), 1 otherwise.  Rational 2-torsion belongs to the curve over Q,
+    so the seed holds on any model of it; it injects into E(F_ell) at a
+    good odd ell, and the quadratic twist, with the same 2-division
+    roots, shares it.
+    """
+    a1, a2, a3, a4, a6 = model
+    if a1 or a3 or a6:
+        return 1
+    d = a2 * a2 - 4 * a4
+    return 4 if d >= 0 and isqrt(d) ** 2 == d else 2
 
 
 def _character_sum(model: WeierstrassModel, ell: int) -> int:
@@ -188,23 +219,27 @@ def _zeros(Q: _Point, R: _Point, K: int, a: int, p: int) -> List[int]:
     return found
 
 
-def _shanks_mestre(A: int, B: int, ell: int) -> int:
-    """#E(F_ell) for E: y^2 = x^3 + A*x + B over F_ell, ell >= 5 prime.
+def _shanks_mestre(A: int, B: int, ell: int, seed: int) -> int:
+    """#E(F_ell) for E: y^2 = x^3 + A*x + B over F_ell, ell >= 5 prime,
+    given a seed that divides #E(F_ell) and the twist's order.
 
     The order N lies in [ell + 1 - w, ell + 1 + w], w = isqrt(4*ell),
     and so does the twist's order 2*ell + 2 - N.  For each x with
     d = f(x) != 0, the point (d*x, d^2) lies on y^2 = X^3 + A*d^2*X + B*d^3,
     which is E when d is a square and the quadratic twist otherwise, so
     no square root is taken.  The candidates for N stay a progression
-    n, n + M, ..., M the lcm of the orders of the points seen on E and on
-    the twist; each point narrows it by baby-step giant-step over the
-    candidates left.  x runs through 0, 1, 2, ... in order.  For ell > 229
-    the points leave one candidate before the x values run out (Mestre's
-    theorem, as completed by Cremona and Sutherland, J. Theor. Nombres
-    Bordeaux 22, 2010); should they ever not, ArithmeticError is raised.
+    n, n + M, ..., M the lcm of the seed and the orders of the points
+    seen on E and on the twist; they start at the least multiple of the
+    seed in the interval, and each point narrows them by baby-step
+    giant-step over the candidates left.  x runs through 0, 1, 2, ... in
+    order.  For ell > 229 the points leave one candidate before the x
+    values run out (Mestre's theorem, as completed by Cremona and
+    Sutherland, J. Theor. Nombres Bordeaux 22, 2010); should they ever
+    not, ArithmeticError is raised.
     """
     w = isqrt(4 * ell)
-    n, M, hi = ell + 1 - w, 1, ell + 1 + w  # candidates n, n + M, ... <= hi
+    M, hi = seed, ell + 1 + w
+    n = -(-(ell + 1 - w) // M) * M  # candidates n, n + M, ... <= hi
     half = (ell - 1) // 2
     for x in range(ell):
         d = ((x * x + A) * x + B) % ell
@@ -227,6 +262,13 @@ def _shanks_mestre(A: int, B: int, ell: int) -> int:
     raise ArithmeticError("the points leave more than one group order at %d" % ell)
 
 
+def _require_lmax(lmax: int) -> None:
+    if lmax < 3:
+        raise ValueError("lmax must be >= 3")
+    if lmax > MAX_ELL:
+        raise ValueError("lmax exceeds MAX_ELL = %d" % MAX_ELL)
+
+
 def trace_table(model: WeierstrassModel, lmax: int) -> List[TraceRecord]:
     """Trace records at every odd prime ell <= lmax, one count_points call each.
 
@@ -235,10 +277,7 @@ def trace_table(model: WeierstrassModel, lmax: int) -> List[TraceRecord]:
     a_ell = None; primes where only the given model (not the curve) is
     singular are counted on the ell-minimal model.
     """
-    if lmax < 3:
-        raise ValueError("lmax must be >= 3")
-    if lmax > MAX_ELL:
-        raise ValueError("lmax exceeds MAX_ELL = %d" % MAX_ELL)
+    _require_lmax(lmax)
     model.require_nonsingular()
     records: List[TraceRecord] = []
     for ell in primes_up_to(lmax)[1:]:
@@ -253,20 +292,31 @@ def mod_p_congruent(
     """Compare traces of two curves mod p over odd primes ell <= lmax.
 
     Excluded from comparison: ell = 2 (always), ell = p, and primes of
-    bad reduction for either curve.  The verdict is finite-range evidence
-    only; see the report's disclaimer field.
+    bad reduction for either curve, decided from each discriminant and,
+    at a prime dividing it, by Tate's algorithm.  Every other ell is a
+    compared prime, but count_points runs on both models only up to the
+    first violation: the report names no trace after it.  The refusals
+    come in this order: p not prime, model2 singular, lmax out of
+    range, model1 singular.  The verdict is finite-range evidence only;
+    see the report's disclaimer field.
     """
     require_prime(p, "p")
-    model2.require_nonsingular()  # before model1's table is counted
+    disc2 = model2.require_nonsingular()
+    _require_lmax(lmax)
+    disc1 = model1.require_nonsingular()
     compared: List[int] = []
     first_violation: Optional[Tuple[int, int, int]] = None
-    for rec1, rec2 in zip(trace_table(model1, lmax), trace_table(model2, lmax), strict=True):
-        ell = rec1.ell
-        if ell == p or rec1.reduction != "Good" or rec2.reduction != "Good":
+    for ell in primes_up_to(lmax)[1:]:
+        if ell == p:
+            continue
+        good1, good2 = _good_model(model1, disc1, ell), _good_model(model2, disc2, ell)
+        if good1 is None or good2 is None:
             continue
         compared.append(ell)
-        if first_violation is None and (rec1.a_ell - rec2.a_ell) % p != 0:
-            first_violation = (ell, rec1.a_ell, rec2.a_ell)
+        if first_violation is None:
+            a1, a2 = count_points(good1, ell), count_points(good2, ell)
+            if (a1 - a2) % p:
+                first_violation = (ell, a1, a2)
     return CongruenceReport(
         p=p,
         lmax=lmax,

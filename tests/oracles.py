@@ -8,8 +8,10 @@ substitution, full cubic-triple enumeration, per-candidate root
 extraction or one table lookup per row instead of the searches by
 admissible sum and by Pythagorean triple, explicit square-root
 counting or one Euler criterion per x instead of a quadratic-character
-table or Shanks-Mestre, the CM formulas of two curves, the closed-form
-valuation table instead of the step-by-step reduction algorithm, other
+table or Shanks-Mestre, two whole trace tables compared row by row
+instead of a comparison that stops counting at its first violation, the
+CM formulas of two curves, the closed-form valuation table instead of
+the step-by-step reduction algorithm, other
 models of the same curve, a quadratic twist and a 2-isogenous curve, on
 which that algorithm must agree with itself at 2 and 3, alpha reduced
 mod p in a step of its own before normalization, and trial division
@@ -413,6 +415,31 @@ def count_points_legendre(coefficients: Sequence[int], ell: int) -> int:
         if gx:
             total += 1 if pow(gx, (ell - 1) // 2, ell) == 1 else -1
     return -total
+
+
+def congruence_from_tables(
+    p: int,
+    table1: Sequence[Tuple[int, Optional[int], str]],
+    table2: Sequence[Tuple[int, Optional[int], str]],
+) -> Tuple[List[int], Optional[Tuple[int, int, int]]]:
+    """(compared primes, first violation) of two whole trace tables.
+
+    The package's mod-p comparison before it stopped counting at the
+    first violation: both tables hold every odd ell <= lmax as
+    (ell, a_ell, reduction) rows, counted in full; rows at ell = p or
+    where either curve is "Bad" are left out, and the first row left
+    whose traces differ mod p is the violation.
+    """
+    compared: List[int] = []
+    first_violation = None
+    for (ell, a1, red1), (ell2, a2, red2) in zip(table1, table2, strict=True):
+        assert ell == ell2
+        if ell == p or red1 != "Good" or red2 != "Good":
+            continue
+        compared.append(ell)
+        if first_violation is None and (a1 - a2) % p != 0:
+            first_violation = (ell, a1, a2)
+    return compared, first_violation
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Traces of Frobenius: both point-count regimes against full enumeration,
 the per-x Legendre sum and the CM formulas of y^2 = x^3 - x and
 y^2 = x^3 + 1, Shanks-Mestre against the character sum, CM structure of
-the conductor-32 curve, and the mod-p comparator.
+the conductor-32 curve, Shanks-Mestre seeded by rational 2-torsion
+against unseeded, and the mod-p comparator against two whole trace
+tables compared row by row.
 """
 
 import json
+import math
 import random
 from itertools import count
 
@@ -30,8 +33,10 @@ from freycheck.weierstrass import WeierstrassModel
 from oracles import (
     cm_trace_x3_minus_x,
     cm_trace_x3_plus_1,
+    congruence_from_tables,
     count_points_enumerate,
     count_points_legendre,
+    two_isogenous,
 )
 
 CM32 = WeierstrassModel(0, 0, 0, -1, 0)  # y^2 = x^3 - x
@@ -44,6 +49,15 @@ FREY = WeierstrassModel(0, 29, 0, -96, 0)  # y^2 = x(x - 3)(x + 32), 3 + 32 - 35
 BLOWN_UP_CM32 = WeierstrassModel(0, 0, 0, -(233**4), 0)
 # The quadratic twist of y^2 = x^3 - x by 233: additive reduction at 233.
 TWIST233_CM32 = WeierstrassModel(0, 0, 0, -(233**2), 0)
+SINGULAR = WeierstrassModel(0, 0, 0, 0, 0)
+
+
+def random_frey(rng):
+    """y^2 = x(x - A)(x + B) for coprime A, B below 10^6 with A + B != 0."""
+    while True:
+        A, B = rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6)
+        if A and B and A + B and math.gcd(A, B) == 1:
+            return WeierstrassModel(0, B - A, 0, -A * B, 0)
 
 
 class TestCountPoints:
@@ -192,12 +206,36 @@ class TestShanksMestre:
                 A = B = 0
                 while (4 * A**3 + 27 * B**2) % ell == 0:
                     A, B = rng.randrange(ell), rng.randrange(ell)
-                N = traces._shanks_mestre(A, B, ell)
+                N = traces._shanks_mestre(A, B, ell, 1)
                 assert (N - ell - 1) ** 2 <= 4 * ell, (A, B, ell)
                 d, x = next((d, x) for x in range(ell) if (d := (x**3 + A * x + B) % ell))
                 order = N if pow(d, (ell - 1) // 2, ell) == 1 else 2 * ell + 2 - N
                 P = (d * x % ell, d * d % ell)
                 assert traces._mul(order, P, A * d * d % ell, ell) is None, (A, B, ell)
+
+    @pytest.mark.parametrize(
+        "model, seed",
+        [(FREY, 4), (CM32, 4), (BLOWN_UP_CM32, 4), (TWIST, 2), (CM36, 1), (CURVE11, 1)],
+        ids=["frey", "cm32", "non-minimal-at-233", "twist", "cm36", "11a1"],
+    )
+    def test_two_torsion_seed(self, model, seed):
+        assert traces._two_torsion_seed(model) == seed
+
+    def test_seeded_agrees_with_unseeded_on_frey_models(self):
+        # Five seeded random Frey models, seed 4, at every good prime
+        # 230..20,000: the seed leaves the order unchanged.
+        rng = random.Random(34)
+        primes = [ell for ell in primes_up_to(20_000) if ell >= SHANKS_MESTRE_MIN_ELL]
+        for _ in range(5):
+            model = random_frey(rng)
+            assert traces._two_torsion_seed(model) == 4
+            disc = model.discriminant()
+            c4, c6 = model.c_invariants()
+            for ell in primes:
+                if disc % ell:
+                    A, B = -27 * c4 % ell, -54 * c6 % ell
+                    seeded = traces._shanks_mestre(A, B, ell, 4)
+                    assert seeded == traces._shanks_mestre(A, B, ell, 1), (model, ell)
 
 
 @pytest.fixture
@@ -285,7 +323,96 @@ class TestTraceTable:
         assert trace_table(moved, 60) == trace_table(base, 60)
 
 
+@pytest.fixture
+def counted(monkeypatch):
+    """The (model, ell) pairs traces.count_points is called with, in call order."""
+    calls = []
+    original = traces.count_points
+
+    def recording(model, ell):
+        calls.append((model, ell))
+        return original(model, ell)
+
+    monkeypatch.setattr(traces, "count_points", recording)
+    return calls
+
+
+def whole_table_report(model1, model2, p, lmax):
+    """mod_p_congruent by the oracle: two full trace tables, then compare."""
+    compared, violation = congruence_from_tables(p, trace_table(model1, lmax), trace_table(model2, lmax))
+    return CongruenceReport(p, lmax, compared, violation is None, violation)
+
+
+def frey_pairs():
+    rng = random.Random(7)
+    return [(random_frey(rng), random_frey(rng), p) for p in (3, 5, 7) for _ in range(3)]
+
+
+def isogenous_pairs():
+    rng = random.Random(11)
+    pairs = []
+    for p in (3, 5, 7):
+        model = random_frey(rng)
+        pairs.append((model, WeierstrassModel(*two_isogenous(model.a2, model.a4)), p))
+    return pairs
+
+
 class TestModPCongruent:
+    @pytest.mark.parametrize("model1, model2, p", frey_pairs())
+    def test_frey_pairs_match_the_whole_table_oracle(self, model1, model2, p):
+        report = mod_p_congruent(model1, model2, p, 2000)
+        assert not report.congruent  # the early-stop route
+        assert report == whole_table_report(model1, model2, p, 2000)
+
+    @pytest.mark.parametrize("model1, model2, p", isogenous_pairs())
+    def test_isogenous_pairs_match_the_whole_table_oracle(self, model1, model2, p):
+        report = mod_p_congruent(model1, model2, p, 2000)
+        assert report.congruent  # every compared prime counted
+        assert report == whole_table_report(model1, model2, p, 2000)
+
+    @pytest.mark.parametrize("model", [BLOWN_UP_CM32, TWIST233_CM32], ids=["non-minimal-at-233", "twist-by-233"])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_models_at_233_match_the_whole_table_oracle(self, model, p):
+        report = mod_p_congruent(model, CM32, p, 300)
+        assert report == whole_table_report(model, CM32, p, 300)
+        assert report.congruent == (model == BLOWN_UP_CM32)
+
+    def test_counts_only_up_to_the_first_violation(self, counted):
+        report = mod_p_congruent(CM32, TWIST, 5, 1000)
+        assert report.first_violation[0] == 13 and report.compared_primes[-1] > 990
+        assert counted == [(m, ell) for ell in (3, 7, 11, 13) for m in (CM32, TWIST)]
+
+    def test_congruent_pair_counts_at_every_compared_prime(self, counted):
+        isogenous = WeierstrassModel(*two_isogenous(FREY.a2, FREY.a4))
+        report = mod_p_congruent(FREY, isogenous, 11, 500)
+        assert report.congruent and 3 not in report.compared_primes
+        assert counted == [(m, ell) for ell in report.compared_primes for m in (FREY, isogenous)]
+
+    @pytest.mark.parametrize(
+        "model1, model2, p, lmax, message",
+        [
+            (SINGULAR, SINGULAR, 6, 2, "p must be a prime"),
+            (CM32, SINGULAR, 6, 50, "p must be a prime"),
+            (SINGULAR, SINGULAR, 5, MAX_ELL + 1, "singular"),
+            (CM32, SINGULAR, 5, 2, "singular"),
+            (SINGULAR, CM32, 5, MAX_ELL + 1, "MAX_ELL"),
+            (SINGULAR, CM32, 5, 2, "lmax must be >= 3"),
+            (SINGULAR, CM32, 5, 50, "singular"),
+        ],
+    )
+    def test_refusal_order(self, model1, model2, p, lmax, message):
+        # p, then model2 singular, then lmax, then model1 singular.
+        with pytest.raises(ValueError, match=message):
+            mod_p_congruent(model1, model2, p, lmax)
+
+    def test_lmax_above_max_ell_is_refused_before_the_sieve(self, monkeypatch):
+        def sieve(limit):
+            raise AssertionError("sieved up to %d" % limit)
+
+        monkeypatch.setattr(traces, "primes_up_to", sieve)
+        with pytest.raises(ValueError, match="MAX_ELL"):
+            mod_p_congruent(CM32, TWIST, 5, MAX_ELL + 1)
+
     def test_reflexive(self):
         report = mod_p_congruent(CM32, CM32, 7, 60)
         assert report.congruent and report.first_violation is None
