@@ -28,6 +28,7 @@ __all__ = [
     "pool_size",
     "primes_up_to",
     "require_prime",
+    "require_range",
     "valuation",
 ]
 
@@ -143,8 +144,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def require_prime(n: int, name: str, least: int = 2) -> None:
-    """Refuse ``n`` unless it is a prime >= ``least``; ``name`` names it."""
+def require_range(n: int, name: str, least: int, most: str = "") -> None:
+    """Refuse ``n`` below ``least`` or above the constant of this module
+    named ``most`` (no upper bound when it is empty); ``name`` names ``n``.
+
+    The lower bound is checked first.
+    """
+    if n < least:
+        raise ValueError("%s must be >= %d, got %d" % (name, least, n))
+    if most and n > globals()[most]:
+        raise ValueError("%s exceeds %s = %d" % (name, most, globals()[most]))
+
+
+def require_prime(n: int, name: str, least: int = 2, most: str = "") -> None:
+    """Refuse ``n`` unless it is a prime >= ``least`` and at most the
+    constant named ``most``, which is checked before primality."""
+    if most and n > globals()[most]:
+        require_range(n, name, least, most)
     if n < least or not is_prime(n):
         raise ValueError("%s must be a prime >= %d, got %d" % (name, least, n))
 
@@ -214,8 +230,7 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Dict[int, int]:
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    if bound < 2:
-        raise ValueError("factor bound must be >= 2")
+    require_range(bound, "factor bound", 2)
     n = abs(n)
     factors: Dict[int, int] = {}
     e2 = (n & -n).bit_length() - 1
@@ -331,8 +346,7 @@ def exact_root(n: int, k: int) -> Optional[int]:
     Odd k supports negative n; even k returns None for negative n; a
     root index k < 1 is refused.  An integer binary search finds the root.
     """
-    if k < 1:
-        raise ValueError("root index must be >= 1")
+    require_range(k, "root index", 1)
     if n < 0:
         if k % 2 == 0:
             return None

@@ -336,9 +336,10 @@ def _cmd_analyze(args: argparse.Namespace) -> Report:
     inv = frey.invariants(triple, args.factor_bound)
     local = tate.all_local_data(model, args.factor_bound)
     conductor_oracle = tate.global_conductor(local)
-    at_2 = next((item for item in local if item.prime == 2), None)
-    t_oracle = at_2.conductor_exponent if at_2 else 0
-    u_oracle = at_2.min_disc_valuation - 2 * valuation(triple.B, 2) if at_2 else None
+    # The discriminant 16(ABC)^2 is even and all_local_data is ascending.
+    at_2 = local[0]
+    t_oracle = at_2.conductor_exponent
+    u_oracle = at_2.min_disc_valuation - 2 * valuation(triple.B, 2)
     oracle = (conductor_oracle, t_oracle, u_oracle)
     agree = oracle == (inv.conductor, inv.t, inv.u)
     payload: Dict[str, object] = {

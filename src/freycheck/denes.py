@@ -37,14 +37,13 @@ from array import array
 from typing import Dict, List, NamedTuple, Sequence
 
 from .arith import (
-    MAX_P,
-    MAX_SCAN,
     factorize,
     mult_order,
     ordered_map,
     pool_size,
     primes_up_to,
     require_prime,
+    require_range,
 )
 
 __all__ = [
@@ -78,12 +77,6 @@ class DenesReport(NamedTuple):
     order_condition: bool
     wieferich_violation: bool
     criterion_holds: bool
-
-
-def _require_criterion_prime(p: int) -> None:
-    if p > MAX_P:
-        raise ValueError("p exceeds MAX_P = %d" % MAX_P)
-    require_prime(p, "p", 5)
 
 
 def _slot_width(terms: int, p: int) -> int:
@@ -216,7 +209,7 @@ def bernoulli_mod_p(p: int) -> Dict[int, int]:
     with one modular inverse per t.  Besides the product, O(p) operations on
     small ints and O(p) memory.
     """
-    _require_criterion_prime(p)
+    require_prime(p, "p", 5, "MAX_P")
     power, k, sums = _voronoi_sums(p)
     n = p - 1
     # s is g^(t(t-1) - kt) S_2t, so the power is g^(2t-1) g^(kt - t(t-1)).
@@ -234,7 +227,7 @@ def is_regular(p: int) -> "tuple[bool, List[int]]":
     unit mod p.  So B_2t = 0 exactly when p divides the folded sum: no
     inverse and no multiply per t.
     """
-    _require_criterion_prime(p)
+    require_prime(p, "p", 5, "MAX_P")
     _, _, sums = _voronoi_sums(p)
     irregular = [2 * t for t, s in enumerate(sums, 1) if s % p == 0]
     return (not irregular), irregular
@@ -270,9 +263,6 @@ def denes_scan(p_max: int) -> List[DenesReport]:
     ``PRIME_SUM_PER_PROCESS`` of their sum; the merge order is always
     ascending in p, so results are deterministic.
     """
-    if p_max < 5:
-        raise ValueError("p_max must be >= 5, got %d" % p_max)
-    if p_max > MAX_SCAN:
-        raise ValueError("p_max exceeds MAX_SCAN = %d" % MAX_SCAN)
+    require_range(p_max, "p_max", 5, "MAX_SCAN")
     primes = [p for p in primes_up_to(p_max) if p >= 5]
     return ordered_map(denes_criterion, primes, pool_size(sum(primes), PRIME_SUM_PER_PROCESS))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Dict, NamedTuple, Tuple
 
-from .arith import DEFAULT_FACTOR_BOUND, factorize, require_prime, valuation
+from .arith import DEFAULT_FACTOR_BOUND, factorize, require_prime, require_range, valuation
 from .weierstrass import WeierstrassModel
 
 __all__ = [
@@ -111,8 +111,7 @@ def normalize(p: int, alpha: int, a: int, b: int, c: int) -> FreyParams:
 
     Idempotent: normalizing the output again returns the same params.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    require_range(alpha, "alpha", 0)
     require_prime(p, "p", 3)
     if alpha % p == 0:
         raise ValueError(

@@ -52,7 +52,7 @@ from itertools import chain, repeat
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from . import frey
-from .arith import MAX_HEIGHT, ordered_map, pool_size, require_prime
+from .arith import ordered_map, pool_size, require_prime, require_range
 
 __all__ = [
     "SIGMA_PRIMES",
@@ -90,14 +90,6 @@ LOOKUPS_PER_PROCESS = 1_500_000
 MAX_AP_WORK = 20025 * 10**7
 
 
-def _check_height(height: int) -> None:
-    """Refuse a height outside 1..MAX_HEIGHT before any table is built."""
-    if height < 1:
-        raise ValueError("height must be >= 1")
-    if height > MAX_HEIGHT:
-        raise ValueError("height exceeds MAX_HEIGHT = %d" % MAX_HEIGHT)
-
-
 class _SearchSpecFields(NamedTuple):
     p: int
     alpha: int
@@ -115,10 +107,9 @@ class SearchSpec(_SearchSpecFields):
         cls, p: int, alpha: int, height: int, L: int = 2, require_primitive: bool = True
     ) -> "SearchSpec":
         require_prime(p, "p", 3)
-        if alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        require_range(alpha, "alpha", 0)
         require_prime(L, "L")
-        _check_height(height)
+        require_range(height, "height", 1, "MAX_HEIGHT")
         if (work := _table_work(p, height)) > MAX_AP_WORK:
             raise ValueError(
                 "p = %d at height %d needs about %d units of work for its table "
@@ -330,7 +321,7 @@ def verify_theorem_claims(
     Every p must be an odd prime, also one that no alpha < p searches.
     The whole grid shares one ordered_map, so at most one pool starts.
     """
-    _check_height(height)
+    require_range(height, "height", 1, "MAX_HEIGHT")
     for p in p_list:
         require_prime(p, "p", 3)
     specs = [
@@ -353,11 +344,10 @@ def search_ap_powers(
     ``distinct_only`` the common difference must be non-zero (constant
     progressions are excluded).
     """
-    if n < 2:
-        raise ValueError("exponent n must be >= 2")
+    require_range(n, "exponent n", 2)
     if k not in (3, 4):
         raise ValueError("only 3- and 4-term progressions are supported")
-    _check_height(height)
+    require_range(height, "height", 1, "MAX_HEIGHT")
     if n > 2 and (work := _ap_sweep_work(n, height)) > MAX_AP_WORK:
         raise ValueError(
             "n = %d at height %d needs about %d units of work, above MAX_AP_WORK = %d"

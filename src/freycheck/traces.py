@@ -6,13 +6,12 @@ from __future__ import annotations
 from math import isqrt
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .arith import MAX_ELL, primes_up_to, require_prime
+from .arith import primes_up_to, require_prime, require_range
 from . import tate
 from .weierstrass import WeierstrassModel
 
 __all__ = [
     "CONGRUENCE_DISCLAIMER",
-    "MAX_ELL",
     "SHANKS_MESTRE_MIN_ELL",
     "CongruenceReport",
     "TraceRecord",
@@ -80,9 +79,7 @@ def count_points(model: WeierstrassModel, ell: int) -> Optional[int]:
     already cost the same near ell = 150 (the measurements are beside
     SHANKS_MESTRE_MIN_ELL).
     """
-    if ell > MAX_ELL:
-        raise ValueError("ell exceeds MAX_ELL = %d" % MAX_ELL)
-    require_prime(ell, "ell", 3)
+    require_prime(ell, "ell", 3, "MAX_ELL")
     counted = _good_model(model, model.require_nonsingular(), ell)
     if counted is None:
         return None
@@ -262,13 +259,6 @@ def _shanks_mestre(A: int, B: int, ell: int, seed: int) -> int:
     raise ArithmeticError("the points leave more than one group order at %d" % ell)
 
 
-def _require_lmax(lmax: int) -> None:
-    if lmax < 3:
-        raise ValueError("lmax must be >= 3")
-    if lmax > MAX_ELL:
-        raise ValueError("lmax exceeds MAX_ELL = %d" % MAX_ELL)
-
-
 def trace_table(model: WeierstrassModel, lmax: int) -> List[TraceRecord]:
     """Trace records at every odd prime ell <= lmax, one count_points call each.
 
@@ -277,7 +267,7 @@ def trace_table(model: WeierstrassModel, lmax: int) -> List[TraceRecord]:
     a_ell = None; primes where only the given model (not the curve) is
     singular are counted on the ell-minimal model.
     """
-    _require_lmax(lmax)
+    require_range(lmax, "lmax", 3, "MAX_ELL")
     model.require_nonsingular()
     records: List[TraceRecord] = []
     for ell in primes_up_to(lmax)[1:]:
@@ -302,7 +292,7 @@ def mod_p_congruent(
     """
     require_prime(p, "p")
     disc2 = model2.require_nonsingular()
-    _require_lmax(lmax)
+    require_range(lmax, "lmax", 3, "MAX_ELL")
     disc1 = model1.require_nonsingular()
     compared: List[int] = []
     first_violation: Optional[Tuple[int, int, int]] = None

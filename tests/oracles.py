@@ -653,7 +653,7 @@ def reduce_alpha(alpha: int, b: int, p: int) -> Tuple[int, int]:
     of 0 means the equation is the Fermat equation for p.
     """
     if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+        raise ValueError("alpha must be >= 0, got %d" % alpha)
     return alpha % p, (1 << (alpha // p)) * b
 
 
@@ -690,7 +690,7 @@ def factorize_trial(n: int, bound: int) -> Dict[int, int]:
     if n == 0:
         raise ValueError("cannot factor 0")
     if bound < 2:
-        raise ValueError("factor bound must be >= 2")
+        raise ValueError("factor bound must be >= 2, got %d" % bound)
     n = abs(n)
     factors: Dict[int, int] = {}
     e2 = (n & -n).bit_length() - 1

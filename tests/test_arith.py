@@ -11,6 +11,10 @@ import freycheck.search as search_mod
 from freycheck import arith, tate
 from freycheck.arith import (
     DEFAULT_FACTOR_BOUND,
+    MAX_ELL,
+    MAX_HEIGHT,
+    MAX_P,
+    MAX_SCAN,
     MILLER_RABIN_BOUND,
     FactorizationError,
     exact_root,
@@ -22,12 +26,13 @@ from freycheck.arith import (
     pool_size,
     primes_up_to,
     require_prime,
+    require_range,
     valuation,
 )
-from freycheck.denes import bernoulli_mod_p, is_regular, wieferich_test
+from freycheck.denes import bernoulli_mod_p, denes_scan, is_regular, wieferich_test
 from freycheck.frey import MonomialTriple, cartan_type, normalize
-from freycheck.search import SearchSpec, verify_theorem_claims
-from freycheck.traces import count_points, mod_p_congruent
+from freycheck.search import SearchSpec, search_ap_powers, verify_theorem_claims
+from freycheck.traces import count_points, mod_p_congruent, trace_table
 from freycheck.weierstrass import WeierstrassModel
 from oracles import factorize_trial
 
@@ -129,6 +134,14 @@ PRIME_CHECKS = [
     ("denes.is_regular", "p", 5, is_regular),
 ]
 
+#: (where, what the prime is called, the arith constant that bounds it, a
+#: call with n as the prime) for every prime refusal with an upper bound.
+BOUNDED_PRIME_CHECKS = [
+    ("traces.count_points", "ell", "MAX_ELL", lambda n: count_points(CURVE, n)),
+    ("denes.bernoulli_mod_p", "p", "MAX_P", bernoulli_mod_p),
+    ("denes.is_regular", "p", "MAX_P", is_regular),
+]
+
 
 class TestRequirePrime:
     def test_accepts_primes_from_least(self):
@@ -148,6 +161,99 @@ class TestRequirePrime:
             with pytest.raises(ValueError) as refusal:
                 call(n)
             assert str(refusal.value) == "%s must be a prime >= %d, got %d" % (name, least, n)
+
+    @pytest.mark.parametrize(
+        "name, most, call", [check[1:] for check in BOUNDED_PRIME_CHECKS],
+        ids=[check[0] for check in BOUNDED_PRIME_CHECKS],
+    )
+    def test_the_bound_is_checked_before_primality(self, name, most, call):
+        # 10**30 is above MILLER_RABIN_BOUND, so is_prime would refuse it
+        # in its own words had the bound not been checked first.
+        bound = getattr(arith, most)
+        for n in (bound + 1, 10**30):
+            with pytest.raises(ValueError) as refusal:
+                call(n)
+            assert str(refusal.value) == "%s exceeds %s = %d" % (name, most, bound)
+
+    def test_bounded_prime_examples(self):
+        with pytest.raises(ValueError) as refusal:
+            require_prime(10**30, "p", 5, "MAX_P")
+        assert str(refusal.value) == "p exceeds MAX_P = 3000000"
+        with pytest.raises(ValueError) as refusal:
+            require_prime(4, "p", 5, "MAX_P")
+        assert str(refusal.value) == "p must be a prime >= 5, got 4"
+        assert require_prime(2_999_999, "p", 5, "MAX_P") is None  # the largest prime <= MAX_P
+
+
+#: (where, what the value is called, least, the arith constant that bounds
+#: it or "", a call with n as the value) for every place the package
+#: refuses a value by its range.
+RANGE_CHECKS = [
+    ("arith.factorize", "factor bound", 2, "", lambda n: factorize(12, n)),
+    ("arith.exact_root", "root index", 1, "", lambda n: exact_root(8, n)),
+    ("frey.normalize", "alpha", 0, "", lambda n: normalize(5, n, -1, 1, -1)),
+    ("search.SearchSpec.alpha", "alpha", 0, "", lambda n: SearchSpec(p=5, alpha=n, height=5)),
+    ("search.SearchSpec.height", "height", 1, "MAX_HEIGHT",
+     lambda n: SearchSpec(p=5, alpha=1, height=n)),
+    ("search.search_ap_powers.n", "exponent n", 2, "", lambda n: search_ap_powers(n, 3, 5)),
+    ("search.search_ap_powers.height", "height", 1, "MAX_HEIGHT",
+     lambda n: search_ap_powers(2, 3, n)),
+    ("search.verify_theorem_claims", "height", 1, "MAX_HEIGHT",
+     lambda n: verify_theorem_claims([5], [7], n)),
+    ("traces.trace_table", "lmax", 3, "MAX_ELL", lambda n: trace_table(CURVE, n)),
+    ("traces.mod_p_congruent", "lmax", 3, "MAX_ELL", lambda n: mod_p_congruent(CURVE, CURVE, 5, n)),
+    ("denes.denes_scan", "p_max", 5, "MAX_SCAN", denes_scan),
+]
+
+
+class TestRequireRange:
+    def test_accepts_both_ends(self):
+        assert require_range(1, "height", 1, "MAX_HEIGHT") is None
+        assert require_range(MAX_HEIGHT, "height", 1, "MAX_HEIGHT") is None
+        assert require_range(0, "alpha", 0) is None
+
+    def test_no_upper_bound_without_a_constant(self):
+        assert require_range(10**100, "alpha", 0) is None
+
+    def test_both_messages_byte_for_byte(self):
+        with pytest.raises(ValueError) as refusal:
+            require_range(-3, "alpha", 0)
+        assert str(refusal.value) == "alpha must be >= 0, got -3"
+        with pytest.raises(ValueError) as refusal:
+            require_range(MAX_ELL + 1, "lmax", 3, "MAX_ELL")
+        assert str(refusal.value) == "lmax exceeds MAX_ELL = 10000000"
+        with pytest.raises(ValueError) as refusal:
+            require_range(MAX_SCAN + 1, "p_max", 5, "MAX_SCAN")
+        assert str(refusal.value) == "p_max exceeds MAX_SCAN = 30840"
+
+    def test_the_lower_bound_is_checked_first(self):
+        # A least above the bound makes both fail; the lower one is named.
+        with pytest.raises(ValueError) as refusal:
+            require_range(MAX_P + 1, "p", MAX_P + 2, "MAX_P")
+        assert str(refusal.value) == "p must be >= %d, got %d" % (MAX_P + 2, MAX_P + 1)
+
+    def test_the_message_names_the_value_it_tested(self, monkeypatch):
+        monkeypatch.setattr(arith, "MAX_HEIGHT", 10)
+        assert require_range(10, "height", 1, "MAX_HEIGHT") is None
+        with pytest.raises(ValueError) as refusal:
+            require_range(11, "height", 1, "MAX_HEIGHT")
+        assert str(refusal.value) == "height exceeds MAX_HEIGHT = 10"
+
+    @pytest.mark.parametrize(
+        "name, least, most, call", [check[1:] for check in RANGE_CHECKS],
+        ids=[check[0] for check in RANGE_CHECKS],
+    )
+    def test_every_range_check_refuses_alike(self, name, least, most, call):
+        for n in (least - 1, least - 5, -(10**30)):
+            with pytest.raises(ValueError) as refusal:
+                call(n)
+            assert str(refusal.value) == "%s must be >= %d, got %d" % (name, least, n)
+        if most:
+            bound = getattr(arith, most)
+            for n in (bound + 1, 10**30):
+                with pytest.raises(ValueError) as refusal:
+                    call(n)
+                assert str(refusal.value) == "%s exceeds %s = %d" % (name, most, bound)
 
 
 class TestValuation:
@@ -585,7 +691,7 @@ class TestRoots:
 
     @pytest.mark.parametrize("n,k", [(8, 0), (-8, 0), (1, -1), (0, -3)])
     def test_exact_root_rejects_index_below_1(self, n, k):
-        with pytest.raises(ValueError, match="root index must be >= 1"):
+        with pytest.raises(ValueError, match="^root index must be >= 1, got %d$" % k):
             exact_root(n, k)
 
     @given(

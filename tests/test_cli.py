@@ -27,7 +27,7 @@ import freycheck.search as search_mod
 import freycheck.tate as tate_mod
 import freycheck.traces as traces_mod
 from freycheck import __version__
-from freycheck.arith import MAX_HEIGHT, MAX_P, MAX_SCAN, pool_size, primes_up_to
+from freycheck.arith import MAX_ELL, MAX_HEIGHT, MAX_P, MAX_SCAN, pool_size, primes_up_to
 from freycheck.cli import jsonable
 from freycheck.denes import denes_criterion
 from freycheck.frey import CurveInvariants, build_frey, invariants, normalize
@@ -39,7 +39,7 @@ from freycheck.search import (
     search_star,
 )
 from freycheck.tate import all_local_data
-from freycheck.traces import MAX_ELL, mod_p_congruent, trace_table
+from freycheck.traces import mod_p_congruent, trace_table
 from freycheck.weierstrass import WeierstrassModel
 
 from oracles import count_points_legendre
@@ -79,6 +79,12 @@ def finding(err):
     return err[len(prefix) : -1]
 
 
+def conductor_free_local_data(model, bound):
+    """Tate's local data with every conductor exponent set to 0: an oracle
+    that sees good reduction everywhere, to provoke a disagreement."""
+    return [data._replace(conductor_exponent=0) for data in all_local_data(model, bound)]
+
+
 #: The integer-list options, each given a list with a leading minus:
 #: (arguments before it, option, value, arguments after it, exit code).
 NEGATIVE_LISTS = {
@@ -104,26 +110,27 @@ FERMAT = (
 OUT_OF_RANGE = [
     ("analyze --alpha 1 --triple=-1,1,-1", "--p", (0, -5, 2), "p must be a prime >= 3, got {}"),
     ("analyze --p 5 --triple=-1,1,-1", "--alpha", (0,), FERMAT),
-    ("analyze --p 5 --triple=-1,1,-1", "--alpha", (-5, -1), "alpha must be non-negative"),
+    ("analyze --p 5 --triple=-1,1,-1", "--alpha", (-5, -1), "alpha must be >= 0, got {}"),
     ("analyze --p 5 --alpha 1 --triple=-1,1,-1", "--factor-bound", (0, -5, 1),
-     "factor bound must be >= 2"),
+     "factor bound must be >= 2, got {}"),
     ("denes", "--p", (0, -5, 4), "p must be a prime >= 5, got {}"),
     ("denes", "--scan", (0, -5, 4), "p_max must be >= 5, got {}"),
     ("search --alpha 1 --height 5", "--p", (0, -5, 2), "p must be a prime >= 3, got {}"),
-    ("search --p 5 --height 5", "--alpha", (-5, -1), "alpha must be non-negative"),
+    ("search --p 5 --height 5", "--alpha", (-5, -1), "alpha must be >= 0, got {}"),
     ("search --p 5 --alpha 1 --height 5", "--L", (0, -5, 1), "L must be a prime >= 2, got {}"),
-    ("search --p 5 --alpha 1", "--height", (0, -5), "height must be >= 1"),
-    ("ap-search --k 3 --height 5", "--n", (0, -5, 1), "exponent n must be >= 2"),
+    ("search --p 5 --alpha 1", "--height", (0, -5), "height must be >= 1, got {}"),
+    ("ap-search --k 3 --height 5", "--n", (0, -5, 1), "exponent n must be >= 2, got {}"),
     ("ap-search --n 2 --height 5", "--k", (0, -5, 2, 5),
      "only 3- and 4-term progressions are supported"),
-    ("ap-search --n 2 --k 3", "--height", (0, -5), "height must be >= 1"),
-    ("verify --p-list 5 --alpha-list 1", "--height", (0, -5), "height must be >= 1"),
-    ("traces --model 0,0,0,-1,0", "--lmax", (0, -5, 2), "lmax must be >= 3"),
+    ("ap-search --n 2 --k 3", "--height", (0, -5), "height must be >= 1, got {}"),
+    ("verify --p-list 5 --alpha-list 1", "--height", (0, -5), "height must be >= 1, got {}"),
+    ("traces --model 0,0,0,-1,0", "--lmax", (0, -5, 2), "lmax must be >= 3, got {}"),
     ("congruence --model1 0,0,0,-1,0 --model2 0,0,0,1,0 --lmax 30", "--p", (0, -5, 1),
      "p must be a prime >= 2, got {}"),
     ("congruence --model1 0,0,0,-1,0 --model2 0,0,0,1,0 --p 5", "--lmax", (0, -5, 2),
-     "lmax must be >= 3"),
-    ("conductor --model 0,0,0,-1,0", "--factor-bound", (0, -5, 1), "factor bound must be >= 2"),
+     "lmax must be >= 3, got {}"),
+    ("conductor --model 0,0,0,-1,0", "--factor-bound", (0, -5, 1),
+     "factor bound must be >= 2, got {}"),
 ]
 
 #: Runs each NEGATIVE_LISTS case (a JSON list in argv[1]) through
@@ -385,7 +392,8 @@ class TestExitCodes:
         code, out, err = run_cli(
             capsys, "conductor", "--model", "0,0,0,-1,0", "--factor-bound", "1"
         )
-        assert (code, out, err) == (2, "", "freycheck conductor: error: factor bound must be >= 2\n")
+        refusal = "freycheck conductor: error: factor bound must be >= 2, got 1\n"
+        assert (code, out, err) == (2, "", refusal)
 
     def test_environment_does_not_set_the_factor_bound(self, capsys, monkeypatch):
         monkeypatch.setenv("FREYCHECK_FACTOR_BOUND", "not-a-number")
@@ -427,13 +435,13 @@ class TestExitCodes:
         assert finding(err) == "at least one (p, alpha) case contradicts the expected verdict"
 
     def test_counterexample_exit_analyze_disagreement(self, capsys, monkeypatch):
-        monkeypatch.setattr(tate_mod, "all_local_data", lambda model, bound: [])
+        monkeypatch.setattr(tate_mod, "all_local_data", conductor_free_local_data)
         code, out, err = run_cli(
             capsys, "analyze", "--p", "5", "--alpha", "1", "--triple=-1,1,-1"
         )
         assert code == 3 and json.loads(out)["cross_check"]["agree"] is False
         assert finding(err) == (
-            "closed-form table disagrees with the oracle's (conductor, t, u) = (1, 0, None)"
+            "closed-form table disagrees with the oracle's (conductor, t, u) = (1, 0, 4)"
         )
 
     def test_counterexample_exit_analyze_u_disagreement(self, capsys, monkeypatch):
@@ -1290,7 +1298,8 @@ def test_entry_logs_a_contradiction_in_the_cli_format(capsys, monkeypatch):
         """\
         import sys
         import freycheck.cli as cli, freycheck.tate as tate
-        tate.all_local_data = lambda m, b: []
+        real = tate.all_local_data
+        tate.all_local_data = lambda m, b: [d._replace(conductor_exponent=0) for d in real(m, b)]
         try:
             cli.entry()
         finally:
@@ -1304,7 +1313,7 @@ def test_entry_logs_a_contradiction_in_the_cli_format(capsys, monkeypatch):
         text=True,
         check=False,
     )
-    monkeypatch.setattr(tate_mod, "all_local_data", lambda model, bound: [])
+    monkeypatch.setattr(tate_mod, "all_local_data", conductor_free_local_data)
     expected = run_cli(capsys, *args)
     assert expected[0] == proc.returncode == 3
     assert finding(expected[2]).startswith("closed-form table disagrees")

@@ -3,16 +3,20 @@ only the standard library, it uses no floating-point arithmetic, one
 module, ``arith``, owns every process pool, the CPU count that sizes
 them and every primality test, one, ``cli``, owns standard error (no
 module logs), and no module reads ``sys.argv``.  A non-prime is refused
-by ``arith.require_prime`` alone, and ``cli``'s parser reads integers
-only: a value's range is refused by the library function that owns its
-rule.  Every name a module imports is used in that module.
+by ``arith.require_prime`` alone and a value outside its range by
+``arith.require_range`` (or ``require_prime``, for a prime's upper bound)
+alone, and ``cli``'s parser reads integers only: the library function
+that owns a value's rule calls one of them.  Every name a module imports
+is used in that module.
 
 Each module under ``src/freycheck`` is parsed, not imported, and every
 node is checked: absolute imports must name a stdlib module; float and
 complex literals, true division (``/``, ``/=``), ``float(...)`` and
 ``complex(...)`` calls are refused; of ``math`` only the exact integer
 functions may be used; no ``raise ValueError(...)`` outside a function
-named ``require_prime`` may name a prime in its message.
+named ``require_prime`` may name a prime in its message, and none outside
+``require_prime`` and ``require_range`` may say "must be >=", "exceeds" or
+"non-negative".
 """
 
 import ast
@@ -28,10 +32,11 @@ import freycheck
 SOURCES = sorted(Path(freycheck.__file__).parent.glob("*.py"))
 EXACT_MATH = {"gcd", "isqrt", "prod", "comb", "lcm", "factorial"}
 PRIME_WORD = re.compile(r"\bprime\b", re.IGNORECASE)
+RANGE_WORDS = re.compile(r"must be >=|\bexceeds\b|non-negative", re.IGNORECASE)
 
 
-def refuses_a_non_prime(exc: ast.AST) -> bool:
-    """Whether ``exc`` is a ``ValueError(...)`` whose message names a prime."""
+def value_error_says(exc: ast.AST, words: "re.Pattern[str]") -> bool:
+    """Whether ``exc`` is a ``ValueError(...)`` whose message matches ``words``."""
     return (
         isinstance(exc, ast.Call)
         and isinstance(exc.func, ast.Name)
@@ -39,7 +44,7 @@ def refuses_a_non_prime(exc: ast.AST) -> bool:
         and any(
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
-            and PRIME_WORD.search(node.value)
+            and words.search(node.value)
             for node in ast.walk(exc)
         )
     )
@@ -49,13 +54,15 @@ def violations(source: str) -> List[str]:
     """One line per breach of the rules in ``source``, in line order."""
     tree = ast.parse(source)
     math_names = set()  # what "import math [as m]" binds
-    # The one refusal of a non-prime, arith.require_prime, may raise one.
-    refusal = {
-        id(inner)
+    # arith's refusal helpers may raise them: require_prime a non-prime,
+    # require_range (and require_prime) a value outside its range.
+    inside = {
+        node.name: {id(inner) for inner in ast.walk(node)}
         for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "require_prime"
-        for inner in ast.walk(node)
+        if isinstance(node, ast.FunctionDef) and node.name in ("require_prime", "require_range")
     }
+    prime_refusal = inside.get("require_prime", set())
+    range_refusal = prime_refusal | inside.get("require_range", set())
     found = []
     for node in ast.walk(tree):
         line = getattr(node, "lineno", 0)
@@ -87,10 +94,16 @@ def violations(source: str) -> List[str]:
             found.append((line, "calls %s" % node.func.id))
         elif (
             isinstance(node, ast.Raise)
-            and id(node) not in refusal
-            and refuses_a_non_prime(node.exc)
+            and id(node) not in prime_refusal
+            and value_error_says(node.exc, PRIME_WORD)
         ):
             found.append((line, "refuses a non-prime outside require_prime"))
+        elif (
+            isinstance(node, ast.Raise)
+            and id(node) not in range_refusal
+            and value_error_says(node.exc, RANGE_WORDS)
+        ):
+            found.append((line, "refuses a range outside require_range"))
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
@@ -127,6 +140,7 @@ def test_every_rule_fires():
             "raise ArithmeticError('p must be prime')",
             "def require_prime(n):",
             "    raise ValueError('n must be a prime')",
+            "raise ValueError('height must be >= 1')",
         ]
     )
     assert [line.split(": ", 1)[1] for line in violations(source)] == [
@@ -142,7 +156,32 @@ def test_every_rule_fires():
         "uses math.log",
         "refuses a non-prime outside require_prime",
         "refuses a non-prime outside require_prime",
+        "refuses a range outside require_range",
     ]
+
+
+@pytest.mark.parametrize(
+    "source, fires",
+    [
+        ("raise ValueError('height must be >= 1')", True),
+        ("raise ValueError('lmax exceeds MAX_ELL = %d' % MAX_ELL)", True),
+        ("raise ValueError(f'alpha must be non-negative, got {alpha}')", True),
+        ("def _check_height(h):\n    if h < 1:\n        raise ValueError('height must be >= 1')",
+         True),
+        ("def require_range(n, name, least):\n"
+         "    raise ValueError('%s must be >= %d, got %d' % (name, least, n))", False),
+        ("def require_prime(n, name, most):\n"
+         "    raise ValueError('%s exceeds %s' % (name, most))", False),
+        ("require_range(height, 'height', 1, 'MAX_HEIGHT')", False),
+        ("raise FactorizationError('factorization bound exceeded')", False),
+        ("raise ArithmeticError('the order exceeds the Hasse bound')", False),
+    ],
+    ids=["least", "exceeds", "non-negative", "wrapper", "require-range", "require-prime",
+         "call", "exceeded", "not-value-error"],
+)
+def test_range_rule_fires(source, fires):
+    breach = "refuses a range outside require_range"
+    assert any(line.endswith(breach) for line in violations(source)) is fires
 
 
 def imported_modules(tree: ast.AST) -> Set[str]:

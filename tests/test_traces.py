@@ -15,12 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freycheck import tate, traces
-from freycheck.arith import MILLER_RABIN_BOUND, is_prime, primes_up_to
+from freycheck.arith import MAX_ELL, MILLER_RABIN_BOUND, is_prime, primes_up_to
 from freycheck.cli import jsonable
 from freycheck.frey import build_frey, normalize
 from freycheck.traces import (
     CONGRUENCE_DISCLAIMER,
-    MAX_ELL,
     SHANKS_MESTRE_MIN_ELL,
     CongruenceReport,
     TraceRecord,
